@@ -46,6 +46,7 @@ from .product_formulas import (
     group_commutator,
     primitive_unitary,
     rescale,
+    suzuki_index,
     symmetrize,
     timeslice,
     trotter,
@@ -216,8 +217,9 @@ def conditional_rotation_phase_space(
     half_phase = primitive_unitary(
         Primitive("half-phase", -0.5 * _qubit_pauli(layout, axis))
     )
-    s = max(1, math.ceil(p / 2.0 - 0.25))
-    pu = trotter(2 * s, [as_linear_term(u_x2), as_linear_term(u_p2), half_phase])
+    pu = trotter(
+        2 * suzuki_index(p), [as_linear_term(u_x2), as_linear_term(u_p2), half_phase]
+    )
 
     quad = x_op @ x_op + p_op @ p_op - 0.5 * mode_identity(cutoff)
     gen = embed(quad, layout, 1) @ _qubit_pauli(layout, axis)
@@ -249,7 +251,7 @@ def conditional_rotation_fock(
     corr = primitive_unitary(Primitive("qubit1-phase", embed(lower, layout, 0)))
     pu = compose(
         "cond-rot-fock",
-        [Factor(enc.unitary, lambda s: s), Factor(corr, lambda s: s)],
+        [Factor(enc.unitary), Factor(corr)],
     )
     gen = enc.generator + embed(lower, layout, 0)
     return ApplicationSpec(
@@ -340,7 +342,7 @@ def state_prep_protected(
     echoed = frame_conjugate(rescale(unprot.synthesis, -1.0), frame)
     pu = compose(
         f"protected-prep-T{k}",
-        [Factor(unprot.synthesis, lambda s: s), Factor(echoed, lambda s: s)],
+        [Factor(unprot.synthesis), Factor(echoed)],
     )
     gen = unprot.exact_generator - flip @ unprot.exact_generator @ flip
     return ApplicationSpec(
@@ -449,13 +451,12 @@ def conditional_beam_splitter(
     if p == 1:
         inner = compose(
             "cond-beam-splitter",
-            [Factor(u_xx, lambda s: s), Factor(u_pp, lambda s: s)],
+            [Factor(u_xx), Factor(u_pp)],
             target_power=2,
         )
         pu = as_linear_term(inner, label="cond-beam-splitter")
     else:
-        s = max(1, math.ceil(p / 2.0 - 0.25))
-        pu = trotter(2 * s, [as_linear_term(u_xx), as_linear_term(u_pp)])
+        pu = trotter(2 * suzuki_index(p), [as_linear_term(u_xx), as_linear_term(u_pp)])
 
     a1 = embed(annihilation(cutoff), layout, 1)
     a2 = embed(annihilation(cutoff), layout, 2)
@@ -559,13 +560,9 @@ def effective_pauli_span01(
         comm = group_commutator(prim("n*sz", nm @ sz), prim("x", xm))
         lin = prim("2p*sz", 2.0 * (pm @ sz))
     elif axis == "z":
-        ident = lambda s: s
         pu = compose(
             "eff-pauli-z",
-            [
-                Factor(prim("qubit-phase", sz), ident),
-                Factor(prim("-2n*sz", -2.0 * (nm @ sz)), ident),
-            ],
+            [Factor(prim("qubit-phase", sz)), Factor(prim("-2n*sz", -2.0 * (nm @ sz)))],
         )
         gen = sz @ embed(mode_identity(cutoff) - 2.0 * number(cutoff), layout, 1)
         return ApplicationSpec(
@@ -580,14 +577,9 @@ def effective_pauli_span01(
 
     if symmetrized:
         anti, comm = symmetrize(anti), symmetrize(comm)
-    ident = lambda s: s
     pu = compose(
         f"eff-pauli-{axis}",
-        [
-            Factor(as_linear_term(anti), ident),
-            Factor(as_linear_term(comm), ident),
-            Factor(lin, ident),
-        ],
+        [Factor(as_linear_term(anti)), Factor(as_linear_term(comm)), Factor(lin)],
     )
     gen = sz @ embed(sigma_eff(axis, cutoff), layout, 1)
     return ApplicationSpec(
@@ -624,11 +616,7 @@ def anharmonicity_gate(
     u_n2 = _conditional_square(number(cutoff), "n", layout, 1, axis, p, base)
     nm = embed(number(cutoff), layout, 1)
     lin = primitive_unitary(Primitive("-n*sz", -1.0 * (nm @ _qubit_pauli(layout, axis))))
-    ident = lambda s: s
-    pu = compose(
-        "anharmonicity",
-        [Factor(as_linear_term(u_n2), ident), Factor(lin, ident)],
-    )
+    pu = compose("anharmonicity", [Factor(as_linear_term(u_n2)), Factor(lin)])
     n_op = number(cutoff)
     gen = embed(n_op @ n_op - n_op, layout, 1) @ _qubit_pauli(layout, axis)
     return ApplicationSpec(
@@ -769,9 +757,8 @@ def nonlinear_hamiltonian(
     sq = power(2, 2 * q, cutoff, budget=SynthesisBudget(2 * q, q), base=base)
     term2 = mult(sq, conjugate(sq, "X"), 2 * q, 2 * q, base=base)
 
-    s = max(1, math.ceil(0.5 * (q - 0.75)))
     pu = trotter(
-        2 * s,
+        2 * suzuki_index(q),
         [
             rescale(term1.unitary, omega, label="number-flow"),
             rescale(term2.unitary, 0.5 * kappa, label="quartic-flow"),

@@ -31,8 +31,8 @@ from .applications import (
     nonlinear_hamiltonian,
     state_prep_T,
 )
-from .product_formulas import fit_power_law, sliced, timeslice
-from .tensor_core import spectral_norm
+from .product_formulas import fit_power_law, sliced, suzuki_index, timeslice
+from .tensor_core import ResourceExhaustedError, spectral_norm
 
 __all__ = [
     "UsageError",
@@ -56,13 +56,9 @@ class UsageError(ValueError):
     """Invalid configuration or command-line input (exit code 2)."""
 
 
-class ResourceExhaustedError(RuntimeError):
-    """Requested problem size exceeds the dimension cap (exit code 3)."""
-
-
-_TOP_KEYS = {"application", "cutoff", "physical", "grid", "orders", "slices", "fit", "seed", "output"}
+_TOP_KEYS = {"application", "cutoff", "physical", "grid", "orders", "slices", "fit", "output"}
 _GRID_KEYS = {"min", "max", "points", "log_spaced"}
-_ORDER_KEYS = {"bch", "trotter", "symmetrized", "base"}
+_ORDER_KEYS = {"bch", "symmetrized", "base"}
 _FIT_KEYS = {"residual_cap"}
 _OUTPUT_KEYS = {"csv", "json"}
 
@@ -79,12 +75,10 @@ class ExperimentConfig:
     points: int = 12
     log_spaced: bool = True
     bch_order: int = 1
-    trotter_order: int = 2
     symmetrized: bool = False
     base: str | None = None
     slices: int | str = 1
     residual_cap: float = 0.1
-    seed: int = 0
     out_csv: str | None = None
     out_json: str | None = None
 
@@ -101,7 +95,7 @@ class ExperimentConfig:
             raise UsageError(f"grid needs at least 4 points for fits, got {self.points}")
         if not (0.0 < self.t_min < self.t_max):
             raise UsageError(f"grid needs 0 < min < max, got [{self.t_min}, {self.t_max}]")
-        if self.bch_order < 1 or self.trotter_order < 1:
+        if self.bch_order < 1:
             raise UsageError("formula orders must be >= 1")
         if self.base not in (None, "lean", "split"):
             raise UsageError(f"base must be 'lean' or 'split', got {self.base!r}")
@@ -115,6 +109,8 @@ class ExperimentConfig:
         for key, value in self.physical.items():
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise UsageError(f"physical parameter {key!r} must be a finite number")
+        if self.slices == "auto" and not 0.0 < self.physical.get("delta", 0.1) <= 1.0:
+            raise UsageError("slices: auto needs 0 < physical.delta <= 1")
 
     def grid(self) -> np.ndarray:
         if self.log_spaced:
@@ -154,12 +150,10 @@ class ExperimentConfig:
             points=int(grid.get("points", 12)),
             log_spaced=bool(grid.get("log_spaced", True)),
             bch_order=int(orders.get("bch", 1)),
-            trotter_order=int(orders.get("trotter", 2)),
             symmetrized=bool(orders.get("symmetrized", False)),
             base=orders.get("base"),
             slices=data.get("slices", 1),
             residual_cap=float(fit.get("residual_cap", 0.1)),
-            seed=int(data.get("seed", 0)),
             out_csv=output.get("csv"),
             out_json=output.get("json"),
         )
@@ -191,8 +185,7 @@ class _AppEntry:
 
 
 def _trotter_reps(p: int) -> int:
-    s = max(1, math.ceil(p / 2 - 0.25))
-    return 2 * 5 ** (s - 1)
+    return 2 * 5 ** (suzuki_index(p) - 1)
 
 
 def _build_conditional_rotation(cfg: ExperimentConfig) -> ApplicationSpec:
@@ -240,8 +233,7 @@ def _build_nonlinear(cfg: ExperimentConfig) -> ApplicationSpec:
 
 def _bound_nonlinear(cfg: ExperimentConfig) -> float:
     q = cfg.bch_order
-    s = max(1, math.ceil(0.5 * (q - 0.75)))
-    return 2.0 * s * 16.0 * 6.0 ** (2 * q - 1) * (1.0 + 6.0 * 420.0 ** (2 * q))
+    return 2.0 * suzuki_index(q) * 16.0 * 6.0 ** (2 * q - 1) * (1.0 + 6.0 * 420.0 ** (2 * q))
 
 
 def _build_fswap(cfg: ExperimentConfig) -> ApplicationSpec:
@@ -631,13 +623,11 @@ def _config_jsonable(cfg: ExperimentConfig) -> dict:
         },
         "orders": {
             "bch": cfg.bch_order,
-            "trotter": cfg.trotter_order,
             "symmetrized": cfg.symmetrized,
             "base": cfg.base,
         },
         "slices": cfg.slices,
         "fit": {"residual_cap": cfg.residual_cap},
-        "seed": cfg.seed,
         "output": {"csv": cfg.out_csv, "json": cfg.out_json},
     }
 
@@ -696,12 +686,10 @@ def report_from_json(path: str | Path) -> SynthesisReport:
         points=cfg_data["grid"]["points"],
         log_spaced=cfg_data["grid"]["log_spaced"],
         bch_order=cfg_data["orders"]["bch"],
-        trotter_order=cfg_data["orders"]["trotter"],
         symmetrized=cfg_data["orders"]["symmetrized"],
         base=cfg_data["orders"]["base"],
         slices=cfg_data["slices"],
         residual_cap=cfg_data["fit"]["residual_cap"],
-        seed=cfg_data["seed"],
         out_csv=cfg_data["output"]["csv"],
         out_json=cfg_data["output"]["json"],
     )

@@ -157,10 +157,10 @@ def s1_from_conditional_displacements(cutoff: int) -> ParamUnitary:
 
     quarter = math.pi / 2
     factors = [
-        Factor(rot, lambda a: quarter),
-        Factor(cd_y, lambda a: a),
-        Factor(rot, lambda a: -quarter),
-        Factor(cd_x, lambda a: a),
+        Factor(rot, quarter, power=0),
+        Factor(cd_y),
+        Factor(rot, -quarter, power=0),
+        Factor(cd_x),
     ]
     return compose("S1~CD", factors)
 
@@ -247,8 +247,7 @@ def add(
 
     split = trotter(2 * s, [term_l, term_r])
     inner = frame_conjugate(
-        compose(f"add[{left.unitary.label},{right.unitary.label}]",
-                [Factor(split, lambda t: 0.5 * t)]),
+        compose(f"add[{left.unitary.label},{right.unitary.label}]", [Factor(split, 0.5)]),
         frame_x,
     )
 
@@ -297,7 +296,7 @@ def mult(
     inner_lin = as_linear_term(block)
     inner = compose(
         f"mult[{left.unitary.label},{right.unitary.label}]",
-        [Factor(inner_lin, lambda t: 0.5 * t)],
+        [Factor(inner_lin, 0.5)],
     )
 
     ba = b_t @ a_t

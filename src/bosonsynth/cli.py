@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import bench
@@ -22,7 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="directory for artifacts")
         p.add_argument("--threads", type=int, default=1, help="grid-point worker threads")
         p.add_argument("--dim-cap", type=int, default=2048, help="largest allowed Hilbert dimension")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     add_shared(sub.add_parser("run", help="evaluate one config over its timestep grid"))
     add_shared(sub.add_parser("sweep", help="order-by-timestep matrix for one config"))
@@ -30,13 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     describe_p = sub.add_parser("describe", help="show one application's parameters")
     describe_p.add_argument("application")
     return parser
-
-
-def _load(args: argparse.Namespace) -> bench.ExperimentConfig:
-    config = bench.load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
 
 
 def main(argv=None) -> int:
@@ -47,7 +38,7 @@ def main(argv=None) -> int:
         elif args.command == "describe":
             print(bench.describe(args.application))
         elif args.command == "run":
-            config = _load(args)
+            config = bench.load_config(args.config)
             report = bench.run(
                 config, out_dir=args.out_dir, threads=args.threads, dim_cap=args.dim_cap
             )
@@ -57,7 +48,7 @@ def main(argv=None) -> int:
                   f"within {report.within_bound})")
             print(f"fitted exponent: {exponent}")
         elif args.command == "sweep":
-            config = _load(args)
+            config = bench.load_config(args.config)
             cells = bench.run_sweep(
                 config, out_dir=args.out_dir, threads=args.threads, dim_cap=args.dim_cap
             )

@@ -1,16 +1,18 @@
 """Parametrized gate products: group commutators, higher-order commutator
 recursions, Suzuki splittings, symmetrization, timeslicing and order fits.
 
-The working object is a ParamUnitary: a map t -> unitary with a lazy gate
-expansion and an exponential budget that is composed arithmetically, never by
-materializing the sequence. Matrix evaluation memoizes per parameter value,
-which keeps deep recursions cheap because the same few scaled parameters
-recur throughout a tree.
+A compiled gate is a ParamUnitary: an immutable tree of Leaf, Frame, Product
+and Repeat nodes, which the combinators below only build. One interpreter
+evaluates, expands and reverses trees; the exponential ledger is summed once
+per node at build time. A top-level eval memoizes (node, parameter) pairs,
+which recur throughout deep recursions, for that call only.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -22,7 +24,6 @@ from .tensor_core import (
     HilbertLayout,
     Operator,
     ResourceExhaustedError,
-    expm,
     is_hermitian,
     is_unitary,
     spectral_norm,
@@ -34,19 +35,23 @@ __all__ = [
     "Invocation",
     "GateSequence",
     "ParamUnitary",
+    "Leaf",
+    "Frame",
     "Factor",
+    "Product",
+    "Repeat",
     "compose",
     "primitive_unitary",
     "frame_conjugate",
     "rescale",
     "reverse_pu",
     "as_linear_term",
-    "lie_product",
     "group_commutator",
     "bch",
     "bch_constants",
     "trotter",
     "suzuki_coefficient",
+    "suzuki_index",
     "symmetrize",
     "sliced",
     "timeslice",
@@ -92,10 +97,16 @@ class FrameGate:
         self.label = label
         self.layout = layout
         self.mat = op.mat
+        self._dagger: FrameGate | None = None
 
     def dagger(self) -> "FrameGate":
-        label = self.label[:-1] if self.label.endswith("'") else self.label + "'"
-        return FrameGate(label, self.layout, self.mat.conj().T)
+        """The inverse gate; built once, and its own dagger is self, so
+        reversed and inverted sequences compare equal gate by gate."""
+        if self._dagger is None:
+            label = self.label[:-1] if self.label.endswith("'") else self.label + "'"
+            self._dagger = FrameGate(label, self.layout, self.mat.conj().T)
+            self._dagger._dagger = self
+        return self._dagger
 
     def __repr__(self):
         return f"FrameGate({self.label!r})"
@@ -163,50 +174,81 @@ class GateSequence:
 
 
 @dataclass(frozen=True)
+class Leaf:
+    """One counted exponential: the primitive at the node parameter."""
+
+    prim: Primitive
+
+
+@dataclass(frozen=True)
+class Frame:
+    """F U(t) F^dag, with F recorded but not counted."""
+
+    gate: FrameGate
+    child: ParamUnitary
+
+
+@dataclass(frozen=True)
 class Factor:
-    """One constituent of a composite: a ParamUnitary evaluated at a
-    transformed parameter, optionally as its adjoint."""
+    """One constituent of a Product: pu at coeff * t**power, as its adjoint
+    when invert is set. adjoint_if_negative takes coeff * |t|**power instead
+    and flips the adjoint for t < 0."""
 
-    pu: "ParamUnitary"
-    transform: Callable[[float], float]
+    pu: ParamUnitary
+    coeff: float = 1.0
+    power: float = 1
     invert: bool = False
+    adjoint_if_negative: bool = False
+
+    def at(self, t: float) -> tuple[float, bool]:
+        """(parameter, adjoint) of this factor at node parameter t."""
+        if self.adjoint_if_negative:
+            return self.coeff * abs(t) ** self.power, self.invert != (t < 0)
+        return self.coeff * t**self.power, self.invert
 
 
+@dataclass(frozen=True)
+class Product:
+    """Factors in operator order: factors[0] is leftmost and acts last."""
+
+    factors: tuple[Factor, ...]
+
+
+@dataclass(frozen=True)
+class Repeat:
+    """child(t / count) applied count times. A positive step_scale marks a
+    one-slice Suzuki formula, which warns once when step_scale * |t| > 1."""
+
+    child: ParamUnitary
+    count: int
+    step_scale: float = 0.0
+
+
+@dataclass(frozen=True)
 class ParamUnitary:
-    """A parametrized unitary family t -> U(t).
+    """A parametrized unitary family t -> U(t); equality ignores labels.
 
     target_power records the leading power of t in the generator the family
     approximates (1 for flows, k+1 for commutator targets); symmetrization
-    dispatches on its parity.
+    dispatches on its parity. cost_counter is the per-label exponential ledger.
     """
 
-    def __init__(
-        self,
-        label: str,
-        layout: HilbertLayout,
-        eval_fn: Callable[[float], np.ndarray],
-        expand_fn: Callable[[float], list[Invocation]],
-        cost_counter: Counter,
-        target_power: int = 1,
-    ):
-        self.label = label
-        self.layout = layout
-        self._eval_fn = eval_fn
-        self._expand_fn = expand_fn
-        self.cost_counter = Counter(cost_counter)
-        self.target_power = target_power
-        self._cache: dict[float, np.ndarray] = {}
+    label: str = field(compare=False)
+    layout: HilbertLayout
+    node: Leaf | Frame | Product | Repeat
+    target_power: int = 1
+    cost_counter: Counter = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cost_counter", Counter(_ledger(self.node)))
+        object.__setattr__(self, "_hash", hash((self.layout, self.node, self.target_power)))
+
+    def __hash__(self):
+        # Cached: subtrees are shared, so recomputing would walk every path.
+        return self._hash
 
     def eval(self, t: float) -> Operator:
-        t = float(t)
-        mat = self._cache.get(t)
-        if mat is None:
-            mat = self._eval_fn(t)
-            self._cache[t] = mat
-        return Operator(self.layout, mat)
-
-    def __call__(self, t: float) -> Operator:
-        return self.eval(t)
+        return Operator(self.layout, _evaluate(self, float(t), {}))
 
     def cost(self) -> int:
         return sum(self.cost_counter.values())
@@ -217,20 +259,95 @@ class ParamUnitary:
                 f"{self.label}: expansion of {self.cost()} exponentials "
                 f"exceeds cap {TOL.sequence_cap}"
             )
-        return GateSequence(self.layout, self._expand_fn(float(t)))
+        return GateSequence(self.layout, _expand(self, float(t)))
 
     def __repr__(self):
         return f"ParamUnitary({self.label!r}, cost={self.cost()})"
 
 
+# One-slice Suzuki nodes that have already warned about their step size.
+_WARNED: weakref.WeakSet = weakref.WeakSet()
+
+
+def _ledger(node) -> Counter:
+    match node:
+        case Leaf(prim):
+            return Counter({prim.label: 1})
+        case Frame(_, child):
+            return child.cost_counter
+        case Product(factors):
+            return sum((f.pu.cost_counter for f in factors), Counter())
+        case Repeat(child, count):
+            return Counter({lbl: n * count for lbl, n in child.cost_counter.items()})
+    raise TypeError(f"not a node: {node!r}")
+
+
+def _evaluate(pu: ParamUnitary, t: float, memo: dict) -> np.ndarray:
+    key = (id(pu), t)
+    if key in memo:
+        return memo[key]
+    match pu.node:
+        case Leaf(prim):
+            mat = prim.unitary(t)
+        case Frame(gate, child):
+            mat = gate.mat @ _evaluate(child, t, memo) @ gate.mat.conj().T
+        case Product(factors):
+            mat = np.eye(pu.layout.dim, dtype=np.complex128)
+            for f in factors:
+                s, adjoint = f.at(t)
+                sub = _evaluate(f.pu, s, memo)
+                mat = mat @ (sub.conj().T if adjoint else sub)
+        case Repeat(child, count, step_scale):
+            if step_scale * abs(t) > 1.0 and pu not in _WARNED:
+                _WARNED.add(pu)
+                warnings.warn(
+                    f"{child.label}: step size outside the well-conditioned "
+                    "range at one slice",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            mat = np.linalg.matrix_power(_evaluate(child, t / count, memo), count)
+    memo[key] = mat
+    return mat
+
+
+def _expand(pu: ParamUnitary, t: float) -> list[Invocation]:
+    match pu.node:
+        case Leaf(prim):
+            return [Invocation(prim, t)]
+        case Frame(gate, child):
+            return [Invocation(gate), *_expand(child, t), Invocation(gate.dagger())]
+        case Product(factors):
+            out: list[Invocation] = []
+            for f in factors:
+                s, adjoint = f.at(t)
+                seq = _expand(f.pu, s)
+                out.extend([inv.inverted() for inv in reversed(seq)] if adjoint else seq)
+            return out
+        case Repeat(child, count):
+            return _expand(child, t / count) * count
+
+
+def _reverse(pu: ParamUnitary, done: dict) -> ParamUnitary:
+    if id(pu) in done:
+        return done[id(pu)]
+    match pu.node:
+        case Leaf():
+            return pu
+        case Frame(gate, child):
+            node = Frame(gate.dagger(), _reverse(child, done))
+        case Product(factors):
+            node = Product(
+                tuple(dataclasses.replace(f, pu=_reverse(f.pu, done)) for f in reversed(factors))
+            )
+        case Repeat(child):
+            node = dataclasses.replace(pu.node, child=_reverse(child, done))
+    done[id(pu)] = out = ParamUnitary(f"rev[{pu.label}]", pu.layout, node, pu.target_power)
+    return out
+
+
 def primitive_unitary(prim: Primitive) -> ParamUnitary:
-    return ParamUnitary(
-        prim.label,
-        prim.layout,
-        prim.unitary,
-        lambda t: [Invocation(prim, t)],
-        Counter({prim.label: 1}),
-    )
+    return ParamUnitary(prim.label, prim.layout, Leaf(prim))
 
 
 def compose(
@@ -240,88 +357,34 @@ def compose(
 ) -> ParamUnitary:
     """Product of factors in operator order: factors[0] is leftmost and acts
     last. Cost is the arithmetic sum of the factor budgets."""
-    factors = list(factors)
+    factors = tuple(factors)
     if not factors:
         raise ValueError("compose needs at least one factor")
     layout = factors[0].pu.layout
     for f in factors:
         if f.pu.layout != layout:
             raise ValueError("all factors must share one layout")
-
-    def eval_fn(t: float) -> np.ndarray:
-        mat = np.eye(layout.dim, dtype=np.complex128)
-        for f in factors:
-            sub = f.pu.eval(f.transform(t)).mat
-            if f.invert:
-                sub = sub.conj().T
-            mat = mat @ sub
-        return mat
-
-    def expand_fn(t: float) -> list[Invocation]:
-        out: list[Invocation] = []
-        for f in factors:
-            seq = f.pu.expand(f.transform(t))
-            if f.invert:
-                seq = seq.inverted()
-            out.extend(seq.invocations)
-        return out
-
-    cost = Counter()
-    for f in factors:
-        cost.update(f.pu.cost_counter)
-    return ParamUnitary(label, layout, eval_fn, expand_fn, cost, target_power)
+    return ParamUnitary(label, layout, Product(factors), target_power)
 
 
 def frame_conjugate(pu: ParamUnitary, frame: FrameGate) -> ParamUnitary:
     """F U(t) F^dag with the frame recorded but not counted."""
     if frame.layout != pu.layout:
         raise ValueError("frame and unitary layouts differ")
-    fdag = frame.dagger()
-
-    def eval_fn(t: float) -> np.ndarray:
-        return frame.mat @ pu.eval(t).mat @ frame.mat.conj().T
-
-    def expand_fn(t: float) -> list[Invocation]:
-        inner = pu.expand(t).invocations
-        return [Invocation(frame)] + inner + [Invocation(fdag)]
-
     return ParamUnitary(
-        f"{frame.label}[{pu.label}]",
-        pu.layout,
-        eval_fn,
-        expand_fn,
-        pu.cost_counter,
-        pu.target_power,
+        f"{frame.label}[{pu.label}]", pu.layout, Frame(frame, pu), pu.target_power
     )
 
 
 def rescale(pu: ParamUnitary, c: float, label: str | None = None) -> ParamUnitary:
     """U(c t): a pure reparametrization, same budget."""
-    return ParamUnitary(
-        label or f"{pu.label}@{c:g}t",
-        pu.layout,
-        lambda t: pu.eval(c * t).mat,
-        lambda t: pu.expand(c * t).invocations,
-        pu.cost_counter,
-        pu.target_power,
-    )
+    return compose(label or f"{pu.label}@{c:g}t", [Factor(pu, c)], pu.target_power)
 
 
 def reverse_pu(pu: ParamUnitary) -> ParamUnitary:
-    """Same invocations in reversed order. Evaluation goes through the
-    expansion, so this is meant for desk-scale sequences."""
-
-    def eval_fn(t: float) -> np.ndarray:
-        return pu.expand(t).reversed_order().to_operator().mat
-
-    return ParamUnitary(
-        f"rev[{pu.label}]",
-        pu.layout,
-        eval_fn,
-        lambda t: pu.expand(t).reversed_order().invocations,
-        pu.cost_counter,
-        pu.target_power,
-    )
+    """Same invocations in reversed order, built by reversing the tree: each
+    product lists its factors backwards and each frame swaps F and F^dag."""
+    return _reverse(pu, {})
 
 
 def as_linear_term(pu: ParamUnitary, label: str | None = None) -> ParamUnitary:
@@ -333,32 +396,8 @@ def as_linear_term(pu: ParamUnitary, label: str | None = None) -> ParamUnitary:
     m = pu.target_power
     if m < 2:
         raise ValueError("as_linear_term expects target_power >= 2")
-
-    def root(s: float) -> float:
-        return abs(s) ** (1.0 / m)
-
-    def eval_fn(s: float) -> np.ndarray:
-        mat = pu.eval(root(s)).mat
-        return mat if s >= 0 else mat.conj().T
-
-    def expand_fn(s: float) -> list[Invocation]:
-        seq = pu.expand(root(s))
-        return (seq if s >= 0 else seq.inverted()).invocations
-
-    return ParamUnitary(
-        label or f"lin[{pu.label}]",
-        pu.layout,
-        eval_fn,
-        expand_fn,
-        pu.cost_counter,
-        target_power=1,
-    )
-
-
-def lie_product(label: str, terms: Sequence[ParamUnitary]) -> ParamUnitary:
-    """First-order sequential product of term unitaries at the full
-    parameter."""
-    return compose(label, [Factor(term, lambda t: t) for term in terms])
+    factor = Factor(pu, power=1.0 / m, adjoint_if_negative=True)
+    return compose(label or f"lin[{pu.label}]", [factor])
 
 
 def group_commutator(u_a: ParamUnitary, u_b: ParamUnitary, k: int = 1) -> ParamUnitary:
@@ -369,12 +408,7 @@ def group_commutator(u_a: ParamUnitary, u_b: ParamUnitary, k: int = 1) -> ParamU
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("inner power k must be odd and positive")
-    factors = [
-        Factor(u_a, lambda t: t),
-        Factor(u_b, lambda t, k=k: t**k),
-        Factor(u_a, lambda t: -t),
-        Factor(u_b, lambda t, k=k: -(t**k)),
-    ]
+    factors = [Factor(u_a), Factor(u_b, power=k), Factor(u_a, -1.0), Factor(u_b, -1.0, k)]
     return compose(
         f"Q[{u_a.label},{u_b.label}]", factors, target_power=k + 1
     )
@@ -419,9 +453,7 @@ def bch(
     if base == "split":
         half = 2.0 ** (-1.0 / (k + 1))
         level = compose(
-            f"Q2[{u_a.label},{u_b.label}]",
-            [Factor(q, lambda t, h=half: h * t)] * 2,
-            target_power=k + 1,
+            f"Q2[{u_a.label},{u_b.label}]", [Factor(q, half)] * 2, target_power=k + 1
         )
     else:
         level = q
@@ -429,12 +461,12 @@ def bch(
     for pp in range(1, p):
         _, beta, gamma = bch_constants(pp, k)
         factors = [
-            Factor(level, lambda t, g=gamma: g * t),
-            Factor(level, lambda t, g=gamma: -g * t),
-            Factor(level, lambda t, b=beta: b * t, invert=True),
-            Factor(level, lambda t, b=beta: -b * t, invert=True),
-            Factor(level, lambda t, g=gamma: g * t),
-            Factor(level, lambda t, g=gamma: -g * t),
+            Factor(level, gamma),
+            Factor(level, -gamma),
+            Factor(level, beta, invert=True),
+            Factor(level, -beta, invert=True),
+            Factor(level, gamma),
+            Factor(level, -gamma),
         ]
         level = compose(
             f"bch{pp + 1}[{u_a.label},{u_b.label}]", factors, target_power=k + 1
@@ -445,6 +477,12 @@ def bch(
 def suzuki_coefficient(k: int) -> float:
     """p_k in the order-2k recursion; 1 - 4 p_k is the negative middle step."""
     return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
+
+
+def suzuki_index(p: int) -> int:
+    """Index s = max(1, ceil(p/2 - 1/4)) of the order-2s Suzuki splitting
+    that joins order-p commutator blocks."""
+    return (p + 1) // 2
 
 
 def trotter(order: int, terms: Sequence[ParamUnitary], slices: int = 1) -> ParamUnitary:
@@ -465,44 +503,19 @@ def trotter(order: int, terms: Sequence[ParamUnitary], slices: int = 1) -> Param
     if slices < 1:
         raise ValueError("slices must be >= 1")
 
-    halves = [Factor(term, lambda t: 0.5 * t) for term in terms]
-    level = compose("trotter2", halves + halves[::-1])
-    k = 1
-    while 2 * k < order:
-        k += 1
-        pk = suzuki_coefficient(k)
-        factors = (
-            [Factor(level, lambda t, c=pk: c * t)] * 2
-            + [Factor(level, lambda t, c=1.0 - 4.0 * pk: c * t)]
-            + [Factor(level, lambda t, c=pk: c * t)] * 2
-        )
-        level = compose(f"trotter{2 * k}", factors)
-    level.label = f"trotter{order}[" + ",".join(t.label for t in terms) + "]"
+    halves = [Factor(term, 0.5) for term in terms]
+    factors = halves + halves[::-1]
+    for k in range(2, order // 2 + 1):
+        level = compose(f"trotter{2 * k - 2}", factors)
+        outer = Factor(level, suzuki_coefficient(k))
+        factors = [outer, outer, Factor(level, 1.0 - 4.0 * outer.coeff), outer, outer]
+    label = f"trotter{order}[" + ",".join(t.label for t in terms) + "]"
+    level = compose(label, factors)
 
-    m, kk = len(terms), order // 2
-    inner = level
-    warned = False
-
-    def eval_fn(t: float) -> np.ndarray:
-        nonlocal warned
-        if not warned and slices == 1 and 4.0 * m * 5.0 ** (kk - 1) * abs(t) > 1.0:
-            warned = True
-            warnings.warn(
-                f"{inner.label}: step size outside the well-conditioned "
-                "range at one slice",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        step = inner.eval(t / slices).mat
-        return np.linalg.matrix_power(step, slices) if slices > 1 else step
-
-    def expand_fn(t: float) -> list[Invocation]:
-        one = inner.expand(t / slices).invocations
-        return one * slices
-
-    cost = Counter({lbl: n * slices for lbl, n in inner.cost_counter.items()})
-    label = inner.label if slices == 1 else f"{inner.label}/r{slices}"
-    return ParamUnitary(label, layout, eval_fn, expand_fn, cost, target_power=1)
+    step_scale = 4.0 * len(terms) * 5.0 ** (order // 2 - 1) if slices == 1 else 0.0
+    if slices > 1:
+        label = f"{label}/r{slices}"
+    return ParamUnitary(label, layout, Repeat(level, slices, step_scale))
 
 
 def symmetrize(pu: ParamUnitary) -> ParamUnitary:
@@ -514,17 +527,10 @@ def symmetrize(pu: ParamUnitary) -> ParamUnitary:
     """
     m = pu.target_power
     if m % 2 == 1:
-        rev = reverse_pu(pu)
-        factors = [
-            Factor(pu, lambda t: 0.5 * t),
-            Factor(rev, lambda t: 0.5 * t),
-        ]
+        factors = [Factor(pu, 0.5), Factor(reverse_pu(pu), 0.5)]
     else:
         tau = 2.0 ** (-1.0 / m)
-        factors = [
-            Factor(pu, lambda t, c=tau: c * t),
-            Factor(pu, lambda t, c=tau: -c * t),
-        ]
+        factors = [Factor(pu, tau), Factor(pu, -tau)]
     return compose(f"sym[{pu.label}]", factors, target_power=m)
 
 
@@ -534,17 +540,7 @@ def sliced(pu: ParamUnitary, r: int) -> ParamUnitary:
         raise ValueError("slice count must be >= 1")
     if r == 1:
         return pu
-
-    def eval_fn(t: float) -> np.ndarray:
-        return np.linalg.matrix_power(pu.eval(t / r).mat, r)
-
-    def expand_fn(t: float) -> list[Invocation]:
-        return pu.expand(t / r).invocations * r
-
-    cost = Counter({lbl: n * r for lbl, n in pu.cost_counter.items()})
-    return ParamUnitary(
-        f"{pu.label}^r{r}", pu.layout, eval_fn, expand_fn, cost, pu.target_power
-    )
+    return ParamUnitary(f"{pu.label}^r{r}", pu.layout, Repeat(pu, r), pu.target_power)
 
 
 @dataclass
@@ -573,8 +569,7 @@ def timeslice(
     target_mat = target(t).mat
 
     def err(r: int) -> float:
-        step = pu.eval(t / r).mat
-        return spectral_norm(np.linalg.matrix_power(step, r) - target_mat)
+        return spectral_norm(sliced(pu, r).eval(t).mat - target_mat)
 
     r = 1
     e = err(r)

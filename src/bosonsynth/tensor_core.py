@@ -48,10 +48,8 @@ class Tolerances:
     unitarity: float = 1e-10
     hermiticity: float = 1e-12
     expm_relative: float = 1e-12
-    norm_relative: float = 1e-10
     entrywise: float = 1e-12
     noise_floor: float = 1e-12
-    svd_cutoff: int = 512
     dim_cap: int = 4096
     sequence_cap: int = 5_000_000
 
@@ -228,34 +226,11 @@ def expm(op: Operator, dim_cap: int | None = None) -> Operator:
     return Operator(op.layout, scipy.linalg.expm(mat))
 
 
-def _power_iteration_norm(mat: np.ndarray, tol: float, max_iter: int = 5000) -> float:
-    n = mat.shape[0]
-    # deterministic start vector so results are bit-reproducible
-    v = 1.0 + 1e-3 * np.arange(n, dtype=np.float64)
-    v = v.astype(np.complex128)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        v_next = mat.conj().T @ w
-        nrm = np.linalg.norm(v_next)
-        if nrm == 0.0:
-            return 0.0
-        est_next = float(np.linalg.norm(w))
-        v = v_next / nrm
-        if abs(est_next - est) <= tol * max(est_next, 1e-300):
-            return est_next
-        est = est_next
-    return est
-
-
 def spectral_norm(op: Operator | np.ndarray) -> float:
-    """Largest singular value. Full SVD up to the configured size, power
-    iteration on A^dag A above it."""
+    """Largest singular value, from a dense SVD at every size, so a reported
+    error is never an underestimate."""
     mat = op.mat if isinstance(op, Operator) else np.asarray(op)
-    if mat.shape[0] <= TOL.svd_cutoff:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    return _power_iteration_norm(mat, TOL.norm_relative)
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

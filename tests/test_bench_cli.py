@@ -338,7 +338,27 @@ class TestCli:
         assert "order 1 (lean)" in out and "order 2 (split)" in out
         assert (tmp_path / "s.csv").exists()
 
-    def test_seed_override(self, tmp_path):
+    def test_seed_rejected(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 3,
                                       "grid": {"points": 4}, "seed": 7})
-        assert cli.main(["run", path, "--out-dir", str(tmp_path), "--seed", "9"]) == 0
+        assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", path, "--seed", "9"])
+        assert exc.value.code == 2
+
+    def test_auto_slices_zero_delta_exits_2(self, tmp_path, capsys):
+        path = self._write(tmp_path, {"application": "nonlinear-hamiltonian", "cutoff": 3,
+                                      "physical": {"delta": 0}, "orders": {"bch": 1},
+                                      "slices": "auto"})
+        assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "delta" in err and "Traceback" not in err
+
+    def test_slice_cap_exits_3(self, tmp_path, capsys):
+        path = self._write(tmp_path, {"application": "fswap", "cutoff": 1,
+                                      "grid": {"points": 4}, "physical": {"delta": 1e-12},
+                                      "slices": "auto"})
+        assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "slices exceed cap" in err and "Traceback" not in err

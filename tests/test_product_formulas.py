@@ -1,6 +1,7 @@
 """Commutator and Suzuki product formulas: orders, counts, slicing, fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,18 @@ class TestTrotter:
         u = flow(qubit_mode_op(position(2), "x", 2))
         v = flow(qubit_mode_op(position(2), "z", 2))
         assert trotter(2, [u, v], slices=3).cost() == 12
+
+    def test_step_size_warning_once_per_node(self):
+        u = flow(qubit_mode_op(position(2), "x", 2))
+        v = flow(qubit_mode_op(position(2), "z", 2))
+        out = trotter(2, [u, v])
+        with pytest.warns(RuntimeWarning, match="well-conditioned") as caught:
+            out.eval(0.5)
+            out.eval(0.7)
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trotter(2, [u, v], slices=4).eval(0.7)
 
     def test_bad_arguments(self):
         u = flow(qubit_mode_op(position(2), "x", 2))

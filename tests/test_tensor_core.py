@@ -138,7 +138,8 @@ class TestSpectralNorm:
             assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-10
 
     def test_power_iteration_branch_matches_svd(self):
-        """Above the SVD size cutoff the norm comes from power iteration."""
+        """Matrices larger than 512 also get the exact largest singular
+        value."""
         rng = np.random.default_rng(3)
         m = rng.normal(size=(600, 600))
         layout = HilbertLayout((("mode", 600),))
