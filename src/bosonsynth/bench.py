@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import os
-import time
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -332,7 +331,7 @@ def describe(application: str) -> str:
 
 @dataclass
 class SynthesisReport:
-    """Everything a run produces: errors, counts, fit, bound, timing."""
+    """Everything a run produces: errors, counts, fit and bound."""
 
     config: ExperimentConfig
     times: list
@@ -348,7 +347,6 @@ class SynthesisReport:
     exponent_reliable: bool
     bound: float
     within_bound: bool
-    wall_clock: float
 
     def __post_init__(self):
         if len(self.op_norm_error) != len(self.times):
@@ -437,7 +435,6 @@ def run(
     dim_cap: int = 2048,
 ) -> SynthesisReport:
     """Evaluate one config over its grid and write the CSV/JSON artifacts."""
-    started = time.perf_counter()
     entry = _REGISTRY[config.application]
     _check_dim(entry, config, dim_cap)
     spec = entry.build(config)
@@ -465,7 +462,6 @@ def run(
         exponent_reliable=reliable,
         bound=bound,
         within_bound=step_cost <= bound,
-        wall_clock=time.perf_counter() - started,
     )
 
     out_dir = Path(out_dir)
@@ -648,7 +644,6 @@ def _report_jsonable(report: SynthesisReport) -> dict:
         "exponent_reliable": report.exponent_reliable,
         "bound": report.bound,
         "within_bound": report.within_bound,
-        "wall_clock": report.wall_clock,
     }
 
 
@@ -708,5 +703,4 @@ def report_from_json(path: str | Path) -> SynthesisReport:
         exponent_reliable=data["exponent_reliable"],
         bound=data["bound"],
         within_bound=data["within_bound"],
-        wall_clock=data["wall_clock"],
     )

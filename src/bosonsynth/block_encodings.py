@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,7 @@ from .product_formulas import (
     symmetrize,
     trotter,
 )
-from .tensor_core import HilbertLayout, Operator, expm, kron, spectral_norm
+from .tensor_core import HilbertLayout, Operator, spectral_norm
 
 __all__ = [
     "BlockEncoding",
@@ -92,7 +92,8 @@ class BlockEncoding:
     A in the upper-right block. kind "upper_left": unitary ~ exp(it G) with
     block-diagonal Hermitian G whose upper-left block is the target. The full
     generator is carried so every consumer can build the exact reference
-    unitary without re-deriving signs.
+    unitary without re-deriving signs; it is eigendecomposed once, when the
+    encoding is built.
     """
 
     unitary: ParamUnitary
@@ -100,6 +101,10 @@ class BlockEncoding:
     generator: Operator
     order: float
     kind: str = "off_diagonal"
+    reference: Primitive = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.reference = Primitive(f"exact[{self.unitary.label}]", self.generator)
 
     def eval(self, t: float) -> Operator:
         return self.unitary.eval(t)
@@ -108,7 +113,7 @@ class BlockEncoding:
         return self.unitary.cost()
 
     def exact(self, t: float) -> Operator:
-        return expm(1j * t * self.generator)
+        return Operator(self.layout, self.reference.unitary(t))
 
     def block(self, t: float) -> np.ndarray:
         """The qubit block that carries the target at first order in t."""

@@ -62,6 +62,9 @@ def main(argv=None) -> int:
     except ResourceExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

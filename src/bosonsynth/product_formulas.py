@@ -66,8 +66,11 @@ __all__ = [
 class Primitive:
     """One directly exponentiable Hermitian generator.
 
-    eval(t) = exp(i t H) through a cached eigendecomposition, so every
-    evaluation is exactly unitary and costs one dense matmul pair.
+    The support is the set of tensor factors the generator acts on: off it,
+    the generator must equal its block on the support times the identity,
+    entry for entry. Only that block is eigendecomposed, so unitary(t) =
+    exp(i t H) is exactly unitary, and a primitive on a strict subset of the
+    factors multiplies a matrix through its support alone (apply_right).
     """
 
     def __init__(self, label: str, generator: Operator):
@@ -76,14 +79,63 @@ class Primitive:
         self.label = label
         self.layout = generator.layout
         self.generator = generator
-        self._evals, self._evecs = np.linalg.eigh(generator.mat)
+        self.support, block = _support_block(generator)
+        # True when the generator leaves at least one factor alone.
+        self.local = len(self.support) < self.layout.nfactors
+        self._evals, self._evecs = np.linalg.eigh(block)
+        dims = tuple(d for _, d in self.layout.factors)
+        rest = [j for j in range(len(dims)) if j not in self.support]
+        order = list(self.support) + rest
+        perm = list(np.argsort(order))
+        self._dims = dims
+        self._block_dims = tuple(dims[j] for j in self.support)
+        self._rest_dim = math.prod(dims[j] for j in rest)
+        self._kron_shape = tuple(dims[j] for j in order) * 2
+        self._kron_perm = perm + [len(dims) + p for p in perm]
 
-    def unitary(self, t: float) -> np.ndarray:
+    def _block_unitary(self, t: float) -> np.ndarray:
         phases = np.exp(1j * t * self._evals)
         return (self._evecs * phases) @ self._evecs.conj().T
 
+    def unitary(self, t: float) -> np.ndarray:
+        u = self._block_unitary(t)
+        if not self.local:
+            return u
+        full = np.kron(u, np.eye(self._rest_dim)).reshape(self._kron_shape)
+        return full.transpose(self._kron_perm).reshape(self.layout.dim, self.layout.dim)
+
+    def apply_right(self, mat: np.ndarray, t: float) -> np.ndarray:
+        """mat @ unitary(t) for a local primitive, contracting the support
+        factors of mat's columns with the block unitary."""
+        u = self._block_unitary(t).reshape(self._block_dims * 2)
+        cols = [1 + j for j in self.support]
+        out = np.tensordot(mat.reshape(mat.shape[:1] + self._dims), u, (cols, range(len(cols))))
+        return np.moveaxis(out, range(out.ndim - len(cols), out.ndim), cols).reshape(mat.shape)
+
     def __repr__(self):
         return f"Primitive({self.label!r})"
+
+
+def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
+    """(support, block): the factors op acts on and its matrix there.
+
+    A factor is off the support when op equals its slice at that factor's
+    (0, 0) entry times the identity there, compared exactly. Each factor is
+    tested on the slice left by the factors dropped before it, so op is
+    exactly the block times the identity on every dropped factor.
+    """
+    dims = [d for _, d in op.layout.factors]
+    tensor = op.mat.reshape(dims * 2)
+    support: list[int] = []
+    for j, d in enumerate(dims):
+        pos, m = len(support), tensor.ndim // 2
+        moved = np.moveaxis(tensor, (pos, m + pos), (-2, -1))
+        if np.array_equal(moved, moved[..., :1, :1] * np.eye(d)):
+            tensor = moved[..., 0, 0]
+        else:
+            support.append(j)
+    block_dim = math.prod(dims[j] for j in support)
+    return tuple(support), tensor.reshape(block_dim, block_dim)
 
 
 class FrameGate:
@@ -292,11 +344,19 @@ def _evaluate(pu: ParamUnitary, t: float, memo: dict) -> np.ndarray:
         case Frame(gate, child):
             mat = gate.mat @ _evaluate(child, t, memo) @ gate.mat.conj().T
         case Product(factors):
-            mat = np.eye(pu.layout.dim, dtype=np.complex128)
+            # Fold left to right from the first factor. A later leaf on a
+            # strict subset of the factors multiplies in through its support;
+            # its adjoint is the primitive at -s.
+            mat = None
             for f in factors:
                 s, adjoint = f.at(t)
+                node = f.pu.node
+                if mat is not None and isinstance(node, Leaf) and node.prim.local:
+                    mat = node.prim.apply_right(mat, -s if adjoint else s)
+                    continue
                 sub = _evaluate(f.pu, s, memo)
-                mat = mat @ (sub.conj().T if adjoint else sub)
+                sub = sub.conj().T if adjoint else sub
+                mat = sub if mat is None else mat @ sub
         case Repeat(child, count, step_scale):
             if step_scale * abs(t) > 1.0 and pu not in _WARNED:
                 _WARNED.add(pu)
@@ -567,9 +627,12 @@ def timeslice(
     alongside when a generator norm C is supplied.
     """
     target_mat = target(t).mat
+    errors: dict[int, float] = {}
 
     def err(r: int) -> float:
-        return spectral_norm(sliced(pu, r).eval(t).mat - target_mat)
+        if r not in errors:
+            errors[r] = spectral_norm(sliced(pu, r).eval(t).mat - target_mat)
+        return errors[r]
 
     r = 1
     e = err(r)

@@ -302,12 +302,12 @@ def test_criterion_13_deterministic_artifacts(tmp_path):
         dirs = (tmp_path / path.stem / "a", tmp_path / path.stem / "b")
         for d in dirs:
             runner(load_config(path), out_dir=d)
-        names = sorted(p.name for p in dirs[0].glob("*.csv"))
-        assert names == sorted(p.name for p in dirs[1].glob("*.csv"))
+        names = sorted(p.name for p in dirs[0].iterdir() if p.suffix in (".csv", ".json"))
+        assert names == sorted(p.name for p in dirs[1].iterdir() if p.suffix in (".csv", ".json"))
         for name in names:
             identical = identical and filecmp.cmp(
                 dirs[0] / name, dirs[1] / name, shallow=False
             )
             compared += 1
-    ok = identical and compared >= 6
+    ok = identical and compared >= 11
     report(13, "deterministic artifacts", ok, f"{compared} files byte-identical")

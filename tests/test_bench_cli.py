@@ -229,6 +229,14 @@ class TestRun:
         run(cfg, out_dir=tmp_path / "par", threads=4)
         assert filecmp.cmp(tmp_path / "seq/t.csv", tmp_path / "par/t.csv", shallow=False)
 
+    def test_threaded_matches_sequential_local_primitives(self, tmp_path):
+        cfg = ExperimentConfig(application="hom-beam-splitter", cutoff=3, points=4,
+                               out_csv="h.csv", out_json="h.json")
+        run(cfg, out_dir=tmp_path / "seq", threads=1)
+        run(cfg, out_dir=tmp_path / "par", threads=2)
+        for name in ("h.csv", "h.json"):
+            assert filecmp.cmp(tmp_path / "seq" / name, tmp_path / "par" / name, shallow=False)
+
     def test_heatmap_artifact_for_state_prep(self, tmp_path):
         cfg = ExperimentConfig(
             application="state-prep-T",
@@ -354,6 +362,15 @@ class TestCli:
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "delta" in err and "Traceback" not in err
+
+    def test_unwritable_out_dir_exits_4(self, tmp_path, capsys):
+        path = self._write(tmp_path, {"application": "fswap", "cutoff": 3,
+                                      "grid": {"points": 4}})
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["run", path, "--out-dir", str(blocker / "sub")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: writing") and err.count("\n") == 1
 
     def test_slice_cap_exits_3(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 1,

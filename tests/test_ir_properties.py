@@ -1,6 +1,9 @@
 """Property tests of the compiled-gate IR: random trees built from the public
 combinators must agree between eval, expansion, the exponential ledger and
-structural reversal, and evaluation must hold no memory between calls."""
+structural reversal, and evaluation must hold no memory between calls.
+Primitives on random subsets of a layout's factors must find their support
+and agree with dense references."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,7 +28,7 @@ from bosonsynth.product_formulas import (
     symmetrize,
     trotter,
 )
-from bosonsynth.tensor_core import HilbertLayout, spectral_norm
+from bosonsynth.tensor_core import TOL, HilbertLayout, Operator, is_unitary, spectral_norm
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*well-conditioned range.*:RuntimeWarning"
@@ -146,3 +149,75 @@ def test_eval_holds_no_memory(pu):
     finally:
         tracemalloc.stop()
     assert held == 0
+
+
+# -- factor-local primitives ---------------------------------------------------
+
+
+def _embedded(dims, support, block):
+    """The dense generator with block on the support factors and the identity
+    on the rest, built entry by entry from the basis digits."""
+    digits = np.array(np.unravel_index(np.arange(math.prod(dims)), dims))
+    rest = [j for j in range(len(dims)) if j not in support]
+    if support:
+        sub = np.ravel_multi_index(tuple(digits[list(support)]), [dims[j] for j in support])
+    else:
+        sub = np.zeros(digits.shape[1], dtype=int)
+    same_rest = np.all(digits[rest][:, :, None] == digits[rest][:, None, :], axis=0)
+    return np.where(same_rest, block[np.ix_(sub, sub)], 0.0)
+
+
+@st.composite
+def _local_world(draw):
+    """A layout of 2-3 small factors and 1-4 primitives, each a random
+    Hermitian block on a random (possibly empty or full) set of factors."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    layout = HilbertLayout(tuple(("mode", d) for d in dims))
+    prims = []
+    for i in range(draw(st.integers(1, 4))):
+        support = tuple(j for j in range(len(dims)) if draw(st.booleans()))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        d = math.prod(dims[j] for j in support)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        gen = Operator(layout, _embedded(dims, support, 0.5 * (a + a.conj().T)))
+        prims.append((Primitive(f"h{i}", gen), support))
+    return layout, prims
+
+
+LOCAL_PARAMS = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_local_world(), LOCAL_PARAMS)
+def test_support_detected_and_unitary_matches_dense(world, t):
+    _, prims = world
+    for prim, support in prims:
+        assert prim.support == support
+        evals, evecs = np.linalg.eigh(prim.generator.mat)
+        dense = (evecs * np.exp(1j * t * evals)) @ evecs.conj().T
+        assert np.max(np.abs(prim.unitary(t) - dense)) < 1e-12
+
+
+@st.composite
+def _local_products(draw):
+    layout, prims = draw(_local_world())
+    leaves = [primitive_unitary(prim) for prim, _ in prims]
+
+    def factor(pu):
+        return Factor(pu, draw(COEFFS), draw(st.integers(0, 2)), draw(st.booleans()))
+
+    def product(label):
+        picks = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=5))
+        return compose(label, [factor(pu) for pu in picks])
+
+    inner = product("inner")
+    outer = [factor(inner)] + [factor(draw(st.sampled_from(leaves))) for _ in range(2)]
+    return compose("outer", draw(st.permutations(outer)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_local_products(), LOCAL_PARAMS)
+def test_local_product_matches_expansion_and_is_unitary(pu, t):
+    mat = pu.eval(t).mat
+    assert spectral_norm(mat - pu.expand(t).to_operator().mat) < 1e-12
+    assert is_unitary(Operator(pu.layout, mat), TOL.unitarity)

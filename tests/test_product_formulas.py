@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bosonsynth.fock_ops import embed, momentum, pauli, position
 from bosonsynth.product_formulas import (
     FitWindow,
+    ParamUnitary,
     Primitive,
     ResourceExhaustedError,
     bch,
@@ -271,6 +273,27 @@ class TestTimeslice:
         fine = timeslice(family, exact.eval, t, 5e-4, p=2)
         assert coarse.error <= 1e-3 and fine.error <= 5e-4
         assert fine.slices <= 2 * 2 * coarse.slices
+
+    @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
+    def test_no_slice_count_evaluated_twice(self, monkeypatch):
+        cutoff = 6
+        gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
+        gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
+        family = trotter(2, [flow(gen_a), flow(gen_b)])
+        exact = flow(gen_a + gen_b)
+        calls = Counter()
+        original = ParamUnitary.eval
+
+        def counting(pu, t):
+            calls[pu.label] += 1
+            return original(pu, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ParamUnitary, "eval", counting)
+            res = timeslice(family, exact.eval, 0.5, 1e-3, p=2)
+        assert res.slices > 2
+        assert calls and max(calls.values()) == 1
+        assert res.error == spectral_norm(res.unitary.eval(0.5).mat - exact.eval(0.5).mat)
 
     def test_error_monotone_in_slices(self):
         family, target = self._setup()
