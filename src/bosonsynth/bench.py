@@ -31,7 +31,7 @@ from .applications import (
     state_prep_T,
 )
 from .product_formulas import fit_power_law, sliced, suzuki_index, timeslice
-from .tensor_core import ResourceExhaustedError, spectral_norm
+from .tensor_core import TOL, ResourceExhaustedError, spectral_norm
 
 __all__ = [
     "UsageError",
@@ -385,8 +385,6 @@ def _resolve_slices(cfg: ExperimentConfig, spec: ApplicationSpec) -> int:
 
 
 def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int):
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
     psi0 = spec.initial_state
 
     def one(t: float):
@@ -422,7 +420,13 @@ def _fit_or_none(times, errs, cap: float):
     return fit.exponent, fit.prefactor, fit.residual, True
 
 
-def _check_dim(entry: _AppEntry, config: ExperimentConfig, dim_cap: int) -> None:
+def _check_limits(
+    entry: _AppEntry, config: ExperimentConfig, threads: int, dim_cap: int
+) -> None:
+    """Refuse a run before any work: bad thread counts exit 2, dimensions
+    over the cap exit 3."""
+    if threads < 1:
+        raise UsageError("threads must be >= 1")
     dim = 2 * (config.cutoff + 1) ** entry.modes
     if dim > dim_cap:
         raise ResourceExhaustedError(f"dimension {dim} exceeds cap {dim_cap}")
@@ -432,11 +436,11 @@ def run(
     config: ExperimentConfig,
     out_dir: str | Path = ".",
     threads: int = 1,
-    dim_cap: int = 2048,
+    dim_cap: int = TOL.dim_cap,
 ) -> SynthesisReport:
     """Evaluate one config over its grid and write the CSV/JSON artifacts."""
     entry = _REGISTRY[config.application]
-    _check_dim(entry, config, dim_cap)
+    _check_limits(entry, config, threads, dim_cap)
     spec = entry.build(config)
 
     slices = _resolve_slices(config, spec)
@@ -479,11 +483,11 @@ def run_sweep(
     config: ExperimentConfig,
     out_dir: str | Path = ".",
     threads: int = 1,
-    dim_cap: int = 2048,
+    dim_cap: int = TOL.dim_cap,
 ) -> list:
     """Order-by-timestep matrix: orders 1..bch with both commutator bases."""
     entry = _REGISTRY[config.application]
-    _check_dim(entry, config, dim_cap)
+    _check_limits(entry, config, threads, dim_cap)
     grid = config.grid()
     cells = []
     for order in range(1, config.bch_order + 1):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,8 +93,8 @@ class BlockEncoding:
     A in the upper-right block. kind "upper_left": unitary ~ exp(it G) with
     block-diagonal Hermitian G whose upper-left block is the target. The full
     generator is carried so every consumer can build the exact reference
-    unitary without re-deriving signs; it is eigendecomposed once, when the
-    encoding is built.
+    unitary without re-deriving signs; it is eigendecomposed once, on the
+    first call to exact.
     """
 
     unitary: ParamUnitary
@@ -101,10 +102,10 @@ class BlockEncoding:
     generator: Operator
     order: float
     kind: str = "off_diagonal"
-    reference: Primitive = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.reference = Primitive(f"exact[{self.unitary.label}]", self.generator)
+    @cached_property
+    def reference(self) -> Primitive:
+        return Primitive(f"exact[{self.unitary.label}]", self.generator)
 
     def eval(self, t: float) -> Operator:
         return self.unitary.eval(t)

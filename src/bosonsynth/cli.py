@@ -7,6 +7,7 @@ import sys
 
 from . import bench
 from .bench import ResourceExhaustedError, UsageError
+from .tensor_core import TOL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,7 +21,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a YAML experiment config")
         p.add_argument("--out-dir", default=".", help="directory for artifacts")
         p.add_argument("--threads", type=int, default=1, help="grid-point worker threads")
-        p.add_argument("--dim-cap", type=int, default=2048, help="largest allowed Hilbert dimension")
+        p.add_argument(
+            "--dim-cap",
+            type=int,
+            default=TOL.dim_cap,
+            help="largest allowed Hilbert dimension (default %(default)s)",
+        )
 
     add_shared(sub.add_parser("run", help="evaluate one config over its timestep grid"))
     add_shared(sub.add_parser("sweep", help="order-by-timestep matrix for one config"))

@@ -4,8 +4,11 @@ recursions, Suzuki splittings, symmetrization, timeslicing and order fits.
 A compiled gate is a ParamUnitary: an immutable tree of Leaf, Frame, Product
 and Repeat nodes, which the combinators below only build. One interpreter
 evaluates, expands and reverses trees; the exponential ledger is summed once
-per node at build time. A top-level eval memoizes (node, parameter) pairs,
-which recur throughout deep recursions, for that call only.
+per node at build time. An eval makes two passes over the distinct nodes of
+its tree: top-down, every node collects the distinct parameters it is needed
+at (deep recursions revisit a node at the same parameter many times);
+bottom-up, every node builds all of them as one stack of matrices with
+batched products. Nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ class Primitive:
     the generator must equal its block on the support times the identity,
     entry for entry. Only that block is eigendecomposed, so unitary(t) =
     exp(i t H) is exactly unitary, and a primitive on a strict subset of the
-    factors multiplies a matrix through its support alone (apply_right).
+    factors can multiply a matrix through its support alone (blocks).
     """
 
     def __init__(self, label: str, generator: Operator):
@@ -88,29 +91,27 @@ class Primitive:
         order = list(self.support) + rest
         perm = list(np.argsort(order))
         self._dims = dims
-        self._block_dims = tuple(dims[j] for j in self.support)
         self._rest_dim = math.prod(dims[j] for j in rest)
         self._kron_shape = tuple(dims[j] for j in order) * 2
-        self._kron_perm = perm + [len(dims) + p for p in perm]
+        # Axis 0 of a stack indexes its parameters.
+        self._kron_perm = [0] + [1 + p for p in perm] + [1 + len(dims) + p for p in perm]
 
-    def _block_unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(1j * t * self._evals)
-        return (self._evecs * phases) @ self._evecs.conj().T
+    def blocks(self, ts: np.ndarray) -> np.ndarray:
+        """exp(i t H) on the support, one block per parameter in ts."""
+        phases = np.exp(1j * ts[:, None] * self._evals)
+        return (self._evecs * phases[:, None, :]) @ self._evecs.conj().T
 
-    def unitary(self, t: float) -> np.ndarray:
-        u = self._block_unitary(t)
+    def unitaries(self, ts: np.ndarray) -> np.ndarray:
+        """exp(i t H) on the whole layout, one matrix per parameter in ts."""
+        u = self.blocks(ts)
         if not self.local:
             return u
-        full = np.kron(u, np.eye(self._rest_dim)).reshape(self._kron_shape)
-        return full.transpose(self._kron_perm).reshape(self.layout.dim, self.layout.dim)
+        full = np.kron(u, np.eye(self._rest_dim)).reshape((len(ts),) + self._kron_shape)
+        dim = self.layout.dim
+        return full.transpose(self._kron_perm).reshape(len(ts), dim, dim)
 
-    def apply_right(self, mat: np.ndarray, t: float) -> np.ndarray:
-        """mat @ unitary(t) for a local primitive, contracting the support
-        factors of mat's columns with the block unitary."""
-        u = self._block_unitary(t).reshape(self._block_dims * 2)
-        cols = [1 + j for j in self.support]
-        out = np.tensordot(mat.reshape(mat.shape[:1] + self._dims), u, (cols, range(len(cols))))
-        return np.moveaxis(out, range(out.ndim - len(cols), out.ndim), cols).reshape(mat.shape)
+    def unitary(self, t: float) -> np.ndarray:
+        return self.unitaries(np.array([t], dtype=float))[0]
 
     def __repr__(self):
         return f"Primitive({self.label!r})"
@@ -300,7 +301,7 @@ class ParamUnitary:
         return self._hash
 
     def eval(self, t: float) -> Operator:
-        return Operator(self.layout, _evaluate(self, float(t), {}))
+        return Operator(self.layout, _evaluate(self, float(t)))
 
     def cost(self) -> int:
         return sum(self.cost_counter.values())
@@ -334,41 +335,142 @@ def _ledger(node) -> Counter:
     raise TypeError(f"not a node: {node!r}")
 
 
-def _evaluate(pu: ParamUnitary, t: float, memo: dict) -> np.ndarray:
-    key = (id(pu), t)
-    if key in memo:
-        return memo[key]
+def _topological(root: ParamUnitary) -> list[ParamUnitary]:
+    """The distinct nodes under root (by id), every parent before its children."""
+    order: list[ParamUnitary] = []
+    seen: set[int] = set()
+
+    def visit(pu: ParamUnitary) -> None:
+        seen.add(id(pu))
+        match pu.node:
+            case Frame(_, child) | Repeat(child):
+                children = [child]
+            case Product(factors):
+                children = [f.pu for f in factors]
+            case Leaf():
+                children = []
+        for child in children:
+            if id(child) not in seen:
+                visit(child)
+        order.append(pu)
+
+    visit(root)
+    return order[::-1]
+
+
+def _rows(need: dict, key, params: list[float]) -> slice | np.ndarray:
+    """Rows of key's stack holding params, registering new parameters; a
+    contiguous run is a slice, so reading it copies nothing."""
+    rows = need.setdefault(key, {})
+    idx = [rows.setdefault(p, len(rows)) for p in params]
+    if idx == list(range(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return np.array(idx)
+
+
+def _plan(pu: ParamUnitary, params: list[float], need: dict) -> list[tuple]:
+    """pu's slots at params: (stack key, rows, adjoint, local primitive)."""
     match pu.node:
-        case Leaf(prim):
-            mat = prim.unitary(t)
-        case Frame(gate, child):
-            mat = gate.mat @ _evaluate(child, t, memo) @ gate.mat.conj().T
-        case Product(factors):
-            # Fold left to right from the first factor. A later leaf on a
-            # strict subset of the factors multiplies in through its support;
-            # its adjoint is the primitive at -s.
-            mat = None
-            for f in factors:
-                s, adjoint = f.at(t)
-                node = f.pu.node
-                if mat is not None and isinstance(node, Leaf) and node.prim.local:
-                    mat = node.prim.apply_right(mat, -s if adjoint else s)
-                    continue
-                sub = _evaluate(f.pu, s, memo)
-                sub = sub.conj().T if adjoint else sub
-                mat = sub if mat is None else mat @ sub
+        case Frame(_, child):
+            return [(id(child), _rows(need, id(child), params), False, None)]
         case Repeat(child, count, step_scale):
-            if step_scale * abs(t) > 1.0 and pu not in _WARNED:
+            if step_scale * max(map(abs, params)) > 1.0 and pu not in _WARNED:
                 _WARNED.add(pu)
                 warnings.warn(
                     f"{child.label}: step size outside the well-conditioned "
                     "range at one slice",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=4,
                 )
-            mat = np.linalg.matrix_power(_evaluate(child, t / count, memo), count)
-    memo[key] = mat
-    return mat
+            return [(id(child), _rows(need, id(child), [p / count for p in params]), False, None)]
+        case Product(factors):
+            slots, seen = [], {}
+            for i, f in enumerate(factors):
+                # A later leaf on a strict subset of the factors multiplies in
+                # through its support; its adjoint is the primitive at -s.
+                prim = f.pu.node.prim if isinstance(f.pu.node, Leaf) else None
+                local = prim if i > 0 and prim is not None and prim.local else None
+                key = (id(f.pu), f.coeff, f.power, f.invert, f.adjoint_if_negative, local)
+                if key not in seen:
+                    at = [f.at(p) for p in params]
+                    if local is None:
+                        rows = _rows(need, id(f.pu), [s for s, _ in at])
+                        # One adjoint flag when every row agrees, else a mask.
+                        adjoint = [adj for _, adj in at]
+                        mask = adjoint[0] if len(set(adjoint)) == 1 else np.array(adjoint)
+                        seen[key] = (id(f.pu), rows, mask, None)
+                    else:
+                        block = ("block", id(f.pu))
+                        rows = _rows(need, block, [-s if adj else s for s, adj in at])
+                        seen[key] = (block, rows, False, local)
+                slots.append(seen[key])
+            return slots
+
+
+def _apply_local(mat: np.ndarray, prim: Primitive, u: np.ndarray) -> np.ndarray:
+    """mat @ prim's unitaries for a stack, contracting the support factors of
+    mat's columns with the stacked blocks u."""
+    batch, n = mat.shape[:2]
+    cols = [2 + j for j in prim.support]
+    moved = range(-len(cols), 0)
+    tensor = np.moveaxis(mat.reshape((batch, n) + prim._dims), cols, moved)
+    out = tensor.reshape(batch, -1, u.shape[-1]) @ u
+    return np.moveaxis(out.reshape(tensor.shape), moved, cols).reshape(mat.shape)
+
+
+def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
+    """root at t from two passes over its distinct nodes.
+
+    Top-down, every node collects the distinct parameters it is needed at
+    (float equality, first occurrence kept) and plans which child rows each
+    of its slots reads. Bottom-up, every node builds one stack with a row per
+    parameter from its children's stacks, which are freed as soon as their
+    last reader is done.
+    """
+    order = _topological(root)
+    need: dict = {id(root): {t: 0}}
+    plans: dict[int, list[tuple]] = {}
+    readers: Counter = Counter()
+    for pu in order:
+        if id(pu) in need and not isinstance(pu.node, Leaf):
+            plans[id(pu)] = _plan(pu, list(need[id(pu)]), need)
+            readers.update({slot[0] for slot in plans[id(pu)]})
+
+    stacks: dict = {}
+    for pu in reversed(order):
+        node = pu.node
+        if isinstance(node, Leaf):
+            for key, local in ((id(pu), False), (("block", id(pu)), True)):
+                if key in need:
+                    ts = np.array(list(need[key]), dtype=float)
+                    stacks[key] = node.prim.blocks(ts) if local else node.prim.unitaries(ts)
+            continue
+        slots = plans[id(pu)]
+        match node:
+            case Frame(gate, _):
+                key, rows, _, _ = slots[0]
+                mat = gate.mat @ stacks[key][rows] @ gate.mat.conj().T
+            case Repeat(_, count):
+                key, rows, _, _ = slots[0]
+                mat = np.linalg.matrix_power(stacks[key][rows], count)
+            case Product():
+                mat = None
+                for key, rows, adjoint, local in slots:
+                    sub = stacks[key][rows]
+                    if local is not None:
+                        mat = _apply_local(mat, local, sub)
+                        continue
+                    if isinstance(adjoint, np.ndarray):
+                        sub = np.where(adjoint[:, None, None], sub.conj().swapaxes(-1, -2), sub)
+                    elif adjoint:
+                        sub = sub.conj().swapaxes(-1, -2)
+                    mat = sub if mat is None else mat @ sub
+        for key in {slot[0] for slot in slots}:
+            readers[key] -= 1
+            if not readers[key]:
+                del stacks[key]
+        stacks[id(pu)] = mat
+    return stacks[id(root)][0]
 
 
 def _expand(pu: ParamUnitary, t: float) -> list[Invocation]:

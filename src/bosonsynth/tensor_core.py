@@ -50,7 +50,7 @@ class Tolerances:
     expm_relative: float = 1e-12
     entrywise: float = 1e-12
     noise_floor: float = 1e-12
-    dim_cap: int = 4096
+    dim_cap: int = 2048
     sequence_cap: int = 5_000_000
 
 

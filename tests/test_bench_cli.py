@@ -1,6 +1,8 @@
 """Tests for the experiment runner and its command line front end."""
 import dataclasses
 import filecmp
+import inspect
+from pathlib import Path
 
 import pytest
 import yaml
@@ -18,6 +20,8 @@ from bosonsynth.bench import (
     run,
     run_sweep,
 )
+from bosonsynth.product_formulas import ParamUnitary
+from bosonsynth.tensor_core import TOL
 
 APPS = [
     "conditional-rotation",
@@ -371,6 +375,28 @@ class TestCli:
         assert cli.main(["run", path, "--out-dir", str(blocker / "sub")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: writing") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_zero_threads_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(self, t):
+            raise AssertionError("evaluated a gate")
+
+        monkeypatch.setattr(ParamUnitary, "eval", refuse)
+        path = Path(__file__).resolve().parent.parent / "configs" / "nonlinear-timeslice.yaml"
+        args = [command, str(path), "--out-dir", str(tmp_path), "--threads", "0"]
+        assert cli.main(args) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_one_dimension_cap(self):
+        parser = cli.build_parser()
+        defaults = {
+            inspect.signature(run).parameters["dim_cap"].default,
+            inspect.signature(run_sweep).parameters["dim_cap"].default,
+            parser.parse_args(["run", "c.yaml"]).dim_cap,
+            parser.parse_args(["sweep", "c.yaml"]).dim_cap,
+        }
+        assert defaults == {TOL.dim_cap}
 
     def test_slice_cap_exits_3(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 1,

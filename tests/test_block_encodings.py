@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bosonsynth.applications import nonlinear_hamiltonian
 from bosonsynth.block_encodings import (
     SynthesisBudget,
     add,
@@ -18,7 +19,7 @@ from bosonsynth.block_encodings import (
     s1_from_conditional_displacements,
 )
 from bosonsynth.fock_ops import annihilation, creation, number
-from bosonsynth.product_formulas import FitWindow, fit_power_law, sweep_errors
+from bosonsynth.product_formulas import FitWindow, Primitive, fit_power_law, sweep_errors
 from bosonsynth.tensor_core import is_unitary, spectral_norm
 
 WINDOW = FitWindow(1e-3, 1e-1, 12)
@@ -306,6 +307,30 @@ class TestBudget:
         b = SynthesisBudget.from_orders(pl, pr)
         assert b.bch_order == q
         assert b.trotter_index == q
+
+
+class TestExactReference:
+    def test_built_on_first_exact_only(self):
+        enc = s1(3)
+        assert "reference" not in vars(enc)
+        first = enc.exact(0.4).mat
+        assert enc.reference is vars(enc)["reference"]
+        assert np.array_equal(enc.exact(0.4).mat, first)
+
+    def test_kerr_spec_builds_three_primitives(self, monkeypatch):
+        """The Kerr spec at commutator order 3 (the kerr-deep benchmark) makes
+        its two seed leaves and its own exact reference, and no encoding
+        reference."""
+        labels = []
+        init = Primitive.__init__
+
+        def counted(self, label, generator):
+            labels.append(label)
+            init(self, label, generator)
+
+        monkeypatch.setattr(Primitive, "__init__", counted)
+        nonlinear_hamiltonian(1.0, 1.0, q=3, cutoff=6, base="lean")
+        assert sorted(labels) == ["S1", "S1", "nonlinear-hamiltonian"]
 
 
 class TestBlockGenerator:

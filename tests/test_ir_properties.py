@@ -1,8 +1,9 @@
 """Property tests of the compiled-gate IR: random trees built from the public
 combinators must agree between eval, expansion, the exponential ledger and
-structural reversal, and evaluation must hold no memory between calls.
-Primitives on random subsets of a layout's factors must find their support
-and agree with dense references."""
+structural reversal; the batched eval must equal a plain recursive fold bit
+for bit; and evaluation must hold no memory between calls. Primitives on
+random subsets of a layout's factors must find their support and agree with
+dense references."""
 import math
 import tracemalloc
 
@@ -14,8 +15,12 @@ from hypothesis import strategies as st
 from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate
 from bosonsynth.product_formulas import (
     Factor,
+    Frame,
     FrameGate,
+    Leaf,
     Primitive,
+    Product,
+    Repeat,
     as_linear_term,
     bch,
     compose,
@@ -125,6 +130,34 @@ def test_reversal_is_structural(pu, t):
 def test_linear_term_negative_is_adjoint(pair, s):
     lin = as_linear_term(group_commutator(*pair))
     assert spectral_norm(lin.eval(-s).mat - lin.eval(s).mat.conj().T) < 1e-12
+
+
+def _fold(pu, t):
+    """pu at t by plain recursion with no memo: every node is evaluated at its
+    own parameter, and a product multiplies its factors left to right from
+    the first, taking the conjugate transpose of adjoint factors."""
+    match pu.node:
+        case Leaf(prim):
+            return prim.unitary(t)
+        case Frame(gate, child):
+            return gate.mat @ _fold(child, t) @ gate.mat.conj().T
+        case Product(factors):
+            mat = None
+            for f in factors:
+                s, adjoint = f.at(t)
+                sub = _fold(f.pu, s)
+                sub = sub.conj().T if adjoint else sub
+                mat = sub if mat is None else mat @ sub
+            return mat
+        case Repeat(child, count):
+            return np.linalg.matrix_power(_fold(child, t / count), count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TREES, PARAMS)
+def test_eval_equals_recursive_fold_bitwise(pu, t):
+    """Batching a node's parameters changes no bit of the result."""
+    assert np.array_equal(pu.eval(t).mat, _fold(pu, t))
 
 
 def _numpy_bytes() -> int:
