@@ -2,9 +2,14 @@
 and emits plot-ready CSV/JSON artifacts with gate-count ledgers.
 
 Configs are YAML files with nested sections (grid, orders, physical, fit,
-output); see `configs/` for the shipped examples. Reports carry per-timestep
-operator-norm and autocorrelation errors, the gate-count ledger, a power-law
-fit of the error curve, and the applicable closed-form cost ceiling.
+output); see `configs/` for the shipped examples. `ExperimentConfig` is the
+one schema: each field names its YAML location, its annotation is the type
+every value is checked against, and the registry names the physical keys
+each application reads, so bad input raises `UsageError` before any work.
+`run` and `run_sweep` share one measurement (`_measure`), and reports carry
+per-timestep operator-norm and autocorrelation errors, the gate-count
+ledger, a power-law fit of the error curve, and the applicable closed-form
+cost ceiling.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -55,37 +61,44 @@ class UsageError(ValueError):
     """Invalid configuration or command-line input (exit code 2)."""
 
 
-_TOP_KEYS = {"application", "cutoff", "physical", "grid", "orders", "slices", "fit", "output"}
-_GRID_KEYS = {"min", "max", "points", "log_spaced"}
-_ORDER_KEYS = {"bch", "symmetrized", "base"}
-_FIT_KEYS = {"residual_cap"}
-_OUTPUT_KEYS = {"csv", "json"}
+def _at(*path: str, **kw):
+    """A config field stored in the YAML at `path`, such as ("grid", "min")."""
+    return field(metadata={"at": path}, **kw)
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: an application, a timestep grid, and formula orders."""
+    """One experiment: an application, a timestep grid, and formula orders.
 
-    application: str
-    cutoff: int = 8
-    physical: dict = field(default_factory=dict)
-    t_min: float = 1e-3
-    t_max: float = 1e-1
-    points: int = 12
-    log_spaced: bool = True
-    bch_order: int = 1
-    symmetrized: bool = False
-    base: str | None = None
-    slices: int | str = 1
-    residual_cap: float = 0.1
-    out_csv: str | None = None
-    out_json: str | None = None
+    Each field names its YAML location, and its annotation is the type a
+    value must have there: an int field takes no bool, a float field also
+    takes an int, and null is allowed only where the default is null.
+    """
+
+    application: str = _at("application")
+    cutoff: int = _at("cutoff", default=8)
+    physical: dict = _at("physical", default_factory=dict)
+    t_min: float = _at("grid", "min", default=1e-3)
+    t_max: float = _at("grid", "max", default=1e-1)
+    points: int = _at("grid", "points", default=12)
+    log_spaced: bool = _at("grid", "log_spaced", default=True)
+    bch_order: int = _at("orders", "bch", default=1)
+    symmetrized: bool = _at("orders", "symmetrized", default=False)
+    base: str | None = _at("orders", "base", default=None)
+    slices: int | str = _at("slices", default=1)
+    residual_cap: float = _at("fit", "residual_cap", default=0.1)
+    out_csv: str | None = _at("output", "csv", default=None)
+    out_json: str | None = _at("output", "json", default=None)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if self.application not in _REGISTRY:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, _FIELD_TYPES[f.name]):
+                raise UsageError(f"{'.'.join(f.metadata['at'])} must be {f.type}, got {value!r}")
+            if _FIELD_TYPES[f.name] is float:
+                setattr(self, f.name, float(value))
+        entry = _REGISTRY.get(self.application)
+        if entry is None:
             known = ", ".join(_REGISTRY)
             raise UsageError(f"unknown application {self.application!r} (known: {known})")
         if self.cutoff < 1:
@@ -98,18 +111,32 @@ class ExperimentConfig:
             raise UsageError("formula orders must be >= 1")
         if self.base not in (None, "lean", "split"):
             raise UsageError(f"base must be 'lean' or 'split', got {self.base!r}")
-        if isinstance(self.slices, str):
-            if self.slices != "auto":
-                raise UsageError(f"slices must be a positive integer or 'auto', got {self.slices!r}")
-        elif not isinstance(self.slices, int) or self.slices < 1:
+        if self.slices != "auto" and (isinstance(self.slices, str) or self.slices < 1):
             raise UsageError(f"slices must be a positive integer or 'auto', got {self.slices!r}")
         if not self.residual_cap > 0:
             raise UsageError("residual_cap must be positive")
         for key, value in self.physical.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not _has_type(value, float) or not math.isfinite(value):
                 raise UsageError(f"physical parameter {key!r} must be a finite number")
+        unknown = set(self.physical) - {"delta", *entry.physical}
+        if unknown:
+            takes = ", ".join(("delta", *entry.physical))
+            raise UsageError(
+                f"unknown physical keys {sorted(map(str, unknown))} for {self.application} "
+                f"(it takes: {takes})"
+            )
+        self.physical = {key: float(value) for key, value in sorted(self.physical.items())}
         if self.slices == "auto" and not 0.0 < self.physical.get("delta", 0.1) <= 1.0:
             raise UsageError("slices: auto needs 0 < physical.delta <= 1")
+        if "k" in entry.physical:
+            k = self.physical.get("k", 2.0)
+            if not (k.is_integer() and 1 <= k <= self.cutoff):
+                raise UsageError(f"physical.k must be an integer in 1..{self.cutoff}, got {k:g}")
+            if int(k) & (int(k) - 1) and (self.base or self.symmetrized):
+                raise UsageError("orders.base and orders.symmetrized need a power-of-two k")
+        for key in ("omega", "kappa"):
+            if self.physical.get(key, 0.0) < 0:
+                raise UsageError(f"physical.{key} must be >= 0")
 
     def grid(self) -> np.ndarray:
         if self.log_spaced:
@@ -120,42 +147,35 @@ class ExperimentConfig:
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
         if not isinstance(data, Mapping):
             raise UsageError("config root must be a mapping")
-        unknown = set(data) - _TOP_KEYS
+        names = {f.metadata["at"]: f.name for f in dataclasses.fields(cls)}
+        sections = {at[0] for at in names if len(at) == 2}
+        unknown = [key for key in data if key not in sections and (key,) not in names]
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys: {sorted(map(str, unknown))}")
         if "application" not in data:
             raise UsageError("config must name an application")
-
-        def section(name: str, allowed: set) -> Mapping:
-            sub = data.get(name) or {}
+        kwargs = {names[(key,)]: value for key, value in data.items() if key not in sections}
+        for name in (key for key in data if key in sections):
+            sub = data[name] or {}
             if not isinstance(sub, Mapping):
                 raise UsageError(f"config section {name!r} must be a mapping")
-            bad = set(sub) - allowed
+            bad = [key for key in sub if (name, key) not in names]
             if bad:
-                raise UsageError(f"unknown keys in section {name!r}: {sorted(bad)}")
-            return sub
+                raise UsageError(f"unknown keys in section {name!r}: {sorted(map(str, bad))}")
+            kwargs.update({names[(name, key)]: value for key, value in sub.items()})
+        return cls(**kwargs)
 
-        grid = section("grid", _GRID_KEYS)
-        orders = section("orders", _ORDER_KEYS)
-        fit = section("fit", _FIT_KEYS)
-        output = section("output", _OUTPUT_KEYS)
-        physical = section("physical", set(data.get("physical") or {}))
-        return cls(
-            application=str(data["application"]),
-            cutoff=int(data.get("cutoff", 8)),
-            physical={str(k): float(v) for k, v in physical.items()},
-            t_min=float(grid.get("min", 1e-3)),
-            t_max=float(grid.get("max", 1e-1)),
-            points=int(grid.get("points", 12)),
-            log_spaced=bool(grid.get("log_spaced", True)),
-            bch_order=int(orders.get("bch", 1)),
-            symmetrized=bool(orders.get("symmetrized", False)),
-            base=orders.get("base"),
-            slices=data.get("slices", 1),
-            residual_cap=float(fit.get("residual_cap", 0.1)),
-            out_csv=output.get("csv"),
-            out_json=output.get("json"),
-        )
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a config value has the annotated type; bool is not an int here,
+    and an int is also a float."""
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -181,6 +201,7 @@ class _AppEntry:
     bound: Callable[[ExperimentConfig], float]
     modes: int
     detail: str = ""
+    physical: tuple[str, ...] = ()  # the physical keys `build` reads, besides delta
 
 
 def _trotter_reps(p: int) -> int:
@@ -262,6 +283,7 @@ _REGISTRY: dict[str, _AppEntry] = {
         build=_build_state_prep,
         bound=_bound_state_prep,
         modes=1,
+        physical=("k",),
         detail=(
             "Powers of the seed encoding assembled by repeated squaring.  Driving\n"
             "|1,0> for the exact flip time t = (2n+1)*pi/(2*sqrt(k!)) lands the\n"
@@ -290,6 +312,7 @@ _REGISTRY: dict[str, _AppEntry] = {
         build=_build_nonlinear,
         bound=_bound_nonlinear,
         modes=1,
+        physical=("omega", "kappa"),
         detail=(
             "Number operator and its square assembled from ladder products, then\n"
             "Trotterized.  The qubit must start in |0>.  slices: auto picks the\n"
@@ -376,14 +399,6 @@ class SweepCell:
     within_bound: bool
 
 
-def _resolve_slices(cfg: ExperimentConfig, spec: ApplicationSpec) -> int:
-    if cfg.slices == "auto":
-        delta = float(cfg.physical.get("delta", 0.1))
-        result = timeslice(spec.synthesis, spec.exact, cfg.t_max, delta, cfg.bch_order + 0.5)
-        return result.slices
-    return int(cfg.slices)
-
-
 def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int):
     psi0 = spec.initial_state
 
@@ -409,15 +424,41 @@ def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int):
     return op_errs, ac_errs
 
 
-def _fit_or_none(times, errs, cap: float):
+def _measure(
+    entry: _AppEntry, cfg: ExperimentConfig, threads: int
+) -> tuple[ApplicationSpec, dict]:
+    """Build one config's gate, resolve its slice count and measure it over
+    the grid. Returns the spec and every SynthesisReport field but config."""
+    spec = entry.build(cfg)
+    slices = cfg.slices
+    if slices == "auto":
+        delta = cfg.physical.get("delta", 0.1)
+        p = cfg.bch_order + 0.5
+        slices = timeslice(spec.synthesis, spec.exact, cfg.t_max, delta, p).slices
+    grid = cfg.grid()
+    op_errs, ac_errs = _grid_errors(spec, sliced(spec.synthesis, slices), grid, threads)
     try:
-        fit = fit_power_law(times, errs)
+        fit = fit_power_law(grid, op_errs)
     except ValueError:
-        return None, None, None, False
-    reliable = fit.residual < cap
-    if not reliable:
-        return None, None, fit.residual, False
-    return fit.exponent, fit.prefactor, fit.residual, True
+        fit = None
+    reliable = fit is not None and fit.residual < cfg.residual_cap
+    step_cost = spec.synthesis.cost()
+    bound = entry.bound(cfg)
+    return spec, dict(
+        times=[float(t) for t in grid],
+        op_norm_error=op_errs,
+        autocorr_error=ac_errs,
+        slices=slices,
+        gate_count_step=step_cost,
+        gate_count_total=step_cost * slices,
+        gate_counts={k: v * slices for k, v in sorted(spec.synthesis.cost_counter.items())},
+        exponent=fit.exponent if reliable else None,
+        prefactor=fit.prefactor if reliable else None,
+        residual=None if fit is None else fit.residual,
+        exponent_reliable=reliable,
+        bound=bound,
+        within_bound=step_cost <= bound,
+    )
 
 
 def _check_limits(
@@ -441,32 +482,8 @@ def run(
     """Evaluate one config over its grid and write the CSV/JSON artifacts."""
     entry = _REGISTRY[config.application]
     _check_limits(entry, config, threads, dim_cap)
-    spec = entry.build(config)
-
-    slices = _resolve_slices(config, spec)
-    family = sliced(spec.synthesis, slices)
-    grid = config.grid()
-    op_errs, ac_errs = _grid_errors(spec, family, grid, threads)
-    exponent, prefactor, residual, reliable = _fit_or_none(grid, op_errs, config.residual_cap)
-
-    step_cost = spec.synthesis.cost()
-    bound = entry.bound(config)
-    report = SynthesisReport(
-        config=config,
-        times=[float(t) for t in grid],
-        op_norm_error=op_errs,
-        autocorr_error=ac_errs,
-        slices=slices,
-        gate_count_step=step_cost,
-        gate_count_total=step_cost * slices,
-        gate_counts={k: v * slices for k, v in sorted(spec.synthesis.cost_counter.items())},
-        exponent=exponent,
-        prefactor=prefactor,
-        residual=residual,
-        exponent_reliable=reliable,
-        bound=bound,
-        within_bound=step_cost <= bound,
-    )
+    spec, measured = _measure(entry, config, threads)
+    report = SynthesisReport(config=config, **measured)
 
     out_dir = Path(out_dir)
     csv_path = out_dir / (config.out_csv or f"{config.application}.csv")
@@ -488,36 +505,13 @@ def run_sweep(
     """Order-by-timestep matrix: orders 1..bch with both commutator bases."""
     entry = _REGISTRY[config.application]
     _check_limits(entry, config, threads, dim_cap)
-    grid = config.grid()
     cells = []
     for order in range(1, config.bch_order + 1):
         for base in ("lean", "split"):
             cell_cfg = dataclasses.replace(config, bch_order=order, base=base)
-            spec = entry.build(cell_cfg)
-            slices = _resolve_slices(cell_cfg, spec)
-            family = sliced(spec.synthesis, slices)
-            op_errs, _ = _grid_errors(spec, family, grid, threads)
-            exponent, prefactor, residual, reliable = _fit_or_none(
-                grid, op_errs, config.residual_cap
-            )
-            step_cost = spec.synthesis.cost()
-            bound = entry.bound(cell_cfg)
-            cells.append(
-                SweepCell(
-                    order=order,
-                    base=base,
-                    times=[float(t) for t in grid],
-                    op_norm_error=op_errs,
-                    gate_count_step=step_cost,
-                    slices=slices,
-                    exponent=exponent,
-                    prefactor=prefactor,
-                    residual=residual,
-                    exponent_reliable=reliable,
-                    bound=bound,
-                    within_bound=step_cost <= bound,
-                )
-            )
+            _, measured = _measure(entry, cell_cfg, threads)
+            shared = [f.name for f in dataclasses.fields(SweepCell) if f.name in measured]
+            cells.append(SweepCell(order=order, base=base, **{k: measured[k] for k in shared}))
 
     out_dir = Path(out_dir)
     csv_path = out_dir / (config.out_csv or f"{config.application}-sweep.csv")
@@ -530,7 +524,7 @@ def run_sweep(
                 f"{cell.gate_count_step * cell.slices},{cell.slices}"
             )
     _atomic_write(csv_path, "\n".join(lines) + "\n")
-    _atomic_write(json_path, _dump_json([_cell_jsonable(c) for c in cells]) + "\n")
+    _atomic_write(json_path, _json_value(cells, 0) + "\n")
     return cells
 
 
@@ -580,16 +574,22 @@ def emit_heatmap(spec: ApplicationSpec, t: float, path: str | Path) -> None:
 
 
 def _json_value(value, indent: int) -> str:
+    """Deterministic JSON: floats as `_fmt` writes them, dataclasses as
+    objects in field order, a config in its YAML layout."""
     pad = " " * indent
-    if value is None or isinstance(value, (bool, int, float, str)):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if value is None:
-            return "null"
-        if isinstance(value, float):
-            return _fmt(value)
-        if isinstance(value, str):
-            return json.dumps(value)
+    if isinstance(value, ExperimentConfig):
+        value = _config_jsonable(value)
+    elif dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, (list, tuple)):
         if not value:
@@ -606,105 +606,23 @@ def _json_value(value, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _dump_json(obj) -> str:
-    return _json_value(obj, 0)
-
-
 def _config_jsonable(cfg: ExperimentConfig) -> dict:
-    return {
-        "application": cfg.application,
-        "cutoff": cfg.cutoff,
-        "physical": dict(sorted(cfg.physical.items())),
-        "grid": {
-            "min": cfg.t_min,
-            "max": cfg.t_max,
-            "points": cfg.points,
-            "log_spaced": cfg.log_spaced,
-        },
-        "orders": {
-            "bch": cfg.bch_order,
-            "symmetrized": cfg.symmetrized,
-            "base": cfg.base,
-        },
-        "slices": cfg.slices,
-        "fit": {"residual_cap": cfg.residual_cap},
-        "output": {"csv": cfg.out_csv, "json": cfg.out_json},
-    }
-
-
-def _report_jsonable(report: SynthesisReport) -> dict:
-    return {
-        "config": _config_jsonable(report.config),
-        "times": report.times,
-        "op_norm_error": report.op_norm_error,
-        "autocorr_error": report.autocorr_error,
-        "slices": report.slices,
-        "gate_count_step": report.gate_count_step,
-        "gate_count_total": report.gate_count_total,
-        "gate_counts": report.gate_counts,
-        "exponent": report.exponent,
-        "prefactor": report.prefactor,
-        "residual": report.residual,
-        "exponent_reliable": report.exponent_reliable,
-        "bound": report.bound,
-        "within_bound": report.within_bound,
-    }
-
-
-def _cell_jsonable(cell: SweepCell) -> dict:
-    return {
-        "order": cell.order,
-        "base": cell.base,
-        "times": cell.times,
-        "op_norm_error": cell.op_norm_error,
-        "gate_count_step": cell.gate_count_step,
-        "slices": cell.slices,
-        "exponent": cell.exponent,
-        "prefactor": cell.prefactor,
-        "residual": cell.residual,
-        "exponent_reliable": cell.exponent_reliable,
-        "bound": cell.bound,
-        "within_bound": cell.within_bound,
-    }
+    """The inverse of `ExperimentConfig.from_mapping`: the config in its
+    YAML layout."""
+    out: dict = {}
+    for f in dataclasses.fields(cfg):
+        *section, key = f.metadata["at"]
+        node = out.setdefault(section[0], {}) if section else out
+        node[key] = getattr(cfg, f.name)
+    return out
 
 
 def emit_json(report: SynthesisReport, path: str | Path) -> None:
-    _atomic_write(path, _dump_json(_report_jsonable(report)) + "\n")
+    _atomic_write(path, _json_value(report, 0) + "\n")
 
 
 def report_from_json(path: str | Path) -> SynthesisReport:
     with open(path) as fh:
         data = json.load(fh)
-    cfg_data = data["config"]
-    config = ExperimentConfig(
-        application=cfg_data["application"],
-        cutoff=cfg_data["cutoff"],
-        physical=cfg_data["physical"],
-        t_min=cfg_data["grid"]["min"],
-        t_max=cfg_data["grid"]["max"],
-        points=cfg_data["grid"]["points"],
-        log_spaced=cfg_data["grid"]["log_spaced"],
-        bch_order=cfg_data["orders"]["bch"],
-        symmetrized=cfg_data["orders"]["symmetrized"],
-        base=cfg_data["orders"]["base"],
-        slices=cfg_data["slices"],
-        residual_cap=cfg_data["fit"]["residual_cap"],
-        out_csv=cfg_data["output"]["csv"],
-        out_json=cfg_data["output"]["json"],
-    )
-    return SynthesisReport(
-        config=config,
-        times=data["times"],
-        op_norm_error=data["op_norm_error"],
-        autocorr_error=data["autocorr_error"],
-        slices=data["slices"],
-        gate_count_step=data["gate_count_step"],
-        gate_count_total=data["gate_count_total"],
-        gate_counts=data["gate_counts"],
-        exponent=data["exponent"],
-        prefactor=data["prefactor"],
-        residual=data["residual"],
-        exponent_reliable=data["exponent_reliable"],
-        bound=data["bound"],
-        within_bound=data["within_bound"],
-    )
+    config = ExperimentConfig.from_mapping(data.pop("config"))
+    return SynthesisReport(config=config, **data)

@@ -77,7 +77,7 @@ class Primitive:
     """
 
     def __init__(self, label: str, generator: Operator):
-        if not is_hermitian(generator, 1e-12):
+        if not is_hermitian(generator):
             raise ValueError(f"primitive {label!r} needs a Hermitian generator")
         self.label = label
         self.layout = generator.layout
@@ -145,7 +145,7 @@ class FrameGate:
 
     def __init__(self, label: str, layout: HilbertLayout, mat: np.ndarray):
         op = Operator(layout, mat)
-        if not is_unitary(op, 1e-10):
+        if not is_unitary(op):
             raise ValueError(f"frame gate {label!r} must be unitary")
         self.label = label
         self.layout = layout

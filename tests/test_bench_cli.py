@@ -23,6 +23,9 @@ from bosonsynth.bench import (
 from bosonsynth.product_formulas import ParamUnitary
 from bosonsynth.tensor_core import TOL
 
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+
 APPS = [
     "conditional-rotation",
     "state-prep-T",
@@ -119,6 +122,17 @@ class TestFromMapping:
     def test_requires_application(self):
         with pytest.raises(UsageError, match="application"):
             ExperimentConfig.from_mapping({"cutoff": 3})
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_inverse_of_jsonable(self, path):
+        cfg = load_config(path)
+        assert ExperimentConfig.from_mapping(bench._config_jsonable(cfg)) == cfg
+
+    def test_readme_config_block(self):
+        text = (ROOT / "README.md").read_text().split("## Config format", 1)[1]
+        block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_mapping(yaml.safe_load(block))
+        assert (cfg.application, cfg.physical, cfg.base) == ("state-prep-T", {"k": 2.0}, "lean")
 
 
 class TestLoadConfig:
@@ -328,6 +342,33 @@ class TestCli:
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"cutoff": "abc"},
+            {"cutoff": 8.5},
+            {"cutoff": True},
+            {"grid": {"points": [4]}},
+            {"grid": {"min": "0.01"}},
+            {"orders": {"symmetrized": "no"}},
+            {"physical": {"kk": 3}},
+            {"physical": {"k": 2.5}},
+            {"physical": {"k": 5}},
+            {"physical": {"k": 3}, "cutoff": 3, "orders": {"base": "lean"}},
+            {"application": "nonlinear-hamiltonian", "physical": {"kappa": -1}},
+        ],
+        ids=["cutoff-abc", "cutoff-8.5", "cutoff-true", "points-list", "min-str",
+             "symmetrized-no", "physical-kk", "k-2.5", "k-over-cutoff", "k-3-with-base",
+             "negative-kappa"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, override):
+        path = self._write(tmp_path, {"application": "state-prep-T", "cutoff": 2,
+                                      "grid": {"points": 4}, **override})
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_run_dim_cap_exits_3(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 3})
         code = cli.main(["run", path, "--out-dir", str(tmp_path), "--dim-cap", "8"])
@@ -382,7 +423,7 @@ class TestCli:
             raise AssertionError("evaluated a gate")
 
         monkeypatch.setattr(ParamUnitary, "eval", refuse)
-        path = Path(__file__).resolve().parent.parent / "configs" / "nonlinear-timeslice.yaml"
+        path = CONFIGS / "nonlinear-timeslice.yaml"
         args = [command, str(path), "--out-dir", str(tmp_path), "--threads", "0"]
         assert cli.main(args) == 2
         assert "threads" in capsys.readouterr().err

@@ -109,10 +109,20 @@ class TestExpm:
     def test_inverse_pairing(self):
         rng = np.random.default_rng(13)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        m -= m.conj().T
         m *= 10.0 / spectral_norm(m)
         layout = HilbertLayout((("mode", 8),))
         prod = expm(Operator(layout, m)).mat @ expm(Operator(layout, -m)).mat
         assert spectral_norm(prod - np.eye(8)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["general", "hermitian"])
+    def test_rejects_non_antihermitian(self, kind):
+        rng = np.random.default_rng(17)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        if kind == "hermitian":
+            m += m.conj().T
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            expm(Operator(HilbertLayout((("mode", 8),)), m))
 
     def test_dim_cap(self):
         layout = HilbertLayout((("mode", 16),))
