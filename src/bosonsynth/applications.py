@@ -170,10 +170,6 @@ def autocorrelation_trace(step: Operator, psi0: np.ndarray, nsteps: int,
     return DynamicsTrace(times, total, autocorrelation=auto)
 
 
-def _qubit_pauli(layout: HilbertLayout, name: str) -> Operator:
-    return embed(pauli(name), layout, 0)
-
-
 # Cyclic frame choice: the commutator of sigma^(first) with sigma^(second)
 # lands +i sigma^(axis) after the group-commutator sign flip.
 _AXIS_PAIR = {"z": ("y", "x"), "x": ("z", "y"), "y": ("x", "z")}
@@ -183,14 +179,12 @@ def _conditional_square(mode_op: Operator, tag: str, layout: HilbertLayout,
                         at: int, axis: str, p: int,
                         base: str | None) -> ParamUnitary:
     """BCH block for exp(i t M^2 sigma^axis) from conditional M pulses."""
-    first, second = _AXIS_PAIR[axis]
-    m = embed(mode_op, layout, at)
     scale = 1.0 / math.sqrt(2.0)
-    u_a = primitive_unitary(
-        Primitive(f"{tag}*s{first}", scale * (m @ _qubit_pauli(layout, first)))
-    )
-    u_b = primitive_unitary(
-        Primitive(f"{tag}*s{second}", scale * (m @ _qubit_pauli(layout, second)))
+    u_a, u_b = (
+        primitive_unitary(
+            Primitive(f"{tag}*s{s}", scale * embed({0: pauli(s), at: mode_op}, layout))
+        )
+        for s in _AXIS_PAIR[axis]
     )
     return bch(p, 1, u_a, u_b, base=base)
 
@@ -217,14 +211,14 @@ def conditional_rotation_phase_space(
     u_x2 = _conditional_square(x_op, "x", layout, 1, axis, p, base)
     u_p2 = _conditional_square(p_op, "p", layout, 1, axis, p, base)
     half_phase = primitive_unitary(
-        Primitive("half-phase", -0.5 * _qubit_pauli(layout, axis))
+        Primitive("half-phase", -0.5 * embed({0: pauli(axis)}, layout))
     )
     pu = trotter(
         2 * suzuki_index(p), [as_linear_term(u_x2), as_linear_term(u_p2), half_phase]
     )
 
     quad = x_op @ x_op + p_op @ p_op - 0.5 * mode_identity(cutoff)
-    gen = embed(quad, layout, 1) @ _qubit_pauli(layout, axis)
+    gen = embed({0: pauli(axis), 1: quad}, layout)
     return ApplicationSpec(
         name="conditional-rotation",
         layout=layout,
@@ -250,12 +244,12 @@ def conditional_rotation_fock(
     enc = mult(s1(cutoff), conjugate(s1(cutoff), "X"), 2 * p, 2 * p, base=base)
     layout = enc.layout
     lower = Operator(HilbertLayout.single_qubit(), np.diag([0.0, 1.0]).astype(complex))
-    corr = primitive_unitary(Primitive("qubit1-phase", embed(lower, layout, 0)))
+    corr = primitive_unitary(Primitive("qubit1-phase", embed({0: lower}, layout)))
     pu = compose(
         "cond-rot-fock",
         [Factor(enc.unitary), Factor(corr)],
     )
-    gen = enc.generator + embed(lower, layout, 0)
+    gen = enc.generator + embed({0: lower}, layout)
     return ApplicationSpec(
         name="conditional-rotation-fock",
         layout=layout,
@@ -339,14 +333,15 @@ def state_prep_protected(
     layout = unprot.layout
     if t is None:
         t = state_prep_exact_time(k, 0, cutoff, protected=True)
-    flip = embed(vacuum_parity_flip(cutoff), layout, 1)
-    frame = FrameGate("R0", layout, flip.mat)
+    flip = vacuum_parity_flip(cutoff)
+    frame = FrameGate("R0", layout, embed({1: flip}, layout).mat)
     echoed = frame_conjugate(rescale(unprot.synthesis, -1.0), frame)
     pu = compose(
         f"protected-prep-T{k}",
         [Factor(unprot.synthesis), Factor(echoed)],
     )
-    gen = unprot.exact_generator - flip @ unprot.exact_generator @ flip
+    target = _ladder_power(cutoff, k)
+    gen = block_generator(target - flip @ target @ flip)
     return ApplicationSpec(
         name=f"state-prep-P{k}",
         layout=layout,
@@ -400,7 +395,7 @@ def success_probability_bound(
         raise ValueError("need 0 < delta <= 1")
     spec = state_prep_protected(k, t, p, cutoff, base=base)
     t = float(spec.time)
-    result = timeslice(spec.synthesis, spec.exact, t, 0.5 * delta, p + 0.5)
+    result = timeslice(spec.synthesis, spec.exact, t, 0.5 * delta)
     psi = result.unitary.eval(t).mat @ spec.initial_state
     amp = np.vdot(basis_state(spec.layout, 0, k), psi)
     counted = spec.gate_count() * result.slices
@@ -434,20 +429,15 @@ def conditional_beam_splitter(
     symmetrized); higher p joins the blocks with a Suzuki splitting.
     """
     layout = HilbertLayout.qubit_modes(cutoff, nmodes=2)
-    x1 = embed(position(cutoff), layout, 1)
-    x2 = embed(position(cutoff), layout, 2)
-    p1 = embed(momentum(cutoff), layout, 1)
-    p2 = embed(momentum(cutoff), layout, 2)
-    sx = _qubit_pauli(layout, "x")
-    sy = _qubit_pauli(layout, "y")
+    sx, sy = pauli("x"), pauli("y")
 
-    def pair_block(m1: Operator, m2: Operator, tag: str) -> ParamUnitary:
-        u_a = primitive_unitary(Primitive(f"{tag}1*sx", m1 @ sx))
-        u_b = primitive_unitary(Primitive(f"{tag}2*sy", m2 @ sy))
+    def pair_block(m: Operator, tag: str) -> ParamUnitary:
+        u_a = primitive_unitary(Primitive(f"{tag}1*sx", embed({0: sx, 1: m}, layout)))
+        u_b = primitive_unitary(Primitive(f"{tag}2*sy", embed({0: sy, 2: m}, layout)))
         return bch(p, 1, u_a, u_b, base=base)
 
-    u_xx = pair_block(x1, x2, "x")
-    u_pp = pair_block(p1, p2, "p")
+    u_xx = pair_block(position(cutoff), "x")
+    u_pp = pair_block(momentum(cutoff), "p")
     if symmetrized:
         u_xx, u_pp = symmetrize(u_xx), symmetrize(u_pp)
     if p == 1:
@@ -460,10 +450,9 @@ def conditional_beam_splitter(
     else:
         pu = trotter(2 * suzuki_index(p), [as_linear_term(u_xx), as_linear_term(u_pp)])
 
-    a1 = embed(annihilation(cutoff), layout, 1)
-    a2 = embed(annihilation(cutoff), layout, 2)
-    hop = a1.dag() @ a2 + a1 @ a2.dag()
-    gen = -1.0 * (_qubit_pauli(layout, "z") @ hop)
+    sz, a = pauli("z"), annihilation(cutoff)
+    hop = embed({0: sz, 1: a.dag(), 2: a}, layout) + embed({0: sz, 1: a, 2: a.dag()}, layout)
+    gen = -1.0 * hop
     return ApplicationSpec(
         name="hom-beam-splitter",
         layout=layout,
@@ -543,30 +532,30 @@ def effective_pauli_span01(
     the span. The family parameter is the squared pulse amplitude.
     """
     layout = HilbertLayout.qubit_modes(cutoff)
-    sx = _qubit_pauli(layout, "x")
-    sy = _qubit_pauli(layout, "y")
-    sz = _qubit_pauli(layout, "z")
-    xm = embed(position(cutoff), layout, 1)
-    pm = embed(momentum(cutoff), layout, 1)
-    nm = embed(number(cutoff), layout, 1)
+    sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
+    xm, pm, nm = position(cutoff), momentum(cutoff), number(cutoff)
 
     def prim(tag: str, gen: Operator) -> ParamUnitary:
         return primitive_unitary(Primitive(tag, gen))
 
+    def on(ops: dict) -> Operator:
+        return embed(ops, layout)
+
     if axis == "x":
-        anti = group_commutator(prim("x*sx", xm @ sx), prim("n*sy", nm @ sy))
-        comm = group_commutator(prim("p", pm), prim("n*sz", nm @ sz))
-        lin = prim("2x*sz", 2.0 * (xm @ sz))
+        anti = group_commutator(prim("x*sx", on({0: sx, 1: xm})), prim("n*sy", on({0: sy, 1: nm})))
+        comm = group_commutator(prim("p", on({1: pm})), prim("n*sz", on({0: sz, 1: nm})))
+        lin = prim("2x*sz", 2.0 * on({0: sz, 1: xm}))
     elif axis == "y":
-        anti = group_commutator(prim("p*sx", pm @ sx), prim("n*sy", nm @ sy))
-        comm = group_commutator(prim("n*sz", nm @ sz), prim("x", xm))
-        lin = prim("2p*sz", 2.0 * (pm @ sz))
+        anti = group_commutator(prim("p*sx", on({0: sx, 1: pm})), prim("n*sy", on({0: sy, 1: nm})))
+        comm = group_commutator(prim("n*sz", on({0: sz, 1: nm})), prim("x", on({1: xm})))
+        lin = prim("2p*sz", 2.0 * on({0: sz, 1: pm}))
     elif axis == "z":
         pu = compose(
             "eff-pauli-z",
-            [Factor(prim("qubit-phase", sz)), Factor(prim("-2n*sz", -2.0 * (nm @ sz)))],
+            [Factor(prim("qubit-phase", on({0: sz}))),
+             Factor(prim("-2n*sz", -2.0 * on({0: sz, 1: nm})))],
         )
-        gen = sz @ embed(mode_identity(cutoff) - 2.0 * number(cutoff), layout, 1)
+        gen = on({0: sz, 1: mode_identity(cutoff) - 2.0 * nm})
         return ApplicationSpec(
             name="eff-pauli-z",
             layout=layout,
@@ -583,7 +572,7 @@ def effective_pauli_span01(
         f"eff-pauli-{axis}",
         [Factor(as_linear_term(anti)), Factor(as_linear_term(comm)), Factor(lin)],
     )
-    gen = sz @ embed(sigma_eff(axis, cutoff), layout, 1)
+    gen = on({0: sz, 1: sigma_eff(axis, cutoff)})
     return ApplicationSpec(
         name=f"eff-pauli-{axis}",
         layout=layout,
@@ -616,11 +605,10 @@ def anharmonicity_gate(
     block and one opposing linear pulse. Family parameter: squared amplitude."""
     layout = HilbertLayout.qubit_modes(cutoff)
     u_n2 = _conditional_square(number(cutoff), "n", layout, 1, axis, p, base)
-    nm = embed(number(cutoff), layout, 1)
-    lin = primitive_unitary(Primitive("-n*sz", -1.0 * (nm @ _qubit_pauli(layout, axis))))
+    n_op, s_axis = number(cutoff), pauli(axis)
+    lin = primitive_unitary(Primitive("-n*sz", -1.0 * embed({0: s_axis, 1: n_op}, layout)))
     pu = compose("anharmonicity", [Factor(as_linear_term(u_n2)), Factor(lin)])
-    n_op = number(cutoff)
-    gen = embed(n_op @ n_op - n_op, layout, 1) @ _qubit_pauli(layout, axis)
+    gen = embed({0: s_axis, 1: n_op @ n_op - n_op}, layout)
     return ApplicationSpec(
         name="anharmonicity",
         layout=layout,
@@ -640,18 +628,17 @@ def cross_kerr_gate(
     block. Family parameter: squared amplitude."""
     layout = HilbertLayout.qubit_modes(cutoff, nmodes=2)
     first, second = _AXIS_PAIR[axis]
-    n1 = embed(number(cutoff), layout, 1)
-    n2 = embed(number(cutoff), layout, 2)
+    n_op = number(cutoff)
     scale = 1.0 / math.sqrt(2.0)
     u_a = primitive_unitary(
-        Primitive(f"n1*s{first}", scale * (n1 @ _qubit_pauli(layout, first)))
+        Primitive(f"n1*s{first}", scale * embed({0: pauli(first), 1: n_op}, layout))
     )
     u_b = primitive_unitary(
-        Primitive(f"n2*s{second}", scale * (n2 @ _qubit_pauli(layout, second)))
+        Primitive(f"n2*s{second}", scale * embed({0: pauli(second), 2: n_op}, layout))
     )
     block = bch(p, 1, u_a, u_b, base=base)
     pu = as_linear_term(block, label="cross-kerr")
-    gen = (n1 @ n2) @ _qubit_pauli(layout, axis)
+    gen = embed({0: pauli(axis), 1: n_op, 2: n_op}, layout)
     return ApplicationSpec(
         name="cross-kerr",
         layout=layout,
@@ -722,14 +709,11 @@ def fswap_product(cutoff: int = 4) -> tuple[Operator, HilbertLayout]:
     if cutoff < 2:
         raise ValueError("need cutoff >= 2")
     layout = HilbertLayout((("mode", cutoff + 1), ("mode", cutoff + 1)))
-    a1 = embed(annihilation(cutoff), layout, 0)
-    a2 = embed(annihilation(cutoff), layout, 1)
-    n1 = embed(number(cutoff), layout, 0)
-    n2 = embed(number(cutoff), layout, 1)
-    hop = a1.dag() @ a2 + a1 @ a2.dag()
+    a, n_op = annihilation(cutoff), number(cutoff)
+    hop = embed({0: a.dag(), 1: a}, layout) + embed({0: a, 1: a.dag()}, layout)
 
-    kerr = expm(1j * math.pi * (n1 @ n2))
-    linear = expm(-0.5j * math.pi * (n1 + n2))
+    kerr = expm(1j * math.pi * embed({0: n_op, 1: n_op}, layout))
+    linear = expm(-0.5j * math.pi * (embed({0: n_op}, layout) + embed({1: n_op}, layout)))
     beam = expm(0.5j * math.pi * hop)
     return kerr @ linear @ beam, layout
 

@@ -425,16 +425,16 @@ def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int):
 
 
 def _measure(
-    entry: _AppEntry, cfg: ExperimentConfig, threads: int
+    entry: _AppEntry, cfg: ExperimentConfig, threads: int, bound: float
 ) -> tuple[ApplicationSpec, dict]:
     """Build one config's gate, resolve its slice count and measure it over
-    the grid. Returns the spec and every SynthesisReport field but config."""
+    the grid. `bound` is the config's cost ceiling. Returns the spec and
+    every SynthesisReport field but config."""
     spec = entry.build(cfg)
     slices = cfg.slices
     if slices == "auto":
         delta = cfg.physical.get("delta", 0.1)
-        p = cfg.bch_order + 0.5
-        slices = timeslice(spec.synthesis, spec.exact, cfg.t_max, delta, p).slices
+        slices = timeslice(spec.synthesis, spec.exact, cfg.t_max, delta).slices
     grid = cfg.grid()
     op_errs, ac_errs = _grid_errors(spec, sliced(spec.synthesis, slices), grid, threads)
     try:
@@ -443,7 +443,6 @@ def _measure(
         fit = None
     reliable = fit is not None and fit.residual < cfg.residual_cap
     step_cost = spec.synthesis.cost()
-    bound = entry.bound(cfg)
     return spec, dict(
         times=[float(t) for t in grid],
         op_norm_error=op_errs,
@@ -463,14 +462,26 @@ def _measure(
 
 def _check_limits(
     entry: _AppEntry, config: ExperimentConfig, threads: int, dim_cap: int
-) -> None:
-    """Refuse a run before any work: bad thread counts exit 2, dimensions
-    over the cap exit 3."""
+) -> float:
+    """Refuse a run before any work: bad thread counts exit 2; dimensions
+    over the cap, and a cost ceiling past the float range, exit 3. Returns
+    the ceiling at the config's orders, the highest a sweep measures (every
+    ceiling grows with the order)."""
     if threads < 1:
         raise UsageError("threads must be >= 1")
     dim = 2 * (config.cutoff + 1) ** entry.modes
     if dim > dim_cap:
         raise ResourceExhaustedError(f"dimension {dim} exceeds cap {dim_cap}")
+    try:
+        bound = entry.bound(config)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ResourceExhaustedError(
+            f"the cost ceiling of {config.application} at orders.bch {config.bch_order} "
+            "exceeds the float range"
+        )
+    return bound
 
 
 def run(
@@ -481,8 +492,8 @@ def run(
 ) -> SynthesisReport:
     """Evaluate one config over its grid and write the CSV/JSON artifacts."""
     entry = _REGISTRY[config.application]
-    _check_limits(entry, config, threads, dim_cap)
-    spec, measured = _measure(entry, config, threads)
+    bound = _check_limits(entry, config, threads, dim_cap)
+    spec, measured = _measure(entry, config, threads, bound)
     report = SynthesisReport(config=config, **measured)
 
     out_dir = Path(out_dir)
@@ -509,7 +520,7 @@ def run_sweep(
     for order in range(1, config.bch_order + 1):
         for base in ("lean", "split"):
             cell_cfg = dataclasses.replace(config, bch_order=order, base=base)
-            _, measured = _measure(entry, cell_cfg, threads)
+            _, measured = _measure(entry, cell_cfg, threads, entry.bound(cell_cfg))
             shared = [f.name for f in dataclasses.fields(SweepCell) if f.name in measured]
             cells.append(SweepCell(order=order, base=base, **{k: measured[k] for k in shared}))
 

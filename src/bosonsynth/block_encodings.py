@@ -57,9 +57,7 @@ __all__ = [
 
 
 def _qubit_frame(name: str, layout: HilbertLayout) -> FrameGate:
-    gate = qubit_gate(name)
-    full = embed(gate, layout, 0)
-    return FrameGate(name, layout, full.mat)
+    return FrameGate(name, layout, embed({0: qubit_gate(name)}, layout).mat)
 
 
 def block_generator(target: Operator) -> Operator:
@@ -100,7 +98,6 @@ class BlockEncoding:
     unitary: ParamUnitary
     block_target: Operator
     generator: Operator
-    order: float
     kind: str = "off_diagonal"
 
     @cached_property
@@ -134,7 +131,7 @@ def s1(cutoff: int) -> BlockEncoding:
     target = creation(cutoff)
     gen = block_generator(target)
     pu = primitive_unitary(Primitive("S1", gen))
-    return BlockEncoding(pu, target, gen, order=math.inf)
+    return BlockEncoding(pu, target, gen)
 
 
 def identity_encoding(cutoff: int) -> BlockEncoding:
@@ -142,7 +139,7 @@ def identity_encoding(cutoff: int) -> BlockEncoding:
     ident = mode_identity(cutoff)
     gen = block_generator(ident)
     pu = primitive_unitary(Primitive("RX", gen))
-    return BlockEncoding(pu, ident, gen, order=math.inf)
+    return BlockEncoding(pu, ident, gen)
 
 
 def s1_from_conditional_displacements(cutoff: int) -> ParamUnitary:
@@ -153,13 +150,10 @@ def s1_from_conditional_displacements(cutoff: int) -> ParamUnitary:
     t_eff = 2 alpha, with O(alpha^2) error.
     """
     layout = HilbertLayout.qubit_modes(cutoff)
-    quad = embed(annihilation(cutoff) + creation(cutoff), layout, 1)
-    sx = embed(pauli("X"), layout, 0)
-    sy = embed(pauli("Y"), layout, 0)
-    n_op = embed(number(cutoff), layout, 1)
-    cd_x = primitive_unitary(Primitive("CD_x", Operator(layout, quad.mat @ sx.mat)))
-    cd_y = primitive_unitary(Primitive("CD_y", Operator(layout, quad.mat @ sy.mat)))
-    rot = primitive_unitary(Primitive("Rmode", n_op))
+    quad = annihilation(cutoff) + creation(cutoff)
+    cd_x = primitive_unitary(Primitive("CD_x", embed({0: pauli("X"), 1: quad}, layout)))
+    cd_y = primitive_unitary(Primitive("CD_y", embed({0: pauli("Y"), 1: quad}, layout)))
+    rot = primitive_unitary(Primitive("Rmode", embed({1: number(cutoff)}, layout)))
 
     quarter = math.pi / 2
     factors = [
@@ -188,11 +182,9 @@ def conjugate(enc: BlockEncoding, gate: str) -> BlockEncoding:
         raise ValueError("frame conjugation applies to off-diagonal encodings")
     if gate not in _CONJ_RULES:
         raise ValueError(f"unsupported frame {gate!r}")
-    frame = _qubit_frame(gate, enc.layout)
-    pu = frame_conjugate(enc.unitary, frame)
-    fmat = frame.mat
-    gen = Operator(enc.generator.layout, fmat @ enc.generator.mat @ fmat.conj().T)
-    return BlockEncoding(pu, _CONJ_RULES[gate](enc.block_target), gen, enc.order)
+    pu = frame_conjugate(enc.unitary, _qubit_frame(gate, enc.layout))
+    target = _CONJ_RULES[gate](enc.block_target)
+    return BlockEncoding(pu, target, block_generator(target))
 
 
 def _commutation_check(a: Operator, b: Operator):
@@ -238,7 +230,7 @@ def add(
     frame_x = _qubit_frame("X", layout)
     frame_s = _qubit_frame("S", layout)
     frame_h = _qubit_frame("H", layout)
-    frame_sh = FrameGate("SH", layout, frame_s.mat @ frame_h.mat)
+    frame_sh = FrameGate("SH", layout, embed({0: qubit_gate("S") @ qubit_gate("H")}, layout).mat)
 
     b_right_x = frame_conjugate(right.unitary, frame_x)
     b_left_s = frame_conjugate(left.unitary, frame_s)
@@ -259,7 +251,7 @@ def add(
 
     target = left.block_target @ right.block_target
     gen = block_generator(target)
-    return BlockEncoding(inner, target, gen, order=min(p_left, p_right))
+    return BlockEncoding(inner, target, gen)
 
 
 def mult(
@@ -311,9 +303,7 @@ def mult(
     gen_mat[:d, :d] = 0.5 * (ab.mat + ab.mat.conj().T)
     gen_mat[d:, d:] = -0.5 * (ba.mat + ba.mat.conj().T)
     gen = Operator(HilbertLayout((("qubit", 2),) + ab.layout.factors), gen_mat)
-    return BlockEncoding(
-        inner, ab, gen, order=min(p_left, p_right), kind="upper_left"
-    )
+    return BlockEncoding(inner, ab, gen, kind="upper_left")
 
 
 def power(

@@ -3,11 +3,14 @@
 A mode with cutoff L lives on the span of |0>..|L> (dimension L+1). The
 annihilation matrix keeps the entries a[n, n+1] = sqrt(n+1); everything else
 is built from it, so truncation artifacts are confined to the top state and
-show up only where a commutator or product reaches |L>.
+show up only where a commutator or product reaches |L>. `embed` places
+operators on the factors of a larger layout: a product of operators on
+distinct factors, such as sigma (x) x, is one Kronecker chain.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -97,20 +100,27 @@ def qubit_gate(name: str) -> Operator:
     raise ValueError(f"unknown gate {name!r}")
 
 
-def embed(op: Operator, layout: HilbertLayout, at: int) -> Operator:
-    """Lift a single-factor operator to a full layout, identity elsewhere.
+def embed(ops: Mapping[int, Operator], layout: HilbertLayout) -> Operator:
+    """Place single-factor operators on a layout, the identity elsewhere.
 
-    The factor at position `at` must match the operator's own dimension.
+    `ops` maps a factor position to the operator acting there, and its
+    matrix must match that factor's dimension. The result is one np.kron
+    chain over the layout's factors, so a product of operators on distinct
+    factors costs no dense matrix product, and each of its entries is a
+    product of one entry per factor.
     """
-    if op.layout.nfactors != 1:
-        raise ValueError("embed expects a single-factor operator")
-    if layout.dim_of(at) != op.dim:
-        raise ValueError(
-            f"factor {at} has dim {layout.dim_of(at)}, operator has dim {op.dim}"
-        )
+    for at, op in ops.items():
+        if op.layout.nfactors != 1:
+            raise ValueError("embed expects single-factor operators")
+        if at not in range(layout.nfactors):
+            raise ValueError(f"factor {at} is not in a layout of {layout.nfactors}")
+        if layout.dim_of(at) != op.dim:
+            raise ValueError(
+                f"factor {at} has dim {layout.dim_of(at)}, operator has dim {op.dim}"
+            )
     mat = np.eye(1, dtype=np.complex128)
-    for pos, (kind, d) in enumerate(layout.factors):
-        mat = np.kron(mat, op.mat if pos == at else np.eye(d))
+    for pos, (_, d) in enumerate(layout.factors):
+        mat = np.kron(mat, ops[pos].mat if pos in ops else np.eye(d))
     return Operator(layout, mat)
 
 

@@ -73,7 +73,9 @@ class Primitive:
     the generator must equal its block on the support times the identity,
     entry for entry. Only that block is eigendecomposed, so unitary(t) =
     exp(i t H) is exactly unitary, and a primitive on a strict subset of the
-    factors can multiply a matrix through its support alone (blocks).
+    factors can multiply a matrix through its support alone (blocks). The
+    primitive keeps the support and the block's eigendecomposition, not the
+    full-size generator.
     """
 
     def __init__(self, label: str, generator: Operator):
@@ -81,7 +83,6 @@ class Primitive:
             raise ValueError(f"primitive {label!r} needs a Hermitian generator")
         self.label = label
         self.layout = generator.layout
-        self.generator = generator
         self.support, block = _support_block(generator)
         # True when the generator leaves at least one factor alone.
         self.local = len(self.support) < self.layout.nfactors
@@ -708,7 +709,6 @@ def sliced(pu: ParamUnitary, r: int) -> ParamUnitary:
 @dataclass
 class TimesliceResult:
     slices: int
-    theoretical_slices: int | None
     error: float
     unitary: ParamUnitary
 
@@ -718,15 +718,11 @@ def timeslice(
     target: Callable[[float], Operator],
     t: float,
     eps: float,
-    p: float,
-    generator_norm: float | None = None,
     max_slices: int = 1 << 20,
 ) -> TimesliceResult:
     """Smallest r with ||U(t/r)^r - target(t)|| <= eps.
 
-    Doubling search bracket, then bisection to the minimal count. The
-    theoretical count r ~ (C t)^(1 + 1/(p-1)) / eps^(1/(p-1)) is recorded
-    alongside when a generator norm C is supplied.
+    Doubling search bracket, then bisection to the minimal count.
     """
     target_mat = target(t).mat
     errors: dict[int, float] = {}
@@ -753,13 +749,7 @@ def timeslice(
         else:
             lo = mid
     r = hi
-    e = err(r)
-
-    theo = None
-    if generator_norm is not None and p > 1:
-        ct = generator_norm * abs(t)
-        theo = max(1, math.ceil(ct ** (1.0 + 1.0 / (p - 1.0)) / eps ** (1.0 / (p - 1.0))))
-    return TimesliceResult(r, theo, e, sliced(pu, r))
+    return TimesliceResult(r, err(r), sliced(pu, r))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "is_unitary",
     "is_hermitian",
     "commutator",
-    "anticommutator",
 ]
 
 
@@ -135,9 +134,6 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.layout, self.mat.conj().T)
 
-    def norm(self) -> float:
-        return spectral_norm(self)
-
     def _check_layout(self, other: "Operator"):
         if self.layout != other.layout:
             raise LayoutMismatchError(
@@ -228,7 +224,3 @@ def spectral_norm(op: Operator | np.ndarray) -> float:
 
 def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
-
-
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    return a @ b + b @ a

@@ -286,8 +286,8 @@ def test_criterion_12_timeslicing_growth():
     cap = 2 ** (1.0 / (2 - 0.75)) * 1.5
     ratios = []
     for eps in (3e-2, 1e-2, 3e-3):
-        r = timeslice(spec.synthesis, spec.exact, 1.0, eps, p=2.25).slices
-        r_half = timeslice(spec.synthesis, spec.exact, 1.0, eps / 2, p=2.25).slices
+        r = timeslice(spec.synthesis, spec.exact, 1.0, eps).slices
+        r_half = timeslice(spec.synthesis, spec.exact, 1.0, eps / 2).slices
         ratios.append(r_half / r)
     ok = all(ratio <= cap for ratio in ratios)
     report(12, "timeslicing growth", ok,

@@ -429,6 +429,28 @@ class TestCli:
         assert "threads" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "application,bch",
+        [("nonlinear-hamiltonian", 60), ("nonlinear-hamiltonian", 58), ("state-prep-T", 200)],
+        ids=["nonlinear-bch60-raises", "nonlinear-bch58-inf", "state-prep-bch200-raises"],
+    )
+    def test_overflowing_cost_ceiling_exits_3_before_any_build(
+        self, tmp_path, capsys, monkeypatch, application, bch, command
+    ):
+        def refuse(cfg):
+            raise AssertionError("built a gate")
+
+        entry = dataclasses.replace(bench._REGISTRY[application], build=refuse)
+        monkeypatch.setitem(bench._REGISTRY, application, entry)
+        path = self._write(tmp_path, {"application": application, "cutoff": 2,
+                                      "grid": {"points": 4}, "orders": {"bch": bch}})
+        assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "float range" in err
+        assert not (tmp_path / "out").exists()
+
     def test_one_dimension_cap(self):
         parser = cli.build_parser()
         defaults = {

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonsynth.fock_ops import (
     annihilation,
@@ -18,7 +20,13 @@ from bosonsynth.fock_ops import (
     qubit_gate,
     vacuum_parity_flip,
 )
-from bosonsynth.tensor_core import HilbertLayout, basis_state, commutator, spectral_norm
+from bosonsynth.tensor_core import (
+    HilbertLayout,
+    Operator,
+    basis_state,
+    commutator,
+    spectral_norm,
+)
 
 
 class TestLadder:
@@ -101,25 +109,61 @@ class TestQubitGates:
             pauli("w")
 
 
+@st.composite
+def _factor_maps(draw):
+    """A layout of 2-3 factors and a map from a random subset of its
+    positions to random operators there. Entries are small complex integers,
+    so every product is exact under any BLAS summation order and the
+    comparison checks placement alone."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    layout = HilbertLayout(tuple(("mode", d) for d in dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = draw(st.sets(st.integers(0, len(dims) - 1)))
+    ops = {}
+    for at in draw(st.permutations(sorted(positions))):
+        d = dims[at]
+        mat = rng.integers(-3, 4, (d, d)) + 1j * rng.integers(-3, 4, (d, d))
+        ops[at] = Operator(HilbertLayout((("mode", d),)), mat)
+    return layout, ops
+
+
 class TestEmbed:
     def test_trivial_single_factor(self):
-        out = embed(pauli("x"), HilbertLayout.single_qubit(), 0)
+        out = embed({0: pauli("x")}, HilbertLayout.single_qubit())
         assert np.array_equal(out.mat, pauli("x").mat)
 
     def test_mode_slot(self):
         layout = HilbertLayout.qubit_modes(1)
-        out = embed(annihilation(1), layout, 1)
+        out = embed({1: annihilation(1)}, layout)
         assert np.array_equal(out.mat, np.kron(np.eye(2), annihilation(1).mat))
 
     def test_eigenvalue_through_index(self):
         layout = HilbertLayout.qubit_modes(3)
-        out = embed(number(3), layout, 1)
+        out = embed({1: number(3)}, layout)
         idx = layout.index(1, 2)
         assert out.mat[idx, idx] == 2.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            embed(annihilation(2), HilbertLayout.qubit_modes(3), 0)
+            embed({0: annihilation(2)}, HilbertLayout.qubit_modes(3))
+
+    @pytest.mark.parametrize("at", [-1, 2])
+    def test_position_outside_layout(self, at):
+        with pytest.raises(ValueError, match="not in a layout"):
+            embed({at: annihilation(3)}, HilbertLayout.qubit_modes(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_factor_maps())
+    def test_equals_dense_product_of_single_embeds(self, world):
+        """One embed equals the dense product of one-factor embeddings, each
+        built here as I (x) op (x) I."""
+        layout, ops = world
+        dims = [d for _, d in layout.factors]
+        dense = np.eye(layout.dim)
+        for at, op in ops.items():
+            before, after = math.prod(dims[:at]), math.prod(dims[at + 1:])
+            dense = dense @ np.kron(np.kron(np.eye(before), op.mat), np.eye(after))
+        assert np.array_equal(embed(ops, layout).mat, dense)
 
 
 class TestVacuumFlip:

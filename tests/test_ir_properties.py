@@ -49,11 +49,11 @@ def _qubit_world():
 
 def _cutoff2_world():
     layout = HilbertLayout.qubit_modes(2)
-    x_sx = embed(position(2), layout, 1) @ embed(pauli("X"), layout, 0)
-    n_sy = embed(number(2), layout, 1) @ embed(pauli("Y"), layout, 0)
+    x_sx = embed({0: pauli("X"), 1: position(2)}, layout)
+    n_sy = embed({0: pauli("Y"), 1: number(2)}, layout)
     prims = [Primitive("x*sx", x_sx), Primitive("n*sy", n_sy)]
     frames = [
-        FrameGate(name, layout, embed(qubit_gate(name), layout, 0).mat) for name in ("H", "S")
+        FrameGate(name, layout, embed({0: qubit_gate(name)}, layout).mat) for name in ("H", "S")
     ]
     return prims, frames
 
@@ -203,7 +203,8 @@ def _embedded(dims, support, block):
 @st.composite
 def _local_world(draw):
     """A layout of 2-3 small factors and 1-4 primitives, each a random
-    Hermitian block on a random (possibly empty or full) set of factors."""
+    Hermitian block on a random (possibly empty or full) set of factors,
+    drawn as (primitive, support, dense generator)."""
     dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
     layout = HilbertLayout(tuple(("mode", d) for d in dims))
     prims = []
@@ -213,7 +214,7 @@ def _local_world(draw):
         d = math.prod(dims[j] for j in support)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         gen = Operator(layout, _embedded(dims, support, 0.5 * (a + a.conj().T)))
-        prims.append((Primitive(f"h{i}", gen), support))
+        prims.append((Primitive(f"h{i}", gen), support, gen))
     return layout, prims
 
 
@@ -224,9 +225,9 @@ LOCAL_PARAMS = st.floats(-2.0, 2.0, allow_nan=False)
 @given(_local_world(), LOCAL_PARAMS)
 def test_support_detected_and_unitary_matches_dense(world, t):
     _, prims = world
-    for prim, support in prims:
+    for prim, support, gen in prims:
         assert prim.support == support
-        evals, evecs = np.linalg.eigh(prim.generator.mat)
+        evals, evecs = np.linalg.eigh(gen.mat)
         dense = (evecs * np.exp(1j * t * evals)) @ evecs.conj().T
         assert np.max(np.abs(prim.unitary(t) - dense)) < 1e-12
 
@@ -234,7 +235,7 @@ def test_support_detected_and_unitary_matches_dense(world, t):
 @st.composite
 def _local_products(draw):
     layout, prims = draw(_local_world())
-    leaves = [primitive_unitary(prim) for prim, _ in prims]
+    leaves = [primitive_unitary(prim) for prim, _, _ in prims]
 
     def factor(pu):
         return Factor(pu, draw(COEFFS), draw(st.integers(0, 2)), draw(st.booleans()))

@@ -258,7 +258,7 @@ class TestTimeslice:
 
     def test_loose_tolerance_single_slice(self):
         family, target = self._setup()
-        res = timeslice(family, target, 0.2, 1.0, p=1.5)
+        res = timeslice(family, target, 0.2, 1.0)
         assert res.slices == 1
 
     def test_halving_tolerance_bounded_growth(self):
@@ -269,8 +269,8 @@ class TestTimeslice:
         family = trotter(2, [flow(gen_a), flow(gen_b)])
         exact = flow(gen_a + gen_b)
         t = 0.5
-        coarse = timeslice(family, exact.eval, t, 1e-3, p=2)
-        fine = timeslice(family, exact.eval, t, 5e-4, p=2)
+        coarse = timeslice(family, exact.eval, t, 1e-3)
+        fine = timeslice(family, exact.eval, t, 5e-4)
         assert coarse.error <= 1e-3 and fine.error <= 5e-4
         assert fine.slices <= 2 * 2 * coarse.slices
 
@@ -290,7 +290,7 @@ class TestTimeslice:
 
         with monkeypatch.context() as patch:
             patch.setattr(ParamUnitary, "eval", counting)
-            res = timeslice(family, exact.eval, 0.5, 1e-3, p=2)
+            res = timeslice(family, exact.eval, 0.5, 1e-3)
         assert res.slices > 2
         assert calls and max(calls.values()) == 1
         assert res.error == spectral_norm(res.unitary.eval(0.5).mat - exact.eval(0.5).mat)
@@ -306,7 +306,7 @@ class TestTimeslice:
     def test_slice_cap(self):
         family, target = self._setup()
         with pytest.raises(ResourceExhaustedError):
-            timeslice(family, target, 0.5, 1e-12, p=1.5, max_slices=4)
+            timeslice(family, target, 0.5, 1e-12, max_slices=4)
 
 
 class TestFitPowerLaw:

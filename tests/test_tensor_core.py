@@ -8,7 +8,6 @@ from bosonsynth.tensor_core import (
     LayoutMismatchError,
     Operator,
     ResourceExhaustedError,
-    anticommutator,
     basis_state,
     commutator,
     expm,
@@ -180,10 +179,6 @@ class TestCommutators:
     def test_position_momentum_truncated(self):
         out = commutator(position(3), momentum(3))
         assert np.max(np.abs(out.mat - 0.5j * np.diag([1, 1, 1, -3]))) < 1e-14
-
-    def test_anticommutator(self):
-        out = anticommutator(pauli("x"), pauli("x"))
-        assert np.array_equal(out.mat, 2 * np.eye(2))
 
     def test_layout_mismatch(self):
         with pytest.raises(LayoutMismatchError):
