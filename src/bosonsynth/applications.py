@@ -10,7 +10,7 @@ with either version and record the observable series the figures plot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,6 +51,7 @@ from .product_formulas import (
     trotter,
 )
 from .block_encodings import (
+    BlockEncoding,
     SynthesisBudget,
     arb_power,
     block_generator,
@@ -90,10 +91,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ApplicationSpec:
-    """A synthesized unitary family with its exact reference generator.
+    """A synthesized unitary family with its exact reference.
 
     exact(t) = exp(i t G) from one eigendecomposition of G's block on its
-    support, made when the spec is built; synthesized(t) evaluates the
+    support, made when the spec is built; the spec keeps that reference, not
+    the full-size generator G (exact_generator). synthesized(t) evaluates the
     compiled product. time records the evaluation point the construction
     was asked for (the preparation time, one trace step, ...), where one
     exists.
@@ -101,17 +103,17 @@ class ApplicationSpec:
 
     name: str
     layout: HilbertLayout
-    exact_generator: Operator
+    exact_generator: InitVar[Operator]
     synthesis: ParamUnitary
     initial_state: Optional[np.ndarray] = None
     time: Optional[float] = None
     reference: Primitive = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.exact_generator.layout != self.layout:
+    def __post_init__(self, exact_generator: Operator):
+        if exact_generator.layout != self.layout:
             raise ValueError(f"{self.name}: generator layout mismatch")
         # Primitive rejects a non-Hermitian generator.
-        object.__setattr__(self, "reference", Primitive(self.name, self.exact_generator))
+        object.__setattr__(self, "reference", Primitive(self.name, exact_generator))
 
     def _at(self, t: float | None) -> float:
         t = self.time if t is None else t
@@ -281,6 +283,26 @@ def _ladder_power(cutoff: int, k: int) -> Operator:
     return out
 
 
+def _ladder_encoding(
+    k: int,
+    p: int,
+    cutoff: int,
+    budget: SynthesisBudget | None,
+    base: str | None,
+    symmetrized: bool,
+) -> BlockEncoding:
+    """The encoding of (a^dag)^k that both preparations pulse: halving and
+    adding for a power of two, binary digits (which take no order
+    overrides) otherwise."""
+    if k < 1 or k > cutoff:
+        raise ValueError("need 1 <= k <= cutoff")
+    if k & (k - 1) == 0:
+        return power(k, p, cutoff, budget=budget, base=base, symmetrized=symmetrized)
+    if budget is not None or base is not None or symmetrized:
+        raise ValueError("order overrides apply to power-of-two k only")
+    return arb_power(k, p, cutoff)
+
+
 def state_prep_T(
     k: int,
     t: float | None = None,
@@ -291,14 +313,7 @@ def state_prep_T(
     symmetrized: bool = False,
 ) -> ApplicationSpec:
     """Block rotation that pumps |1, 0> toward |0, k>."""
-    if k < 1 or k > cutoff:
-        raise ValueError("need 1 <= k <= cutoff")
-    if k & (k - 1) == 0:
-        enc = power(k, p, cutoff, budget=budget, base=base, symmetrized=symmetrized)
-    else:
-        if budget is not None or base is not None or symmetrized:
-            raise ValueError("order overrides apply to power-of-two k only")
-        enc = arb_power(k, p, cutoff)
+    enc = _ladder_encoding(k, p, cutoff, budget, base, symmetrized)
     layout = enc.layout
     if t is None:
         t = state_prep_exact_time(k, 0, cutoff)
@@ -329,17 +344,14 @@ def state_prep_protected(
     factors run at the full parameter; the echoed generator commutes with
     the bare one, so the two-factor product carries no splitting error.
     """
-    unprot = state_prep_T(k, t, p, cutoff, budget, base, symmetrized)
-    layout = unprot.layout
+    pulse = _ladder_encoding(k, p, cutoff, budget, base, symmetrized).unitary
+    layout = pulse.layout
     if t is None:
         t = state_prep_exact_time(k, 0, cutoff, protected=True)
     flip = vacuum_parity_flip(cutoff)
-    frame = FrameGate("R0", layout, embed({1: flip}, layout).mat)
-    echoed = frame_conjugate(rescale(unprot.synthesis, -1.0), frame)
-    pu = compose(
-        f"protected-prep-T{k}",
-        [Factor(unprot.synthesis), Factor(echoed)],
-    )
+    frame = FrameGate("R0", layout, {1: flip})
+    echoed = frame_conjugate(rescale(pulse, -1.0), frame)
+    pu = compose(f"protected-prep-T{k}", [Factor(pulse), Factor(echoed)])
     target = _ladder_power(cutoff, k)
     gen = block_generator(target - flip @ target @ flip)
     return ApplicationSpec(

@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise UsageError("cutoff must be >= 1")
         if self.points < 4:
             raise UsageError(f"grid needs at least 4 points for fits, got {self.points}")
+        if self.points > 10_000:
+            raise UsageError(f"grid allows at most 10000 points, got {self.points}")
         if not (0.0 < self.t_min < self.t_max):
             raise UsageError(f"grid needs 0 < min < max, got [{self.t_min}, {self.t_max}]")
         if self.bch_order < 1:

@@ -56,10 +56,6 @@ __all__ = [
 ]
 
 
-def _qubit_frame(name: str, layout: HilbertLayout) -> FrameGate:
-    return FrameGate(name, layout, embed({0: qubit_gate(name)}, layout).mat)
-
-
 def block_generator(target: Operator) -> Operator:
     """Hermitian [[0, A], [A^dag, 0]] on qubit (x) mode from a mode target A."""
     d = target.dim
@@ -182,7 +178,7 @@ def conjugate(enc: BlockEncoding, gate: str) -> BlockEncoding:
         raise ValueError("frame conjugation applies to off-diagonal encodings")
     if gate not in _CONJ_RULES:
         raise ValueError(f"unsupported frame {gate!r}")
-    pu = frame_conjugate(enc.unitary, _qubit_frame(gate, enc.layout))
+    pu = frame_conjugate(enc.unitary, FrameGate(gate, enc.layout, {0: qubit_gate(gate)}))
     target = _CONJ_RULES[gate](enc.block_target)
     return BlockEncoding(pu, target, block_generator(target))
 
@@ -227,10 +223,8 @@ def add(
     q, s = budget.bch_order, budget.trotter_index
     layout = left.layout
 
-    frame_x = _qubit_frame("X", layout)
-    frame_s = _qubit_frame("S", layout)
-    frame_h = _qubit_frame("H", layout)
-    frame_sh = FrameGate("SH", layout, embed({0: qubit_gate("S") @ qubit_gate("H")}, layout).mat)
+    frame_x, frame_s, frame_h = (FrameGate(g, layout, {0: qubit_gate(g)}) for g in "XSH")
+    frame_sh = FrameGate("SH", layout, {0: qubit_gate("S") @ qubit_gate("H")})
 
     b_right_x = frame_conjugate(right.unitary, frame_x)
     b_left_s = frame_conjugate(left.unitary, frame_s)
@@ -285,8 +279,7 @@ def mult(
     if budget is None:
         budget = SynthesisBudget.from_orders(p_left, p_right)
     layout = left.layout
-    frame_x = _qubit_frame("X", layout)
-    frame_s = _qubit_frame("S", layout)
+    frame_x, frame_s = (FrameGate(g, layout, {0: qubit_gate(g)}) for g in "XS")
 
     b_left_s = frame_conjugate(left.unitary, frame_s)
     b_right_x = frame_conjugate(right.unitary, frame_x)

@@ -1,14 +1,16 @@
 """Parametrized gate products: group commutators, higher-order commutator
 recursions, Suzuki splittings, symmetrization, timeslicing and order fits.
 
-A compiled gate is a ParamUnitary: an immutable tree of Leaf, Frame, Product
-and Repeat nodes, which the combinators below only build. One interpreter
-evaluates, expands and reverses trees; the exponential ledger is summed once
-per node at build time. An eval makes two passes over the distinct nodes of
-its tree: top-down, every node collects the distinct parameters it is needed
-at (deep recursions revisit a node at the same parameter many times);
-bottom-up, every node builds all of them as one stack of matrices with
-batched products. Nothing is kept between calls.
+A compiled gate is a ParamUnitary: an immutable tree of Leaf, Product and
+Repeat nodes, which the combinators below only build. A leaf is a counted
+primitive or a fixed, uncounted frame gate; a frame conjugation is a
+three-factor product whose outer factors are that frame at power 0. One
+interpreter evaluates, expands and reverses trees; the exponential ledger is
+summed once per node at build time. An eval makes two passes over the
+distinct nodes of its tree: top-down, every node collects the distinct
+parameters it is needed at (deep recursions revisit a node at the same
+parameter many times); bottom-up, every node builds all of them as one stack
+of matrices with batched products. Nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import warnings
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .fock_ops import embed
 from .tensor_core import (
     TOL,
     HilbertLayout,
@@ -39,7 +42,6 @@ __all__ = [
     "GateSequence",
     "ParamUnitary",
     "Leaf",
-    "Frame",
     "Factor",
     "Product",
     "Repeat",
@@ -142,23 +144,34 @@ def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
 
 class FrameGate:
     """Fixed unitary (basis change) that is recorded but not counted as an
-    exponential."""
+    exponential.
 
-    def __init__(self, label: str, layout: HilbertLayout, mat: np.ndarray):
-        op = Operator(layout, mat)
-        if not is_unitary(op):
-            raise ValueError(f"frame gate {label!r} must be unitary")
+    factors maps a factor position to the one-factor unitary acting there, as
+    in fock_ops.embed, with the identity elsewhere. Unitarity is checked on
+    each factor, and mat is their embedding.
+    """
+
+    def __init__(self, label: str, layout: HilbertLayout, factors: Mapping[int, Operator]):
+        for op in factors.values():
+            if not is_unitary(op):
+                raise ValueError(f"frame gate {label!r} must be unitary")
         self.label = label
         self.layout = layout
-        self.mat = op.mat
+        self.factors = dict(factors)
+        self.mat = embed(self.factors, layout).mat
         self._dagger: FrameGate | None = None
+
+    def unitaries(self, ts: np.ndarray) -> np.ndarray:
+        """The fixed matrix once per parameter in ts, as a read-only view."""
+        return np.broadcast_to(self.mat, (len(ts),) + self.mat.shape)
 
     def dagger(self) -> "FrameGate":
         """The inverse gate; built once, and its own dagger is self, so
         reversed and inverted sequences compare equal gate by gate."""
         if self._dagger is None:
             label = self.label[:-1] if self.label.endswith("'") else self.label + "'"
-            self._dagger = FrameGate(label, self.layout, self.mat.conj().T)
+            factors = {at: op.dag() for at, op in self.factors.items()}
+            self._dagger = FrameGate(label, self.layout, factors)
             self._dagger._dagger = self
         return self._dagger
 
@@ -172,10 +185,6 @@ class Invocation:
 
     gate: Primitive | FrameGate
     param: float | None = None
-
-    @property
-    def counted(self) -> bool:
-        return isinstance(self.gate, Primitive)
 
     @property
     def label(self) -> str:
@@ -206,40 +215,19 @@ class GateSequence:
     def __iter__(self):
         return iter(self.invocations)
 
-    @property
-    def total_cost(self) -> int:
-        return sum(1 for inv in self.invocations if inv.counted)
-
-    def cost_by_label(self) -> Counter:
-        return Counter(inv.label for inv in self.invocations if inv.counted)
-
     def to_operator(self) -> Operator:
         mat = np.eye(self.layout.dim, dtype=np.complex128)
         for inv in self.invocations:
             mat = mat @ inv.matrix()
         return Operator(self.layout, mat)
 
-    def inverted(self) -> "GateSequence":
-        inverted = [inv.inverted() for inv in reversed(self.invocations)]
-        return GateSequence(self.layout, inverted)
-
-    def reversed_order(self) -> "GateSequence":
-        return GateSequence(self.layout, list(reversed(self.invocations)))
-
 
 @dataclass(frozen=True)
 class Leaf:
-    """One counted exponential: the primitive at the node parameter."""
+    """One gate: a primitive is a counted exponential at the node parameter;
+    a frame gate is fixed, takes no parameter and is not counted."""
 
-    prim: Primitive
-
-
-@dataclass(frozen=True)
-class Frame:
-    """F U(t) F^dag, with F recorded but not counted."""
-
-    gate: FrameGate
-    child: ParamUnitary
+    gate: Primitive | FrameGate
 
 
 @dataclass(frozen=True)
@@ -289,7 +277,7 @@ class ParamUnitary:
 
     label: str = field(compare=False)
     layout: HilbertLayout
-    node: Leaf | Frame | Product | Repeat
+    node: Leaf | Product | Repeat
     target_power: int = 1
     cost_counter: Counter = field(init=False, compare=False, repr=False)
 
@@ -325,10 +313,8 @@ _WARNED: weakref.WeakSet = weakref.WeakSet()
 
 def _ledger(node) -> Counter:
     match node:
-        case Leaf(prim):
-            return Counter({prim.label: 1})
-        case Frame(_, child):
-            return child.cost_counter
+        case Leaf(gate):
+            return Counter({gate.label: 1} if isinstance(gate, Primitive) else {})
         case Product(factors):
             return sum((f.pu.cost_counter for f in factors), Counter())
         case Repeat(child, count):
@@ -344,7 +330,7 @@ def _topological(root: ParamUnitary) -> list[ParamUnitary]:
     def visit(pu: ParamUnitary) -> None:
         seen.add(id(pu))
         match pu.node:
-            case Frame(_, child) | Repeat(child):
+            case Repeat(child):
                 children = [child]
             case Product(factors):
                 children = [f.pu for f in factors]
@@ -372,8 +358,6 @@ def _rows(need: dict, key, params: list[float]) -> slice | np.ndarray:
 def _plan(pu: ParamUnitary, params: list[float], need: dict) -> list[tuple]:
     """pu's slots at params: (stack key, rows, adjoint, local primitive)."""
     match pu.node:
-        case Frame(_, child):
-            return [(id(child), _rows(need, id(child), params), False, None)]
         case Repeat(child, count, step_scale):
             if step_scale * max(map(abs, params)) > 1.0 and pu not in _WARNED:
                 _WARNED.add(pu)
@@ -389,11 +373,14 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict) -> list[tuple]:
             for i, f in enumerate(factors):
                 # A later leaf on a strict subset of the factors multiplies in
                 # through its support; its adjoint is the primitive at -s.
-                prim = f.pu.node.prim if isinstance(f.pu.node, Leaf) else None
-                local = prim if i > 0 and prim is not None and prim.local else None
+                gate = f.pu.node.gate if isinstance(f.pu.node, Leaf) else None
+                local = gate if i > 0 and isinstance(gate, Primitive) and gate.local else None
                 key = (id(f.pu), f.coeff, f.power, f.invert, f.adjoint_if_negative, local)
                 if key not in seen:
-                    at = [f.at(p) for p in params]
+                    # A constant factor is one matrix at every row: it is
+                    # planned at one row, which the products broadcast.
+                    constant = f.power == 0 and not f.adjoint_if_negative
+                    at = [f.at(p) for p in (params[:1] if constant else params)]
                     if local is None:
                         rows = _rows(need, id(f.pu), [s for s, _ in at])
                         # One adjoint flag when every row agrees, else a mask.
@@ -444,13 +431,10 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
             for key, local in ((id(pu), False), (("block", id(pu)), True)):
                 if key in need:
                     ts = np.array(list(need[key]), dtype=float)
-                    stacks[key] = node.prim.blocks(ts) if local else node.prim.unitaries(ts)
+                    stacks[key] = node.gate.blocks(ts) if local else node.gate.unitaries(ts)
             continue
         slots = plans[id(pu)]
         match node:
-            case Frame(gate, _):
-                key, rows, _, _ = slots[0]
-                mat = gate.mat @ stacks[key][rows] @ gate.mat.conj().T
             case Repeat(_, count):
                 key, rows, _, _ = slots[0]
                 mat = np.linalg.matrix_power(stacks[key][rows], count)
@@ -466,6 +450,9 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
                     elif adjoint:
                         sub = sub.conj().swapaxes(-1, -2)
                     mat = sub if mat is None else mat @ sub
+                if len(mat) < len(need[id(pu)]):
+                    # Only constant slots: one row, repeated for the node's own.
+                    mat = np.broadcast_to(mat, (len(need[id(pu)]),) + mat.shape[1:])
         for key in {slot[0] for slot in slots}:
             readers[key] -= 1
             if not readers[key]:
@@ -476,10 +463,8 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
 
 def _expand(pu: ParamUnitary, t: float) -> list[Invocation]:
     match pu.node:
-        case Leaf(prim):
-            return [Invocation(prim, t)]
-        case Frame(gate, child):
-            return [Invocation(gate), *_expand(child, t), Invocation(gate.dagger())]
+        case Leaf(gate):
+            return [Invocation(gate, t if isinstance(gate, Primitive) else None)]
         case Product(factors):
             out: list[Invocation] = []
             for f in factors:
@@ -497,8 +482,6 @@ def _reverse(pu: ParamUnitary, done: dict) -> ParamUnitary:
     match pu.node:
         case Leaf():
             return pu
-        case Frame(gate, child):
-            node = Frame(gate.dagger(), _reverse(child, done))
         case Product(factors):
             node = Product(
                 tuple(dataclasses.replace(f, pu=_reverse(f.pu, done)) for f in reversed(factors))
@@ -531,12 +514,14 @@ def compose(
 
 
 def frame_conjugate(pu: ParamUnitary, frame: FrameGate) -> ParamUnitary:
-    """F U(t) F^dag with the frame recorded but not counted."""
+    """F U(t) F^dag: a product whose outer factors are the frame leaf at
+    power 0, so reversal and inversion follow the product rules and the
+    frame is recorded but not counted."""
     if frame.layout != pu.layout:
         raise ValueError("frame and unitary layouts differ")
-    return ParamUnitary(
-        f"{frame.label}[{pu.label}]", pu.layout, Frame(frame, pu), pu.target_power
-    )
+    leaf = ParamUnitary(frame.label, frame.layout, Leaf(frame))
+    factors = [Factor(leaf, power=0), Factor(pu), Factor(leaf, power=0, invert=True)]
+    return compose(f"{frame.label}[{pu.label}]", factors, pu.target_power)
 
 
 def rescale(pu: ParamUnitary, c: float, label: str | None = None) -> ParamUnitary:
@@ -546,7 +531,8 @@ def rescale(pu: ParamUnitary, c: float, label: str | None = None) -> ParamUnitar
 
 def reverse_pu(pu: ParamUnitary) -> ParamUnitary:
     """Same invocations in reversed order, built by reversing the tree: each
-    product lists its factors backwards and each frame swaps F and F^dag."""
+    product lists its factors backwards, so a frame conjugation swaps F and
+    F^dag."""
     return _reverse(pu, {})
 
 

@@ -28,7 +28,7 @@ from bosonsynth.applications import (
     two_mode_span_block,
 )
 from bosonsynth.fock_ops import pauli
-from bosonsynth.product_formulas import FitWindow, fit_power_law, sweep_errors
+from bosonsynth.product_formulas import FitWindow, Primitive, fit_power_law, sweep_errors
 from bosonsynth.tensor_core import HilbertLayout, Operator, basis_state, spectral_norm
 
 WINDOW = FitWindow(1e-3, 1e-1, 12)
@@ -194,16 +194,31 @@ class TestStatePrepExact:
 
     def test_echoed_generator_leaves_spectators_alone(self):
         spec = state_prep_protected(2, cutoff=8)
-        gen = spec.exact_generator.mat
-        proj = np.zeros_like(gen)
-        for b in range(1, 9):
-            i = spec.layout.index(1, b)
-            proj[i, i] = 1.0
-        assert np.abs(gen @ proj - proj @ gen).max() == 0.0
-        # support is exactly the |1,0> <-> |0,k> pair
-        nz = {tuple(ix) for ix in np.argwhere(np.abs(gen) > 1e-14)}
-        pair = (spec.layout.index(1, 0), spec.layout.index(0, 2))
-        assert nz == {pair, pair[::-1]}
+        pair = [spec.layout.index(1, 0), spec.layout.index(0, 2)]
+        for t in (0.3, state_prep_exact_time(2, protected=True)):
+            moved = spec.exact(t).mat - np.eye(spec.layout.dim)
+            # spectators |1, b >= 1> are fixed
+            for b in range(1, 9):
+                i = spec.layout.index(1, b)
+                assert np.abs(moved[:, i]).max() < 1e-12
+                assert np.abs(moved[i, :]).max() < 1e-12
+            # the only coupling is the |1,0> <-> |0,k> pair
+            moved[np.ix_(pair, pair)] = 0.0
+            assert np.abs(moved).max() < 1e-12
+
+    def test_protected_spec_builds_two_primitives(self, monkeypatch):
+        """The protected preparation makes its seed leaf and its own exact
+        reference, and no reference for the unprotected pulse."""
+        labels = []
+        init = Primitive.__init__
+
+        def counted(self, label, generator):
+            labels.append(label)
+            init(self, label, generator)
+
+        monkeypatch.setattr(Primitive, "__init__", counted)
+        state_prep_protected(2, cutoff=6)
+        assert sorted(labels) == ["S1", "state-prep-P2"]
 
 
 class TestStatePrepSynthesized:

@@ -55,6 +55,11 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="at least 4"):
             fast_config(points=3)
 
+    def test_too_many_points(self):
+        assert fast_config(points=10_000).points == 10_000
+        with pytest.raises(UsageError, match="at most 10000"):
+            fast_config(points=10**9)
+
     def test_inverted_grid(self):
         with pytest.raises(UsageError):
             fast_config(t_min=0.5, t_max=0.1)
@@ -449,6 +454,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "float range" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_too_many_points_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(cfg):
+            raise AssertionError("built a gate")
+
+        entry = dataclasses.replace(bench._REGISTRY["fswap"], build=refuse)
+        monkeypatch.setitem(bench._REGISTRY, "fswap", entry)
+        path = self._write(tmp_path, {"application": "fswap", "cutoff": 3,
+                                      "grid": {"points": 10**9}})
+        assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at most 10000" in err
         assert not (tmp_path / "out").exists()
 
     def test_one_dimension_cap(self):
