@@ -397,7 +397,10 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict) -> list[tuple]:
 
 def _apply_local(mat: np.ndarray, prim: Primitive, u: np.ndarray) -> np.ndarray:
     """mat @ prim's unitaries for a stack, contracting the support factors of
-    mat's columns with the stacked blocks u."""
+    mat's columns with the stacked blocks u; a one-row mat (constant slots
+    only) is broadcast to u's rows."""
+    if len(mat) < len(u):
+        mat = np.broadcast_to(mat, u.shape[:1] + mat.shape[1:])
     batch, n = mat.shape[:2]
     cols = [2 + j for j in prim.support]
     moved = range(-len(cols), 0)
@@ -458,7 +461,9 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
             if not readers[key]:
                 del stacks[key]
         stacks[id(pu)] = mat
-    return stacks[id(root)][0]
+    out = stacks[id(root)][0]
+    # A broadcast row is read-only and may alias a frame's matrix: copy it.
+    return out if out.flags.writeable else out.copy()
 
 
 def _expand(pu: ParamUnitary, t: float) -> list[Invocation]:

@@ -292,6 +292,13 @@ class TestArbPower:
         u = arb_power(3, 2, 15).eval(0.3)
         assert is_unitary(u, 1e-6)
 
+    def test_zero_digit_between_ones_matches_reference(self):
+        # k = 5 = 0b101: the identity encoding fills the zero digit, and its
+        # qubit-only rotation sits inside frame conjugations that the
+        # commutators need at two parameters
+        enc = arb_power(5, 1, 6)
+        assert fitted_slope(enc) > 1.0
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             arb_power(0, 2, 4)

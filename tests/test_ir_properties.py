@@ -22,6 +22,7 @@ from bosonsynth.product_formulas import (
     Primitive,
     Product,
     Repeat,
+    _apply_local,
     as_linear_term,
     bch,
     compose,
@@ -57,7 +58,20 @@ def _cutoff2_world():
     return prims, frames
 
 
-WORLDS = [_qubit_world(), _cutoff2_world()]
+def _split_world():
+    """Primitives on the qubit alone, on the mode alone and on both: a leaf
+    on one factor multiplies into a product through its support."""
+    layout = HilbertLayout.qubit_modes(2)
+    prims = [
+        Primitive("x", embed({0: pauli("X")}, layout)),
+        Primitive("n", embed({1: number(2)}, layout)),
+        Primitive("x*sx", embed({0: pauli("X"), 1: position(2)}, layout)),
+    ]
+    frames = [FrameGate(name, layout, {0: qubit_gate(name)}) for name in ("H", "S")]
+    return prims, frames
+
+
+WORLDS = [_qubit_world(), _cutoff2_world(), _split_world()]
 COEFFS = st.sampled_from([1.0, -1.0, 0.5, -0.75, 1.3])
 PARAMS = st.floats(-0.9, 0.9, allow_nan=False).filter(lambda t: abs(t) > 1e-3)
 
@@ -134,14 +148,21 @@ def test_linear_term_negative_is_adjoint(pair, s):
 def _fold(pu, t):
     """pu at t by plain recursion with no memo: every node is evaluated at its
     own parameter, and a product multiplies its factors left to right from
-    the first, taking the conjugate transpose of adjoint factors."""
+    the first, taking the conjugate transpose of adjoint factors. As in eval,
+    a later leaf on a strict subset of the factors multiplies in through its
+    support, and its adjoint is its block at -s."""
     match pu.node:
         case Leaf(gate):
             return gate.unitary(t) if isinstance(gate, Primitive) else gate.mat
         case Product(factors):
             mat = None
-            for f in factors:
+            for i, f in enumerate(factors):
                 s, adjoint = f.at(t)
+                gate = f.pu.node.gate if isinstance(f.pu.node, Leaf) else None
+                if i > 0 and isinstance(gate, Primitive) and gate.local:
+                    block = gate.blocks(np.array([-s if adjoint else s]))
+                    mat = _apply_local(mat[None], gate, block)[0]
+                    continue
                 sub = _fold(f.pu, s)
                 sub = sub.conj().T if adjoint else sub
                 mat = sub if mat is None else mat @ sub
@@ -178,6 +199,28 @@ def test_constant_product_at_several_parameters_equals_fold_bitwise():
     )
     for t in (0.37, -0.21):
         assert np.array_equal(outer.eval(t).mat, _fold(outer, t))
+
+
+def test_frame_over_local_primitive_at_several_parameters_equals_fold_bitwise():
+    """A frame conjugation of a leaf on one factor, needed at t and -t by a
+    group commutator: the frame's one row is broadcast to the leaf's rows."""
+    prims, (frame_h, _) = _split_world()
+    x, n, _ = (primitive_unitary(p) for p in prims)
+    assert prims[0].local and prims[1].local
+    q = group_commutator(frame_conjugate(x, frame_h), frame_conjugate(n, frame_h))
+    outer = compose("outer", [Factor(q), Factor(frame_conjugate(q, frame_h), -1.0, power=2)])
+    for t in (0.37, -0.21):
+        assert np.array_equal(outer.eval(t).mat, _fold(outer, t))
+
+
+def test_eval_of_constant_tree_returns_an_owned_array():
+    """A frame leaf or a product of constant factors evaluates to a fresh,
+    writable matrix, not a view of the frame's own."""
+    _, (_, frame_s) = _split_world()
+    fixed = ParamUnitary("S", frame_s.layout, Leaf(frame_s))
+    for pu in (fixed, compose("SS", [Factor(fixed, power=0), Factor(fixed, power=0)])):
+        mat = pu.eval(0.3).mat
+        assert mat.flags.writeable and not np.shares_memory(mat, frame_s.mat)
 
 
 def _numpy_bytes() -> int:
