@@ -93,12 +93,12 @@ __all__ = [
 class ApplicationSpec:
     """A synthesized unitary family with its exact reference.
 
-    exact(t) = exp(i t G) from one eigendecomposition of G's block on its
-    support, made when the spec is built; the spec keeps that reference, not
-    the full-size generator G (exact_generator). synthesized(t) evaluates the
-    compiled product. time records the evaluation point the construction
-    was asked for (the preparation time, one trace step, ...), where one
-    exists.
+    exact(t) = exp(i t G) from the eigendecompositions of the sectors of G's
+    block on its support, made when the spec is built, so exact(t) is zero
+    between sectors. The spec keeps that reference, not the full-size
+    generator G (exact_generator). synthesized(t) evaluates the compiled
+    product. time records the evaluation point the construction was asked
+    for (the preparation time, one trace step, ...), where one exists.
     """
 
     name: str

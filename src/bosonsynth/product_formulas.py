@@ -30,6 +30,7 @@ from .tensor_core import (
     HilbertLayout,
     Operator,
     ResourceExhaustedError,
+    _sectors,
     is_hermitian,
     is_unitary,
     spectral_norm,
@@ -73,22 +74,30 @@ class Primitive:
 
     The support is the set of tensor factors the generator acts on: off it,
     the generator must equal its block on the support times the identity,
-    entry for entry. Only that block is eigendecomposed, so unitary(t) =
-    exp(i t H) is exactly unitary, and a primitive on a strict subset of the
-    factors can multiply a matrix through its support alone (blocks). The
-    primitive keeps the support and the block's eigendecomposition, not the
-    full-size generator.
+    entry for entry. That block splits further into the sectors of its
+    nonzero pattern (the quantum numbers the generator conserves), and each
+    sector is eigendecomposed on its own. So unitary(t) = exp(i t H) is
+    unitary to rounding and exactly zero between sectors, and a primitive on
+    a strict subset of the factors can multiply a matrix through its support
+    alone (blocks). The primitive keeps the support and the sectors'
+    eigendecompositions, not the full-size generator.
     """
 
     def __init__(self, label: str, generator: Operator):
-        if not is_hermitian(generator):
-            raise ValueError(f"primitive {label!r} needs a Hermitian generator")
         self.label = label
         self.layout = generator.layout
         self.support, block = _support_block(generator)
+        # The generator is exactly the block times the identity, so this
+        # gives the same answer as the check on the full-size generator.
+        if not is_hermitian(block):
+            raise ValueError(f"primitive {label!r} needs a Hermitian generator")
         # True when the generator leaves at least one factor alone.
         self.local = len(self.support) < self.layout.nfactors
-        self._evals, self._evecs = np.linalg.eigh(block)
+        self._block_dim = len(block)
+        # (indices, eigenvalues, eigenvectors) of each sector.
+        self._sectors = [
+            (sec, *np.linalg.eigh(block[np.ix_(sec, sec)])) for sec in _sectors(block != 0)
+        ]
         dims = tuple(d for _, d in self.layout.factors)
         rest = [j for j in range(len(dims)) if j not in self.support]
         order = list(self.support) + rest
@@ -100,9 +109,13 @@ class Primitive:
         self._kron_perm = [0] + [1 + p for p in perm] + [1 + len(dims) + p for p in perm]
 
     def blocks(self, ts: np.ndarray) -> np.ndarray:
-        """exp(i t H) on the support, one block per parameter in ts."""
-        phases = np.exp(1j * ts[:, None] * self._evals)
-        return (self._evecs * phases[:, None, :]) @ self._evecs.conj().T
+        """exp(i t H) on the support, one block per parameter in ts: each
+        sector's product is scattered into a block that is zero elsewhere."""
+        out = np.zeros((len(ts), self._block_dim, self._block_dim), dtype=np.complex128)
+        for sec, evals, evecs in self._sectors:
+            phases = np.exp(1j * ts[:, None] * evals)
+            out[:, sec[:, None], sec] = (evecs * phases[:, None, :]) @ evecs.conj().T
+        return out
 
     def unitaries(self, ts: np.ndarray) -> np.ndarray:
         """exp(i t H) on the whole layout, one matrix per parameter in ts."""
@@ -126,7 +139,9 @@ def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
     A factor is off the support when op equals its slice at that factor's
     (0, 0) entry times the identity there, compared exactly. Each factor is
     tested on the slice left by the factors dropped before it, so op is
-    exactly the block times the identity on every dropped factor.
+    exactly the block times the identity on every dropped factor. The
+    leading 2x2 corner is compared first, so most factors of the support
+    fail without a full-size comparison.
     """
     dims = [d for _, d in op.layout.factors]
     tensor = op.mat.reshape(dims * 2)
@@ -134,7 +149,10 @@ def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
     for j, d in enumerate(dims):
         pos, m = len(support), tensor.ndim // 2
         moved = np.moveaxis(tensor, (pos, m + pos), (-2, -1))
-        if np.array_equal(moved, moved[..., :1, :1] * np.eye(d)):
+        corner = moved[..., :2, :2]
+        if np.array_equal(corner, corner[..., :1, :1] * np.eye(2)) and np.array_equal(
+            moved, moved[..., :1, :1] * np.eye(d)
+        ):
             tensor = moved[..., 0, 0]
         else:
             support.append(j)
@@ -296,9 +314,10 @@ class ParamUnitary:
         return sum(self.cost_counter.values())
 
     def expand(self, t: float) -> GateSequence:
-        if self.cost() > TOL.sequence_cap:
+        length = _length(self)
+        if length > TOL.sequence_cap:
             raise ResourceExhaustedError(
-                f"{self.label}: expansion of {self.cost()} exponentials "
+                f"{self.label}: expansion of {length} gates "
                 f"exceeds cap {TOL.sequence_cap}"
             )
         return GateSequence(self.layout, _expand(self, float(t)))
@@ -320,6 +339,21 @@ def _ledger(node) -> Counter:
         case Repeat(child, count):
             return Counter({lbl: n * count for lbl, n in child.cost_counter.items()})
     raise TypeError(f"not a node: {node!r}")
+
+
+def _length(root: ParamUnitary) -> int:
+    """Number of invocations in root's expansion, frame gates included,
+    counted over the distinct nodes without building the list."""
+    length: dict[int, int] = {}
+    for pu in reversed(_topological(root)):
+        match pu.node:
+            case Leaf():
+                length[id(pu)] = 1
+            case Product(factors):
+                length[id(pu)] = sum(length[id(f.pu)] for f in factors)
+            case Repeat(child, count):
+                length[id(pu)] = length[id(child)] * count
+    return length[id(root)]
 
 
 def _topological(root: ParamUnitary) -> list[ParamUnitary]:

@@ -9,6 +9,12 @@ and numpy.kron reproduces the layout ordering directly.
 `expm` exponentiates anti-Hermitian generators only, through one Hermitian
 eigendecomposition, so every gate it returns is unitary to rounding; numpy
 is the only numeric dependency.
+
+Generators that conserve a quantum number are exactly block-diagonal up to
+a permutation of the basis, and so are their exponentials and the products
+of those. `_sectors` finds those blocks (the connected components of a
+nonzero pattern); primitives eigendecompose, and `spectral_norm` measures,
+one block at a time.
 """
 from __future__ import annotations
 
@@ -186,10 +192,37 @@ def _hermitian_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def is_hermitian(op: Operator, tol: float | None = None) -> bool:
+def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a square boolean pattern, read as an
+    undirected graph with an edge wherever pattern[i, j] or pattern[j, i].
+
+    Each component is a sorted index array, and the list is ordered by
+    smallest index. No True entry links two components, so a matrix with
+    this pattern is exactly block-diagonal on them.
+    """
+    adj = pattern | pattern.T
+    placed = np.zeros(len(adj), dtype=bool)
+    sectors = []
+    for start in range(len(adj)):
+        if placed[start]:
+            continue
+        member = np.zeros(len(adj), dtype=bool)
+        member[start] = True
+        frontier = np.array([start])
+        while frontier.size:
+            reach = adj[frontier].any(axis=0) & ~member
+            member |= reach
+            frontier = np.flatnonzero(reach)
+        placed |= member
+        sectors.append(np.flatnonzero(member))
+    return sectors
+
+
+def is_hermitian(op: Operator | np.ndarray, tol: float | None = None) -> bool:
     tol = TOL.hermiticity if tol is None else tol
-    scale = max(1.0, float(np.max(np.abs(op.mat))))
-    return _hermitian_defect(op.mat) <= tol * scale
+    mat = op.mat if isinstance(op, Operator) else np.asarray(op)
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    return _hermitian_defect(mat) <= tol * scale
 
 
 def is_unitary(op: Operator, tol: float | None = None) -> bool:
@@ -216,10 +249,20 @@ def expm(op: Operator, dim_cap: int | None = None) -> Operator:
 
 
 def spectral_norm(op: Operator | np.ndarray) -> float:
-    """Largest singular value, from a dense SVD at every size, so a reported
-    error is never an underestimate."""
+    """Largest singular value of a square matrix, so a reported error is
+    never an underestimate.
+
+    The matrix is exactly block-diagonal on the sectors of its nonzero
+    pattern, so its norm is the largest of a dense SVD on each block. A
+    connected pattern takes one SVD of the whole matrix.
+    """
     mat = op.mat if isinstance(op, Operator) else np.asarray(op)
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    sectors = _sectors(mat != 0)
+    if len(sectors) == 1:
+        return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return max(
+        float(np.linalg.svd(mat[np.ix_(s, s)], compute_uv=False)[0]) for s in sectors
+    )
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

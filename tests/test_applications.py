@@ -29,7 +29,7 @@ from bosonsynth.applications import (
 )
 from bosonsynth.fock_ops import pauli
 from bosonsynth.product_formulas import FitWindow, Primitive, fit_power_law, sweep_errors
-from bosonsynth.tensor_core import HilbertLayout, Operator, basis_state, spectral_norm
+from bosonsynth.tensor_core import HilbertLayout, Operator, _sectors, basis_state, spectral_norm
 
 WINDOW = FitWindow(1e-3, 1e-1, 12)
 # steep diagonal coefficients (n^3-scale) saturate the default window
@@ -299,6 +299,18 @@ class TestBeamSplitter:
     def test_zero_time_identity(self):
         spec = conditional_beam_splitter(cutoff=3)
         assert spectral_norm(spec.synthesized(0.0).mat - np.eye(32)) < 1e-12
+
+    def test_error_matrix_splits_into_parity_sectors(self):
+        """Every pulse and the hopping reference keep the total parity of
+        qubit and photon numbers, so the error matrix is exactly zero
+        between the two parity sectors."""
+        spec = conditional_beam_splitter(cutoff=4, symmetrized=True)
+        err = spec.synthesized(0.05).mat - spec.exact(0.05).mat
+        parity = np.indices((2, 5, 5)).reshape(3, -1).sum(axis=0) % 2
+        sectors = _sectors(err != 0)
+        assert len(sectors) == 2
+        assert np.array_equal(sectors[0], np.flatnonzero(parity == 0))
+        assert np.array_equal(sectors[1], np.flatnonzero(parity == 1))
 
 
 class TestEffectivePauli:

@@ -1,4 +1,4 @@
-"""Golden artifacts: the four fast shipped configs rerun against the files
+"""Golden artifacts: the five fast shipped configs rerun against the files
 stored in tests/golden/. The gate-count ledger must match exactly; errors,
 times and matrix moduli must agree within 1e-12 absolute, so the check holds
 on BLAS builds that differ in the last bits. Regenerate a file only when a
@@ -25,6 +25,10 @@ CONFIGS = {
     "conditional-rotation-dynamics": (
         run,
         ["conditional-rotation.csv", "conditional-rotation.json"],
+    ),
+    "hom-beam-splitter": (
+        run,
+        ["hom-beam-splitter.csv", "hom-beam-splitter.json"],
     ),
     "state-prep-t2": (
         run,

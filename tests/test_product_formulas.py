@@ -1,5 +1,6 @@
 """Commutator and Suzuki product formulas: orders, counts, slicing, fits."""
 
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -7,9 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bosonsynth.fock_ops import embed, momentum, pauli, position
+from bosonsynth import product_formulas
+from bosonsynth.fock_ops import annihilation, embed, momentum, pauli, position, qubit_gate
 from bosonsynth.product_formulas import (
     FitWindow,
+    FrameGate,
     GateSequence,
     ParamUnitary,
     Primitive,
@@ -17,6 +20,7 @@ from bosonsynth.product_formulas import (
     bch,
     bch_constants,
     fit_power_law,
+    frame_conjugate,
     group_commutator,
     primitive_unitary,
     sliced,
@@ -27,8 +31,10 @@ from bosonsynth.product_formulas import (
     trotter,
 )
 from bosonsynth.tensor_core import (
+    TOL,
     HilbertLayout,
     Operator,
+    _sectors,
     commutator,
     expm,
     identity,
@@ -67,6 +73,64 @@ class TestPrimitiveFamilies:
         u = flow(qubit_mode_op(momentum(4), "y", 4))
         assert is_unitary(u.eval(t))
         assert spectral_norm(u.eval(-t).mat - u.eval(t).mat.conj().T) < 1e-10
+
+
+class TestSectorSplitPrimitive:
+    LAYOUT = QM(4, nmodes=2)
+
+    @staticmethod
+    def _generators():
+        """(label, generator, support, sectors): the local pulse x1 (x) sx,
+        which keeps the parity of q + n1 and leaves n2 alone, and the
+        hopping term, which keeps q and n1 + n2 and has eigenvalues shared
+        between sectors."""
+        layout, a = TestSectorSplitPrimitive.LAYOUT, annihilation(4)
+        hop = embed({0: pauli("z"), 1: a.dag(), 2: a}, layout)
+        return [
+            ("x1*sx", embed({0: pauli("x"), 1: position(4)}, layout), (0, 1), 10),
+            ("hop", hop + hop.dag(), (0, 1, 2), 18),
+        ]
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_unitary_is_zero_off_its_sectors(self, case):
+        name, gen, support, count = self._generators()[case]
+        prim = Primitive(name, gen)
+        assert prim.support == support
+        u = prim.unitary(0.7)
+        label = np.empty(gen.dim, dtype=int)
+        sectors = _sectors(gen.mat != 0)
+        assert len(sectors) == count
+        for k, sector in enumerate(sectors):
+            label[sector] = k
+        assert np.all(u[label[:, None] != label[None, :]] == 0)
+        assert np.max(np.abs(u - expm(0.7j * gen).mat)) < 1e-13
+
+    def test_nonhermitian_local_generator_rejected(self):
+        gen = embed({1: annihilation(4)}, self.LAYOUT)
+        with pytest.raises(ValueError, match="Hermitian"):
+            Primitive("a1", gen)
+
+
+class TestExpansionCap:
+    @staticmethod
+    def _framed(slices):
+        """A Pauli flow under an H frame, sliced: one exponential and two
+        frame gates per slice."""
+        layout = HilbertLayout.single_qubit()
+        frame = FrameGate("H", layout, {0: qubit_gate("H")})
+        return sliced(frame_conjugate(flow(pauli("x")), frame), slices)
+
+    def test_frame_gates_count_toward_the_cap(self, monkeypatch):
+        pu = self._framed(4)
+        monkeypatch.setattr(product_formulas, "TOL", dataclasses.replace(TOL, sequence_cap=10))
+        assert pu.cost() == 4
+        with pytest.raises(ResourceExhaustedError, match="12 gates"):
+            pu.expand(0.3)
+
+    def test_expansion_at_the_cap_is_built(self, monkeypatch):
+        pu = self._framed(4)
+        monkeypatch.setattr(product_formulas, "TOL", dataclasses.replace(TOL, sequence_cap=12))
+        assert len(pu.expand(0.3)) == 12
 
 
 class TestGroupCommutator:

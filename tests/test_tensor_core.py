@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonsynth.tensor_core import (
     HilbertLayout,
     LayoutMismatchError,
     Operator,
     ResourceExhaustedError,
+    _sectors,
     basis_state,
     commutator,
     expm,
@@ -146,15 +149,75 @@ class TestSpectralNorm:
             b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-10
 
-    def test_power_iteration_branch_matches_svd(self):
-        """Matrices larger than 512 also get the exact largest singular
-        value."""
+    def test_large_matrix_matches_dense_svd(self):
+        """A large dense matrix is one sector and gets the largest singular
+        value of one SVD of the whole matrix."""
         rng = np.random.default_rng(3)
         m = rng.normal(size=(600, 600))
         layout = HilbertLayout((("mode", 600),))
         got = spectral_norm(Operator(layout, m))
         want = np.linalg.svd(m, compute_uv=False)[0]
         assert got == pytest.approx(want, rel=1e-8)
+
+    def test_permuted_blocks_match_dense_svd(self):
+        """Blocks under a permutation: the largest block norm is the norm of
+        the whole matrix, to a few ulps."""
+        rng = np.random.default_rng(11)
+        n = 40
+        perm = rng.permutation(n)
+        m = np.zeros((n, n), dtype=complex)
+        for members in np.split(perm, [7, 19, 20, 33]):
+            size = len(members)
+            m[np.ix_(members, members)] = rng.normal(size=(size, size)) + 1j * rng.normal(
+                size=(size, size)
+            )
+        assert len(_sectors(m != 0)) == 5
+        want = np.linalg.svd(m, compute_uv=False)[0]
+        assert abs(spectral_norm(m) - want) <= 8 * np.spacing(want)
+
+    def test_connected_pattern_is_one_dense_svd_bitwise(self):
+        rng = np.random.default_rng(12)
+        dense = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        tridiagonal = np.triu(np.tril(dense, 1), -1)
+        for m in (dense, tridiagonal):
+            assert len(_sectors(m != 0)) == 1
+            assert spectral_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
+
+
+@st.composite
+def _permuted_block_pattern(draw):
+    """A boolean pattern whose connected blocks are known: each block is a
+    path through its members (edges in a random direction) plus random
+    entries inside it, under a random permutation of the indices."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    pattern = np.zeros((n, n), dtype=bool)
+    blocks = np.split(perm, np.cumsum(sizes)[:-1])
+    for members in blocks:
+        for a, b in zip(members[:-1], members[1:]):
+            if rng.random() < 0.5:
+                pattern[a, b] = True
+            else:
+                pattern[b, a] = True
+        pattern[np.ix_(members, members)] |= rng.random((len(members),) * 2) < 0.3
+    return pattern, sorted((np.sort(b) for b in blocks), key=lambda b: b[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_block_pattern())
+def test_sectors_are_the_permuted_blocks(case):
+    pattern, blocks = case
+    sectors = _sectors(pattern)
+    assert len(sectors) == len(blocks)
+    for got, want in zip(sectors, blocks):
+        assert np.array_equal(got, want)
+    label = np.empty(len(pattern), dtype=int)
+    for k, sector in enumerate(sectors):
+        label[sector] = k
+    rows, cols = np.nonzero(pattern)
+    assert np.array_equal(label[rows], label[cols])
 
 
 class TestPredicates:
