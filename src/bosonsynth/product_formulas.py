@@ -6,11 +6,17 @@ Repeat nodes, which the combinators below only build. A leaf is a counted
 primitive or a fixed, uncounted frame gate; a frame conjugation is a
 three-factor product whose outer factors are that frame at power 0. One
 interpreter evaluates, expands and reverses trees; the exponential ledger is
-summed once per node at build time. An eval makes two passes over the
-distinct nodes of its tree: top-down, every node collects the distinct
-parameters it is needed at (deep recursions revisit a node at the same
-parameter many times); bottom-up, every node builds all of them as one stack
-of matrices with batched products. Nothing is kept between calls.
+summed once per node at build time. An eval first finds the tree's sectors:
+the connected components of the union of its leaves' nonzero patterns, on
+which every node is exactly block-diagonal (one sector when a frame or a
+primitive connects everything). It then makes two passes over the distinct
+nodes of its tree: top-down, every node collects the distinct parameters it
+is needed at (deep recursions revisit a node at the same parameter many
+times); bottom-up, every node builds all of them as one stack of matrices
+per sector with batched products, and a later primitive on a strict subset
+of the factors multiplies in through its index groups in each sector. The
+root's blocks are scattered into one full-size matrix. Nothing is kept
+between calls.
 """
 from __future__ import annotations
 
@@ -30,8 +36,8 @@ from .tensor_core import (
     HilbertLayout,
     Operator,
     ResourceExhaustedError,
+    _hermitian_defect,
     _sectors,
-    is_hermitian,
     is_unitary,
     spectral_norm,
 )
@@ -76,61 +82,59 @@ class Primitive:
     the generator must equal its block on the support times the identity,
     entry for entry. That block splits further into the sectors of its
     nonzero pattern (the quantum numbers the generator conserves), and each
-    sector is eigendecomposed on its own. So unitary(t) = exp(i t H) is
-    unitary to rounding and exactly zero between sectors, and a primitive on
-    a strict subset of the factors can multiply a matrix through its support
-    alone (blocks). The primitive keeps the support and the sectors'
-    eigendecompositions, not the full-size generator.
+    sector is eigendecomposed on its own. So exp(i t H) is unitary to
+    rounding and exactly block-diagonal on the index groups: group k holds
+    the full-size basis indices of sector k's support states, one row per
+    state of the spectator factors, and every row carries the same block.
+    The primitive keeps the groups and the sectors' eigendecompositions, not
+    the full-size generator.
     """
 
     def __init__(self, label: str, generator: Operator):
         self.label = label
         self.layout = generator.layout
         self.support, block = _support_block(generator)
-        # The generator is exactly the block times the identity, so this
-        # gives the same answer as the check on the full-size generator.
-        if not is_hermitian(block):
+        sectors = _sectors(block != 0)
+        subs = [block[np.ix_(sec, sec)] for sec in sectors]
+        # Entries between sectors are zero both ways, and the generator is
+        # exactly the block times the identity, so this gives the same
+        # answer as the check on the full-size generator.
+        scale = max(1.0, float(np.max(np.abs(block))))
+        if not all(_hermitian_defect(sub) <= TOL.hermiticity * scale for sub in subs):
             raise ValueError(f"primitive {label!r} needs a Hermitian generator")
         # True when the generator leaves at least one factor alone.
         self.local = len(self.support) < self.layout.nfactors
-        self._block_dim = len(block)
-        # (indices, eigenvalues, eigenvectors) of each sector.
-        self._sectors = [
-            (sec, *np.linalg.eigh(block[np.ix_(sec, sec)])) for sec in _sectors(block != 0)
-        ]
-        dims = tuple(d for _, d in self.layout.factors)
+        dims = [d for _, d in self.layout.factors]
         rest = [j for j in range(len(dims)) if j not in self.support]
-        order = list(self.support) + rest
-        perm = list(np.argsort(order))
-        self._dims = dims
-        self._rest_dim = math.prod(dims[j] for j in rest)
-        self._kron_shape = tuple(dims[j] for j in order) * 2
-        # Axis 0 of a stack indexes its parameters.
-        self._kron_perm = [0] + [1 + p for p in perm] + [1 + len(dims) + p for p in perm]
+        # index[u, r]: the basis index of support state u and spectator state r.
+        index = np.arange(self.layout.dim).reshape(dims).transpose(list(self.support) + rest)
+        index = index.reshape(len(block), -1)
+        self.groups = [index[sec].T for sec in sectors]
+        self._eighs = [np.linalg.eigh(sub) for sub in subs]
 
-    def blocks(self, ts: np.ndarray) -> np.ndarray:
-        """exp(i t H) on the support, one block per parameter in ts: each
-        sector's product is scattered into a block that is zero elsewhere."""
-        out = np.zeros((len(ts), self._block_dim, self._block_dim), dtype=np.complex128)
-        for sec, evals, evecs in self._sectors:
+    def blocks(self, ts: np.ndarray) -> list[np.ndarray]:
+        """exp(i t H) on each sector, one stack per entry of groups with a
+        block per parameter in ts."""
+        out = []
+        for evals, evecs in self._eighs:
             phases = np.exp(1j * ts[:, None] * evals)
-            out[:, sec[:, None], sec] = (evecs * phases[:, None, :]) @ evecs.conj().T
+            out.append((evecs * phases[:, None, :]) @ evecs.conj().T)
         return out
 
-    def unitaries(self, ts: np.ndarray) -> np.ndarray:
-        """exp(i t H) on the whole layout, one matrix per parameter in ts."""
-        u = self.blocks(ts)
-        if not self.local:
-            return u
-        full = np.kron(u, np.eye(self._rest_dim)).reshape((len(ts),) + self._kron_shape)
-        dim = self.layout.dim
-        return full.transpose(self._kron_perm).reshape(len(ts), dim, dim)
-
     def unitary(self, t: float) -> np.ndarray:
-        return self.unitaries(np.array([t], dtype=float))[0]
+        """exp(i t H) on the whole layout."""
+        groups = list(enumerate(self.groups))
+        return _assemble(self.blocks(np.array([t], dtype=float)), groups, 1, self.layout.dim)[0, 0]
 
     def __repr__(self):
         return f"Primitive({self.label!r})"
+
+
+def _scalar_identity(m: np.ndarray) -> bool:
+    """Whether m[..., i, j] is m[..., 0, 0] where i == j and zero elsewhere,
+    compared exactly, with no temporary of m's size."""
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    return bool(np.all(diag == diag[..., :1])) and np.count_nonzero(m) == np.count_nonzero(diag)
 
 
 def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
@@ -149,10 +153,7 @@ def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
     for j, d in enumerate(dims):
         pos, m = len(support), tensor.ndim // 2
         moved = np.moveaxis(tensor, (pos, m + pos), (-2, -1))
-        corner = moved[..., :2, :2]
-        if np.array_equal(corner, corner[..., :1, :1] * np.eye(2)) and np.array_equal(
-            moved, moved[..., :1, :1] * np.eye(d)
-        ):
+        if _scalar_identity(moved[..., :2, :2]) and _scalar_identity(moved):
             tensor = moved[..., 0, 0]
         else:
             support.append(j)
@@ -178,10 +179,6 @@ class FrameGate:
         self.factors = dict(factors)
         self.mat = embed(self.factors, layout).mat
         self._dagger: FrameGate | None = None
-
-    def unitaries(self, ts: np.ndarray) -> np.ndarray:
-        """The fixed matrix once per parameter in ts, as a read-only view."""
-        return np.broadcast_to(self.mat, (len(ts),) + self.mat.shape)
 
     def dagger(self) -> "FrameGate":
         """The inverse gate; built once, and its own dagger is self, so
@@ -411,36 +408,114 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict) -> list[tuple]:
                 local = gate if i > 0 and isinstance(gate, Primitive) and gate.local else None
                 key = (id(f.pu), f.coeff, f.power, f.invert, f.adjoint_if_negative, local)
                 if key not in seen:
-                    # A constant factor is one matrix at every row: it is
-                    # planned at one row, which the products broadcast.
-                    constant = f.power == 0 and not f.adjoint_if_negative
-                    at = [f.at(p) for p in (params[:1] if constant else params)]
+                    if f.coeff == 1 and f.power == 1 and not f.adjoint_if_negative:
+                        # 1.0 * t**1 == t exactly: the parent's parameters.
+                        ss, adjoint = params, [f.invert] * len(params)
+                    else:
+                        # A constant factor is one matrix at every row: it is
+                        # planned at one row, which the products broadcast.
+                        constant = f.power == 0 and not f.adjoint_if_negative
+                        at = [f.at(p) for p in (params[:1] if constant else params)]
+                        ss, adjoint = [s for s, _ in at], [adj for _, adj in at]
                     if local is None:
-                        rows = _rows(need, id(f.pu), [s for s, _ in at])
+                        rows = _rows(need, id(f.pu), ss)
                         # One adjoint flag when every row agrees, else a mask.
-                        adjoint = [adj for _, adj in at]
                         mask = adjoint[0] if len(set(adjoint)) == 1 else np.array(adjoint)
                         seen[key] = (id(f.pu), rows, mask, None)
                     else:
                         block = ("block", id(f.pu))
-                        rows = _rows(need, block, [-s if adj else s for s, adj in at])
+                        rows = _rows(need, block, [-s if adj else s for s, adj in zip(ss, adjoint)])
                         seen[key] = (block, rows, False, local)
                 slots.append(seen[key])
             return slots
 
 
-def _apply_local(mat: np.ndarray, prim: Primitive, u: np.ndarray) -> np.ndarray:
-    """mat @ prim's unitaries for a stack, contracting the support factors of
-    mat's columns with the stacked blocks u; a one-row mat (constant slots
-    only) is broadcast to u's rows."""
-    if len(mat) < len(u):
-        mat = np.broadcast_to(mat, u.shape[:1] + mat.shape[1:])
-    batch, n = mat.shape[:2]
-    cols = [2 + j for j in prim.support]
-    moved = range(-len(cols), 0)
-    tensor = np.moveaxis(mat.reshape((batch, n) + prim._dims), cols, moved)
-    out = tensor.reshape(batch, -1, u.shape[-1]) @ u
-    return np.moveaxis(out.reshape(tensor.shape), moved, cols).reshape(mat.shape)
+def _tree_sectors(order: list[ParamUnitary]) -> list[np.ndarray]:
+    """The sectors of the union of the nonzero patterns of the leaves among
+    order (a tree's distinct nodes): every node of the tree is exactly
+    block-diagonal on them. A primitive's pattern joins each of its index
+    groups; a frame that mixes sectors merges them."""
+    dim = order[0].layout.dim
+    pattern = np.zeros((dim, dim), dtype=bool)
+    for pu in order:
+        match pu.node:
+            case Leaf(Primitive() as gate):
+                for rows in gate.groups:
+                    pattern[rows[:, :, None], rows[:, None, :]] = True
+            case Leaf(gate):
+                pattern |= gate.mat != 0
+    return _sectors(pattern)
+
+
+# Sectors smaller than this are stacked by size, so a tree with many small
+# sectors costs a few numpy calls per node, not a few per sector: cross-Kerr
+# at cutoff 16 (290 sectors of at most 2) evaluates 4-5x faster stacked. A
+# larger sector is a class of its own: there the arithmetic outweighs the
+# per-call overhead, and HOM at dim 450 (two sectors of 225) evaluates about
+# 10% faster one sector at a time than stacked.
+_STACK_BELOW = 32
+
+
+def _classes(sectors: list[np.ndarray]) -> list[np.ndarray]:
+    """The sectors in classes: one (m, k) index array per class, whose row j
+    is one sector's indices. Sectors of fewer than _STACK_BELOW indices are
+    classed by size; each larger one is a class of its own."""
+    classes: dict[int, list] = {}
+    for i, sec in enumerate(sectors):
+        classes.setdefault(len(sec) if len(sec) < _STACK_BELOW else -1 - i, []).append(sec)
+    return [np.array(secs) for secs in classes.values()]
+
+
+def _place(groups: list[np.ndarray], classes: list[np.ndarray]) -> list[list[tuple]]:
+    """Per class of sectors, (g, columns) for the rows of a primitive's
+    group g that lie in it. Column j*k + p is position p of the class's
+    sector j. Each row lies in one sector, and the rows in a sector cover it."""
+    owner = np.empty(sum(cls.size for cls in classes), dtype=np.intp)
+    column = np.empty_like(owner)
+    for i, cls in enumerate(classes):
+        owner[cls] = i
+        column[cls] = np.arange(cls.size).reshape(cls.shape)
+    placed: list[list[tuple]] = [[] for _ in classes]
+    for g, rows in enumerate(groups):
+        own = owner[rows[:, 0]]
+        for i in set(own.tolist()):
+            placed[i].append((g, column[rows[own == i]]))
+    return placed
+
+
+def _assemble(blocks: list[np.ndarray], placed: list[tuple], m: int, k: int) -> np.ndarray:
+    """A stack of m zero k x k blocks per parameter, with blocks[g] scattered
+    onto every row of columns, for each (g, columns) in placed. It is laid
+    out as _apply_groups reads it: block j's row r at wide[:, r, j*k:(j+1)*k]."""
+    wide = np.zeros((len(blocks[0]), k, m * k), dtype=np.complex128)
+    flat = wide.reshape(len(wide), -1)
+    for g, cols in placed:
+        # Entry (r, q) of the block on a row c of columns is wide[:, c[r] % k, c[q]].
+        flat[:, (cols % k * m * k)[:, :, None] + cols[:, None, :]] = blocks[g][:, None]
+    return wide.reshape(len(wide), k, m, k).transpose(0, 2, 1, 3)
+
+
+def _apply_groups(mat: np.ndarray, blocks: list[np.ndarray], placed: list[tuple]) -> np.ndarray:
+    """mat @ a local primitive's unitaries on one class of equal sectors,
+    for a stack of shape (batch, m, k, k): the columns at each row of
+    columns multiply by blocks[g], for each (g, columns) in placed. A
+    one-row mat (constant slots only) is broadcast to the blocks' rows."""
+    if len(mat) < len(blocks[0]):
+        mat = np.broadcast_to(mat, blocks[0].shape[:1] + mat.shape[1:])
+    batch, m, k = mat.shape[:3]
+    # The class's sectors side by side: wide[:, r, j*k + p] = mat[:, j, r, p].
+    wide = mat.transpose(0, 2, 1, 3).reshape(batch, k, m * k)
+    # take, unlike fancy indexing, returns the gathered columns contiguous,
+    # so each group product is one batched matmul with no reshape copy. The
+    # products are laid side by side and put back in one more take.
+    prods = [
+        (np.take(wide, cols, axis=2).reshape(batch, -1, cols.shape[1]) @ blocks[g])
+        .reshape(batch, k, cols.size)
+        for g, cols in placed
+    ]
+    order = np.concatenate([cols.ravel() for _, cols in placed])
+    out = np.take(np.concatenate(prods, axis=2), np.argsort(order), axis=2)
+    return out.reshape(batch, k, m, k).transpose(0, 2, 1, 3)
 
 
 def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
@@ -448,9 +523,11 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
 
     Top-down, every node collects the distinct parameters it is needed at
     (float equality, first occurrence kept) and plans which child rows each
-    of its slots reads. Bottom-up, every node builds one stack with a row per
+    of its slots reads. Bottom-up, every node builds, per class of the
+    tree's sectors (_classes), one stack of its blocks with a row per
     parameter from its children's stacks, which are freed as soon as their
-    last reader is done.
+    last reader is done. The root's blocks are scattered into one full-size
+    matrix.
     """
     order = _topological(root)
     need: dict = {id(root): {t: 0}}
@@ -461,43 +538,76 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
             plans[id(pu)] = _plan(pu, list(need[id(pu)]), need)
             readers.update({slot[0] for slot in plans[id(pu)]})
 
+    classes = _classes(_tree_sectors(order))
+    places = {
+        id(pu.node.gate): _place(pu.node.gate.groups, classes)
+        for pu in order
+        if isinstance(pu.node, Leaf) and isinstance(pu.node.gate, Primitive)
+    }
+    # stacks[key][i] has shape (rows, m, k, k): the node's blocks on the
+    # sectors of classes[i]. A local primitive's ("block", id) entry holds
+    # its blocks(ts) instead.
     stacks: dict = {}
     for pu in reversed(order):
         node = pu.node
         if isinstance(node, Leaf):
-            for key, local in ((id(pu), False), (("block", id(pu)), True)):
-                if key in need:
-                    ts = np.array(list(need[key]), dtype=float)
-                    stacks[key] = node.gate.blocks(ts) if local else node.gate.unitaries(ts)
+            gate = node.gate
+            if ("block", id(pu)) in need:
+                ts = np.array(list(need[("block", id(pu))]), dtype=float)
+                stacks[("block", id(pu))] = gate.blocks(ts)
+            if id(pu) in need:
+                ts = np.array(list(need[id(pu)]), dtype=float)
+                if isinstance(gate, Primitive):
+                    blocks = gate.blocks(ts)
+                    stacks[id(pu)] = [
+                        _assemble(blocks, placed, *cls.shape)
+                        for cls, placed in zip(classes, places[id(gate)])
+                    ]
+                else:
+                    fixed = [gate.mat[cls[:, :, None], cls[:, None, :]] for cls in classes]
+                    stacks[id(pu)] = [np.broadcast_to(f, (len(ts),) + f.shape) for f in fixed]
             continue
         slots = plans[id(pu)]
-        match node:
-            case Repeat(_, count):
-                key, rows, _, _ = slots[0]
-                mat = np.linalg.matrix_power(stacks[key][rows], count)
-            case Product():
-                mat = None
-                for key, rows, adjoint, local in slots:
-                    sub = stacks[key][rows]
-                    if local is not None:
-                        mat = _apply_local(mat, local, sub)
-                        continue
-                    if isinstance(adjoint, np.ndarray):
-                        sub = np.where(adjoint[:, None, None], sub.conj().swapaxes(-1, -2), sub)
-                    elif adjoint:
-                        sub = sub.conj().swapaxes(-1, -2)
-                    mat = sub if mat is None else mat @ sub
-                if len(mat) < len(need[id(pu)]):
-                    # Only constant slots: one row, repeated for the node's own.
-                    mat = np.broadcast_to(mat, (len(need[id(pu)]),) + mat.shape[1:])
+        size = len(need[id(pu)])
+        mats = []
+        for i in range(len(classes)):
+            match node:
+                case Repeat(_, count):
+                    key, rows, _, _ = slots[0]
+                    mat = np.linalg.matrix_power(stacks[key][i][rows], count)
+                case Product():
+                    mat = None
+                    for key, rows, adjoint, local in slots:
+                        if local is not None:
+                            blocks = [b[rows] for b in stacks[key]]
+                            mat = _apply_groups(mat, blocks, places[id(local)][i])
+                            continue
+                        sub = stacks[key][i][rows]
+                        if isinstance(adjoint, np.ndarray):
+                            sub = np.where(
+                                adjoint[:, None, None, None], sub.conj().swapaxes(-1, -2), sub
+                            )
+                        elif adjoint:
+                            sub = sub.conj().swapaxes(-1, -2)
+                        mat = sub if mat is None else mat @ sub
+                    if len(mat) < size:
+                        # Only constant slots: one row, repeated for the node's own.
+                        mat = np.broadcast_to(mat, (size,) + mat.shape[1:])
+            mats.append(mat)
         for key in {slot[0] for slot in slots}:
             readers[key] -= 1
             if not readers[key]:
                 del stacks[key]
-        stacks[id(pu)] = mat
-    out = stacks[id(root)][0]
-    # A broadcast row is read-only and may alias a frame's matrix: copy it.
-    return out if out.flags.writeable else out.copy()
+        stacks[id(pu)] = mats
+    blocks = [stack[0] for stack in stacks[id(root)]]
+    if len(classes) == 1 and len(classes[0]) == 1:
+        # A broadcast row is read-only and may alias a frame's matrix: copy it.
+        out = blocks[0][0]
+        return out if out.flags.writeable else out.copy()
+    out = np.zeros((root.layout.dim,) * 2, dtype=np.complex128)
+    for cls, block in zip(classes, blocks):
+        out[cls[:, :, None], cls[:, None, :]] = block
+    return out
 
 
 def _expand(pu: ParamUnitary, t: float) -> list[Invocation]:

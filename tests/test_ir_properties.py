@@ -22,7 +22,11 @@ from bosonsynth.product_formulas import (
     Primitive,
     Product,
     Repeat,
-    _apply_local,
+    _apply_groups,
+    _classes,
+    _place,
+    _topological,
+    _tree_sectors,
     as_linear_term,
     bch,
     compose,
@@ -35,7 +39,14 @@ from bosonsynth.product_formulas import (
     symmetrize,
     trotter,
 )
-from bosonsynth.tensor_core import TOL, HilbertLayout, Operator, is_unitary, spectral_norm
+from bosonsynth.tensor_core import (
+    TOL,
+    HilbertLayout,
+    Operator,
+    _sectors,
+    is_unitary,
+    spectral_norm,
+)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*well-conditioned range.*:RuntimeWarning"
@@ -71,7 +82,21 @@ def _split_world():
     return prims, frames
 
 
-WORLDS = [_qubit_world(), _cutoff2_world(), _split_world()]
+def _parity_world():
+    """Pulses on the qubit and one of two modes each: every leaf keeps the
+    parity of q + n1 + n2, and the S frame keeps it too, so every tree is
+    exactly block-diagonal on at least two sectors (two when both pulses
+    occur, six when one does), and each local primitive's groups fall
+    unevenly into them."""
+    layout = HilbertLayout.qubit_modes(2, nmodes=2)
+    prims = [
+        Primitive("x1*sx", embed({0: pauli("X"), 1: position(2)}, layout)),
+        Primitive("x2*sy", embed({0: pauli("Y"), 2: position(2)}, layout)),
+    ]
+    return prims, [FrameGate("S", layout, {0: qubit_gate("S")})]
+
+
+WORLDS = [_qubit_world(), _cutoff2_world(), _split_world(), _parity_world()]
 COEFFS = st.sampled_from([1.0, -1.0, 0.5, -0.75, 1.3])
 PARAMS = st.floats(-0.9, 0.9, allow_nan=False).filter(lambda t: abs(t) > 1e-3)
 
@@ -146,29 +171,40 @@ def test_linear_term_negative_is_adjoint(pair, s):
 
 
 def _fold(pu, t):
-    """pu at t by plain recursion with no memo: every node is evaluated at its
-    own parameter, and a product multiplies its factors left to right from
-    the first, taking the conjugate transpose of adjoint factors. As in eval,
-    a later leaf on a strict subset of the factors multiplies in through its
-    support, and its adjoint is its block at -s."""
+    """pu at t by plain recursion with no memo, as eval splits it: one stack
+    per class of the tree's sectors, with one row. Every node is evaluated at
+    its own parameter, and a product multiplies its factors left to right
+    from the first, taking the conjugate transpose of adjoint factors. As in
+    eval, a later leaf on a strict subset of the factors multiplies in
+    through its index groups, and its adjoint is its blocks at -s."""
+    classes = _classes(_tree_sectors(_topological(pu)))
+    out = np.zeros((pu.layout.dim,) * 2, dtype=complex)
+    for i, cls in enumerate(classes):
+        out[cls[:, :, None], cls[:, None, :]] = _fold_class(pu, t, classes, i)[0]
+    return out
+
+
+def _fold_class(pu, t, classes, i):
+    cls = classes[i]
     match pu.node:
         case Leaf(gate):
-            return gate.unitary(t) if isinstance(gate, Primitive) else gate.mat
+            full = gate.unitary(t) if isinstance(gate, Primitive) else gate.mat
+            return full[cls[:, :, None], cls[:, None, :]][None]
         case Product(factors):
             mat = None
-            for i, f in enumerate(factors):
+            for j, f in enumerate(factors):
                 s, adjoint = f.at(t)
                 gate = f.pu.node.gate if isinstance(f.pu.node, Leaf) else None
-                if i > 0 and isinstance(gate, Primitive) and gate.local:
-                    block = gate.blocks(np.array([-s if adjoint else s]))
-                    mat = _apply_local(mat[None], gate, block)[0]
+                if j > 0 and isinstance(gate, Primitive) and gate.local:
+                    blocks = gate.blocks(np.array([-s if adjoint else s]))
+                    mat = _apply_groups(mat, blocks, _place(gate.groups, classes)[i])
                     continue
-                sub = _fold(f.pu, s)
-                sub = sub.conj().T if adjoint else sub
+                sub = _fold_class(f.pu, s, classes, i)
+                sub = sub.conj().swapaxes(-1, -2) if adjoint else sub
                 mat = sub if mat is None else mat @ sub
             return mat
         case Repeat(child, count):
-            return np.linalg.matrix_power(_fold(child, t / count), count)
+            return np.linalg.matrix_power(_fold_class(child, t / count, classes, i), count)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,6 +247,41 @@ def test_frame_over_local_primitive_at_several_parameters_equals_fold_bitwise():
     outer = compose("outer", [Factor(q), Factor(frame_conjugate(q, frame_h), -1.0, power=2)])
     for t in (0.37, -0.21):
         assert np.array_equal(outer.eval(t).mat, _fold(outer, t))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_trees(WORLDS[3]), PARAMS)
+def test_tree_sectors_are_the_sectors_of_its_leaves(pu, t):
+    """The sectors an eval works on are those of the union of the leaves'
+    dense nonzero patterns, and the eval is exactly zero between them."""
+    leaves = [node.node.gate for node in _topological(pu) if isinstance(node.node, Leaf)]
+    dense = [g.unitary(0.7) if isinstance(g, Primitive) else g.mat for g in leaves]
+    want = _sectors(np.logical_or.reduce([m != 0 for m in dense]))
+    got = _tree_sectors(_topological(pu))
+    assert len(got) == len(want) >= 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    label = np.empty(pu.layout.dim, dtype=int)
+    for i, sec in enumerate(got):
+        label[sec] = i
+    assert np.all(pu.eval(t).mat[label[:, None] != label[None, :]] == 0)
+
+
+def test_large_sectors_eval_equals_fold_bitwise():
+    """At cutoff 5 the parity sectors hold 36 indices each, so each is a
+    class of its own, unlike the small worlds above, whose equal sectors are
+    stacked; a frame-conjugated local pulse multiplies in through its
+    groups in each."""
+    layout = HilbertLayout.qubit_modes(5, nmodes=2)
+    a = primitive_unitary(Primitive("x1*sx", embed({0: pauli("X"), 1: position(5)}, layout)))
+    b = primitive_unitary(Primitive("x2*sy", embed({0: pauli("Y"), 2: position(5)}, layout)))
+    frame = FrameGate("S", layout, {0: qubit_gate("S")})
+    pu = symmetrize(group_commutator(frame_conjugate(a, frame), b))
+    sectors = _tree_sectors(_topological(pu))
+    assert [len(sec) for sec in sectors] == [36, 36] and len(_classes(sectors)) == 2
+    for t in (0.37, -0.21):
+        mat = pu.eval(t).mat
+        assert np.array_equal(mat, _fold(pu, t))
+        assert spectral_norm(mat - pu.expand(t).to_operator().mat) < 1e-10
 
 
 def test_eval_of_constant_tree_returns_an_owned_array():
