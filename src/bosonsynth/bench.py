@@ -407,14 +407,17 @@ def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int):
     def one(t: float):
         approx = family.eval(t).mat
         exact = spec.exact(t).mat
-        op_err = spectral_norm(approx - exact)
         ac_err = None
         if psi0 is not None:
             ac_err = abs(
                 float(np.real(np.vdot(psi0, approx @ psi0)))
                 - float(np.real(np.vdot(psi0, exact @ psi0)))
             )
-        return op_err, ac_err
+        # eval returns an array it owns: the error overwrites it, so one
+        # full-size matrix is alive besides exact, which goes first.
+        approx -= exact
+        del exact
+        return spectral_norm(approx), ac_err
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -6,16 +6,20 @@ Repeat nodes, which the combinators below only build. A leaf is a counted
 primitive or a fixed, uncounted frame gate; a frame conjugation is a
 three-factor product whose outer factors are that frame at power 0. One
 interpreter evaluates, expands and reverses trees; the exponential ledger is
-summed once per node at build time. An eval first finds the tree's sectors:
-the connected components of the union of its leaves' nonzero patterns, on
-which every node is exactly block-diagonal (one sector when a frame or a
-primitive connects everything). It then makes two passes over the distinct
-nodes of its tree: top-down, every node collects the distinct parameters it
-is needed at (deep recursions revisit a node at the same parameter many
-times); bottom-up, every node builds all of them as one stack of matrices
-per sector with batched products, and a later primitive on a strict subset
-of the factors multiplies in through its index groups in each sector. The
-root's blocks are scattered into one full-size matrix. Nothing is kept
+summed once per node at build time. The first eval of a tree finds its
+sectors: the connected components of the union of its leaves' nonzero
+patterns, on which every node is exactly block-diagonal (one sector when a
+frame or a primitive connects everything), with each primitive's placement
+in them and the gathers of its monomial frame conjugations. They depend only
+on the immutable tree, so they are kept on it, and a sliced tree shares
+them. Every eval then makes two passes over the distinct nodes of its tree:
+top-down, every node collects the distinct parameters it is needed at (deep
+recursions revisit a node at the same parameter many times); bottom-up,
+every node builds all of them as one stack of matrices per sector with
+batched products. A later primitive on a strict subset of the factors
+multiplies in through its index groups in each sector, and a conjugation by
+an X, S or parity-flip frame is a gather of entries times fixed phases. The
+root's blocks are scattered into one full-size matrix; no matrix is kept
 between calls.
 """
 from __future__ import annotations
@@ -168,6 +172,11 @@ class FrameGate:
     factors maps a factor position to the one-factor unitary acting there, as
     in fock_ops.embed, with the identity elsewhere. Unitarity is checked on
     each factor, and mat is their embedding.
+
+    The frame is monomial when every factor has one nonzero per row and per
+    column, each exactly +-1 or +-i (X, S, Sdg and the vacuum parity flip,
+    not H). Then so has mat: the nonzero of row a sits in column perm[a] and
+    equals phase[a], and a conjugation by it is an exact gather.
     """
 
     def __init__(self, label: str, layout: HilbertLayout, factors: Mapping[int, Operator]):
@@ -178,6 +187,11 @@ class FrameGate:
         self.layout = layout
         self.factors = dict(factors)
         self.mat = embed(self.factors, layout).mat
+        self.monomial = all(_is_monomial(op.mat) for op in self.factors.values())
+        if self.monomial:
+            # One nonzero per row, so the row-major nonzeros come row by row.
+            self.perm = np.flatnonzero(self.mat) % layout.dim
+            self.phase = self.mat[np.arange(layout.dim), self.perm]
         self._dagger: FrameGate | None = None
 
     def dagger(self) -> "FrameGate":
@@ -192,6 +206,15 @@ class FrameGate:
 
     def __repr__(self):
         return f"FrameGate({self.label!r})"
+
+
+def _is_monomial(m: np.ndarray) -> bool:
+    """Whether m has one nonzero per row and per column, each +-1 or +-i."""
+    nz = m != 0
+    return (
+        bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
+        and bool(np.all(np.isin(m[nz], (1, -1, 1j, -1j))))
+    )
 
 
 @dataclass(frozen=True)
@@ -386,8 +409,9 @@ def _rows(need: dict, key, params: list[float]) -> slice | np.ndarray:
     return np.array(idx)
 
 
-def _plan(pu: ParamUnitary, params: list[float], need: dict) -> list[tuple]:
-    """pu's slots at params: (stack key, rows, adjoint, local primitive)."""
+def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> list[tuple]:
+    """pu's slots at params: (stack key, rows, adjoint, local primitive). A
+    product in gathers reads only its middle factor, as a plain slot."""
     match pu.node:
         case Repeat(child, count, step_scale):
             if step_scale * max(map(abs, params)) > 1.0 and pu not in _WARNED:
@@ -401,6 +425,8 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict) -> list[tuple]:
             return [(id(child), _rows(need, id(child), [p / count for p in params]), False, None)]
         case Product(factors):
             slots, seen = [], {}
+            if id(pu) in gathers:
+                factors = factors[1:2]
             for i, f in enumerate(factors):
                 # A later leaf on a strict subset of the factors multiplies in
                 # through its support; its adjoint is the primitive at -s.
@@ -499,54 +525,173 @@ def _apply_groups(mat: np.ndarray, blocks: list[np.ndarray], placed: list[tuple]
     """mat @ a local primitive's unitaries on one class of equal sectors,
     for a stack of shape (batch, m, k, k): the columns at each row of
     columns multiply by blocks[g], for each (g, columns) in placed. A
-    one-row mat (constant slots only) is broadcast to the blocks' rows."""
+    one-row mat (constant slots only) is broadcast to the blocks' rows.
+    Each group's product is written into its own columns of one output
+    stack, which the groups cover."""
     if len(mat) < len(blocks[0]):
         mat = np.broadcast_to(mat, blocks[0].shape[:1] + mat.shape[1:])
     batch, m, k = mat.shape[:3]
     # The class's sectors side by side: wide[:, r, j*k + p] = mat[:, j, r, p].
     wide = mat.transpose(0, 2, 1, 3).reshape(batch, k, m * k)
-    # take, unlike fancy indexing, returns the gathered columns contiguous,
-    # so each group product is one batched matmul with no reshape copy. The
-    # products are laid side by side and put back in one more take.
-    prods = [
-        (np.take(wide, cols, axis=2).reshape(batch, -1, cols.shape[1]) @ blocks[g])
-        .reshape(batch, k, cols.size)
-        for g, cols in placed
-    ]
-    order = np.concatenate([cols.ravel() for _, cols in placed])
-    out = np.take(np.concatenate(prods, axis=2), np.argsort(order), axis=2)
+    out = np.empty((batch * k, m * k), dtype=np.complex128)
+    # An index array on both axes takes numpy's fast scatter; a slice on the
+    # rows with an array on the columns is several times slower.
+    rows = np.arange(batch * k)[:, None]
+    for g, cols in placed:
+        # take, unlike fancy indexing, returns the gathered columns contiguous,
+        # so each group product is one batched matmul with no reshape copy.
+        # No name holds the product, so it is freed before the next group's.
+        out[rows, cols.ravel()] = (
+            np.take(wide, cols, axis=2).reshape(batch, -1, cols.shape[1]) @ blocks[g]
+        ).reshape(batch * k, cols.size)
     return out.reshape(batch, k, m, k).transpose(0, 2, 1, 3)
+
+
+def _sandwich(factors: tuple[Factor, ...]) -> tuple | None:
+    """((F, invert), (G, invert)) when factors are F, any factor and G, with
+    F and G leaves of monomial frames whose adjoint does not follow the
+    parameter's sign; else None."""
+    if len(factors) != 3:
+        return None
+    sides = []
+    for f in (factors[0], factors[2]):
+        gate = f.pu.node.gate if isinstance(f.pu.node, Leaf) else None
+        if not isinstance(gate, FrameGate) or not gate.monomial or f.adjoint_if_negative:
+            return None
+        sides.append((gate, f.invert))
+    return tuple(sides)
+
+
+def _monomial_side(gate: FrameGate, invert: bool, left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) of gate, or of its adjoint when invert is set, as a
+    factor on the left (F @ U reads row perm[a] of U into row a, times
+    phase[a]) or on the right (U @ G reads column perm[b] into column b)."""
+    # Row a of the gate holds phase[a] at column perm[a]; column b holds
+    # phase[inv[b]] at row inv[b]. The adjoint swaps the two and conjugates.
+    if left != invert:
+        perm, phase = gate.perm, gate.phase
+    else:
+        perm = np.argsort(gate.perm)
+        phase = gate.phase[perm]
+    return perm, phase.conj() if invert else phase
+
+
+def _gathers(sides: tuple, classes: list[np.ndarray]) -> list[tuple]:
+    """F @ U @ G on each class for the monomial frames sides = ((F, invert),
+    (G, invert)), as (first, second, phases): entry (a, b) of sector j is
+    U's entry (perm_F[a], perm_G[b]) of that sector times phase_F[a] *
+    phase_G[b]. first[j, a, 0] + second[j, 0, b] is that entry's flat index
+    in a class block, split so that no k x k index array is kept; phases is
+    None when every phase is 1. Each entry has one nonzero term, so this is
+    exact."""
+    (lperm, lphase), (rperm, rphase) = (
+        _monomial_side(gate, invert, left) for (gate, invert), left in zip(sides, (True, False))
+    )
+    position = np.empty(len(lperm), dtype=np.intp)
+    out = []
+    for cls in classes:
+        m, k = cls.shape
+        position[cls] = np.arange(k)
+        first = (np.arange(m)[:, None] * k + position[lperm[cls]]) * k
+        lph, rph = lphase[cls][:, :, None], rphase[cls][:, None, :]
+        phases = None if np.all(lph == 1) and np.all(rph == 1) else (lph, rph)
+        out.append((first[:, :, None], position[rperm[cls]][:, None, :], phases))
+    return out
+
+
+@dataclass(frozen=True)
+class _TreeSectors:
+    """What every eval of one tree reads of its sectors: the classes, each
+    primitive's placement in them (by id of the primitive) and the gathers
+    of each monomial frame sandwich (by id of the product)."""
+
+    classes: list[np.ndarray]
+    places: dict[int, list[list[tuple]]]
+    gathers: dict[int, list[tuple]]
+
+
+def _sectors_of(root: ParamUnitary) -> _TreeSectors:
+    """root's sectors, found on its first eval and kept on the immutable
+    tree; a Repeat has its child's leaves, so it shares its child's."""
+    cached = root.__dict__.get("_sector_cache")
+    if cached is None:
+        if isinstance(root.node, Repeat):
+            cached = _sectors_of(root.node.child)
+        else:
+            order = _topological(root)
+            classes = _classes(_tree_sectors(order))
+            places, gathers = {}, {}
+            for pu in order:
+                match pu.node:
+                    case Leaf(Primitive() as gate):
+                        places[id(gate)] = _place(gate.groups, classes)
+                    case Product(factors) if (sides := _sandwich(factors)) is not None:
+                        gathers[id(pu)] = _gathers(sides, classes)
+            cached = _TreeSectors(classes, places, gathers)
+        object.__setattr__(root, "_sector_cache", cached)
+    return cached
+
+
+def _build_class(node, slots, stacks: dict, i: int, places: dict, gather, size: int) -> np.ndarray:
+    """A Product or Repeat node's stack on class i, with size rows, from its
+    children's class-i stacks; gather is the node's entry in the tree's
+    gathers, if any. Nothing it reads outlives the call."""
+    if isinstance(node, Repeat):
+        key, rows, _, _ = slots[0]
+        return np.linalg.matrix_power(stacks[key][i][rows], node.count)
+    mat = None
+    for key, rows, adjoint, local in slots:
+        if local is not None:
+            blocks = [b[rows] for b in stacks[key]]
+            mat = _apply_groups(mat, blocks, places[id(local)][i])
+            continue
+        sub = stacks[key][i][rows]
+        if isinstance(adjoint, np.ndarray):
+            sub = np.where(adjoint[:, None, None, None], sub.conj().swapaxes(-1, -2), sub)
+        elif adjoint:
+            sub = sub.conj().swapaxes(-1, -2)
+        mat = sub if mat is None else mat @ sub
+    if gather is not None:
+        first, second, phases = gather[i]
+        # take, unlike fancy indexing, returns the entries C-contiguous, as
+        # the products it replaces did, so later products stay as fast.
+        mat = np.take(mat.reshape(len(mat), -1), first + second, axis=1)
+        if phases is not None:
+            mat *= phases[0] * phases[1]
+    if len(mat) < size:
+        # Only constant slots: one row, repeated for the node's own.
+        mat = np.broadcast_to(mat, (size,) + mat.shape[1:])
+    return mat
 
 
 def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
     """root at t from two passes over its distinct nodes.
 
+    The tree's classes of sectors, its primitives' placements in them and
+    its frame gathers are found on the first eval and reused (_sectors_of).
     Top-down, every node collects the distinct parameters it is needed at
     (float equality, first occurrence kept) and plans which child rows each
-    of its slots reads. Bottom-up, every node builds, per class of the
-    tree's sectors (_classes), one stack of its blocks with a row per
-    parameter from its children's stacks, which are freed as soon as their
-    last reader is done. The root's blocks are scattered into one full-size
-    matrix.
+    of its slots reads. Bottom-up, every node builds, per class, one stack
+    of its blocks with a row per parameter from its children's stacks. A
+    child's class-i stack is dropped as soon as its last reader has built
+    class i. A product F·U·G of monomial frames gathers U's entries and
+    multiplies them by a fixed phase mask instead of two products. The
+    root's blocks are scattered into one full-size matrix.
     """
+    sectors = _sectors_of(root)
+    classes, places, gathers = sectors.classes, sectors.places, sectors.gathers
     order = _topological(root)
     need: dict = {id(root): {t: 0}}
     plans: dict[int, list[tuple]] = {}
     readers: Counter = Counter()
     for pu in order:
         if id(pu) in need and not isinstance(pu.node, Leaf):
-            plans[id(pu)] = _plan(pu, list(need[id(pu)]), need)
+            plans[id(pu)] = _plan(pu, list(need[id(pu)]), need, gathers)
             readers.update({slot[0] for slot in plans[id(pu)]})
 
-    classes = _classes(_tree_sectors(order))
-    places = {
-        id(pu.node.gate): _place(pu.node.gate.groups, classes)
-        for pu in order
-        if isinstance(pu.node, Leaf) and isinstance(pu.node.gate, Primitive)
-    }
     # stacks[key][i] has shape (rows, m, k, k): the node's blocks on the
     # sectors of classes[i]. A local primitive's ("block", id) entry holds
-    # its blocks(ts) instead.
+    # its blocks(ts) instead, one per primitive sector.
     stacks: dict = {}
     for pu in reversed(order):
         node = pu.node
@@ -569,44 +714,28 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
             continue
         slots = plans[id(pu)]
         size = len(need[id(pu)])
+        # Class stacks this node is the last to read; a local primitive's
+        # blocks are not per class and go with the node below.
+        last = {slot[0] for slot in slots if slot[3] is None and readers[slot[0]] == 1}
         mats = []
         for i in range(len(classes)):
-            match node:
-                case Repeat(_, count):
-                    key, rows, _, _ = slots[0]
-                    mat = np.linalg.matrix_power(stacks[key][i][rows], count)
-                case Product():
-                    mat = None
-                    for key, rows, adjoint, local in slots:
-                        if local is not None:
-                            blocks = [b[rows] for b in stacks[key]]
-                            mat = _apply_groups(mat, blocks, places[id(local)][i])
-                            continue
-                        sub = stacks[key][i][rows]
-                        if isinstance(adjoint, np.ndarray):
-                            sub = np.where(
-                                adjoint[:, None, None, None], sub.conj().swapaxes(-1, -2), sub
-                            )
-                        elif adjoint:
-                            sub = sub.conj().swapaxes(-1, -2)
-                        mat = sub if mat is None else mat @ sub
-                    if len(mat) < size:
-                        # Only constant slots: one row, repeated for the node's own.
-                        mat = np.broadcast_to(mat, (size,) + mat.shape[1:])
-            mats.append(mat)
+            mats.append(_build_class(node, slots, stacks, i, places, gathers.get(id(pu)), size))
+            for key in last:
+                stacks[key][i] = None
         for key in {slot[0] for slot in slots}:
             readers[key] -= 1
             if not readers[key]:
                 del stacks[key]
         stacks[id(pu)] = mats
-    blocks = [stack[0] for stack in stacks[id(root)]]
+    stack = stacks.pop(id(root))
     if len(classes) == 1 and len(classes[0]) == 1:
         # A broadcast row is read-only and may alias a frame's matrix: copy it.
-        out = blocks[0][0]
+        out = stack[0][0, 0]
         return out if out.flags.writeable else out.copy()
     out = np.zeros((root.layout.dim,) * 2, dtype=np.complex128)
-    for cls, block in zip(classes, blocks):
-        out[cls[:, :, None], cls[:, None, :]] = block
+    for i, cls in enumerate(classes):
+        out[cls[:, :, None], cls[:, None, :]] = stack[i][0]
+        stack[i] = None
     return out
 
 

@@ -1,9 +1,10 @@
 """Property tests of the compiled-gate IR: random trees built from the public
 combinators must agree between eval, expansion, the exponential ledger and
 structural reversal; the batched eval must equal a plain recursive fold bit
-for bit; and evaluation must hold no memory between calls. Primitives on
-random subsets of a layout's factors must find their support and agree with
-dense references."""
+for bit; and evaluation must hold no memory between calls and keep a bounded
+working set. The local-primitive kernel and the frame gathers are checked
+against dense products. Primitives on random subsets of a layout's factors
+must find their support and agree with dense references."""
 import math
 import tracemalloc
 from collections import Counter
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate
+from bosonsynth.applications import conditional_beam_splitter
+from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate, vacuum_parity_flip
 from bosonsynth.product_formulas import (
     Factor,
     FrameGate,
@@ -25,6 +27,7 @@ from bosonsynth.product_formulas import (
     _apply_groups,
     _classes,
     _place,
+    _sectors_of,
     _topological,
     _tree_sectors,
     as_linear_term,
@@ -294,6 +297,86 @@ def test_eval_of_constant_tree_returns_an_owned_array():
         assert mat.flags.writeable and not np.shares_memory(mat, frame_s.mat)
 
 
+@pytest.mark.parametrize("world", [WORLDS[2], WORLDS[3]], ids=["split", "parity"])
+def test_apply_groups_matches_dense_product(world):
+    """The local-primitive kernel on each class equals the class's block of
+    a plain dense product mat @ U(s), row by row, and writes every column."""
+    prims, frames = world
+    leaves = [primitive_unitary(p) for p in prims]
+    tree = compose("all", [Factor(frame_conjugate(leaf, frames[-1])) for leaf in leaves])
+    classes = _classes(_tree_sectors(_topological(tree)))
+    labels = np.empty(tree.layout.dim, dtype=int)
+    for i, cls in enumerate(classes):
+        labels[cls.ravel()] = i
+    rng = np.random.default_rng(7)
+    ss = np.array([0.37, -0.21, 1.3])
+    shape = (len(ss),) + (tree.layout.dim,) * 2
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mats[:, labels[:, None] != labels[None, :]] = 0
+    for gate in (p for p in prims if p.local):
+        dense = np.stack([m @ gate.unitary(s) for m, s in zip(mats, ss)])
+        placed = _place(gate.groups, classes)
+        for i, cls in enumerate(classes):
+            index = (slice(None), cls[:, :, None], cls[:, None, :])
+            got = _apply_groups(mats[index], gate.blocks(ss), placed[i])
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - dense[index])) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "name, monomial",
+    [("X", True), ("S", True), ("Sdg", True), ("R0", True), ("H", False), ("SH", False)],
+)
+def test_monomial_frame_conjugation_is_an_exact_gather(name, monomial):
+    """X, S, Sdg and the vacuum parity flip conjugate by a gather, equal to
+    the dense F @ U @ F^dag bit for bit, both ways round and around a local
+    primitive; H and SH keep the products, equal to it up to rounding."""
+    layout = HilbertLayout.qubit_modes(3)
+    if name == "R0":
+        frame = FrameGate(name, layout, {1: vacuum_parity_flip(3)})
+    elif name == "SH":
+        frame = FrameGate(name, layout, {0: qubit_gate("S") @ qubit_gate("H")})
+    else:
+        frame = FrameGate(name, layout, {0: qubit_gate(name)})
+    assert frame.monomial == monomial
+    full = Primitive("x*sx", embed({0: pauli("X"), 1: position(3)}, layout))
+    local = Primitive("n", embed({1: number(3)}, layout))
+    for prim in (full, local):
+        for f in (frame, frame.dagger()):
+            pu = frame_conjugate(primitive_unitary(prim), f)
+            assert (id(pu) in _sectors_of(pu).gathers) == monomial
+            for t in (0.37, -1.2):
+                dense = f.mat @ prim.unitary(t) @ f.mat.conj().T
+                if monomial:
+                    assert np.array_equal(pu.eval(t).mat, dense)
+                else:
+                    assert np.max(np.abs(pu.eval(t).mat - dense)) < 1e-13
+
+
+def test_phase_frame_off_the_unit_set_is_not_monomial():
+    """A diagonal frame with an e^{i pi/4} entry is a valid unitary but not a
+    +-1/+-i monomial, so it keeps the dense products."""
+    layout = HilbertLayout.qubit_modes(2)
+    t_gate = Operator(HilbertLayout.single_qubit(), np.diag([1.0, np.exp(1j * np.pi / 4)]))
+    frame = FrameGate("T", layout, {0: t_gate})
+    assert not frame.monomial
+    pu = frame_conjugate(primitive_unitary(Primitive("n", embed({1: number(2)}, layout))), frame)
+    assert id(pu) not in _sectors_of(pu).gathers
+
+
+def test_tree_sectors_are_found_once_and_shared_by_slices():
+    """The sectors depend only on the tree: a second eval and a sliced root
+    reuse the first eval's."""
+    prims, frames = WORLDS[3]
+    a, b = (primitive_unitary(p) for p in prims)
+    pu = group_commutator(frame_conjugate(a, frames[0]), b)
+    pu.eval(0.3)
+    cached = _sectors_of(pu)
+    pu.eval(-0.4)
+    assert _sectors_of(pu) is cached
+    assert _sectors_of(sliced(pu, 3)) is cached
+
+
 def _numpy_bytes() -> int:
     snap = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
@@ -316,6 +399,22 @@ def test_eval_holds_no_memory(pu):
     finally:
         tracemalloc.stop()
     assert held == 0
+
+
+def test_eval_working_set_is_bounded():
+    """One HOM eval's traced peak stays below 3.15 full-size matrices (3.09
+    measured): each local product is written into one output stack, and a
+    child's stack on a class is freed once its last reader has built it."""
+    pu = conditional_beam_splitter(cutoff=10, symmetrized=True).synthesis
+    pu.eval(0.05)  # one-time allocations happen outside the measurement
+    full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        pu.eval(0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / full < 3.15
 
 
 # -- factor-local primitives ---------------------------------------------------
