@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import typing
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -107,6 +108,9 @@ class ExperimentConfig:
             raise UsageError(f"grid needs at least 4 points for fits, got {self.points}")
         if self.points > 10_000:
             raise UsageError(f"grid allows at most 10000 points, got {self.points}")
+        for key, value in (("min", self.t_min), ("max", self.t_max)):
+            if not math.isfinite(value):
+                raise UsageError(f"grid.{key} must be finite, got {value}")
         if not (0.0 < self.t_min < self.t_max):
             raise UsageError(f"grid needs 0 < min < max, got [{self.t_min}, {self.t_max}]")
         if self.bch_order < 1:
@@ -180,13 +184,26 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1, taking floats also in
+    the YAML 1.2 forms 1e-3, 2e5 and 1.5e3 (1.1 wants a dot and a signed
+    exponent, and reads these as strings)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise UsageError(f"cannot parse config {path}: {exc}") from exc
     return ExperimentConfig.from_mapping(data)

@@ -374,6 +374,39 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "application,bound,key",
+        [
+            ("fswap", "max: .inf", "grid.max"),
+            ("nonlinear-hamiltonian", "max: .inf", "grid.max"),
+            ("fswap", "min: .nan", "grid.min"),
+            ("fswap", "max: 1e400", "grid.max"),
+        ],
+        ids=["fswap-max-inf", "kerr-auto-max-inf", "min-nan", "max-overflows"],
+    )
+    def test_non_finite_grid_bound_exits_2(
+        self, tmp_path, capsys, application, bound, key, command
+    ):
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            f"application: {application}\ncutoff: 2\nslices: auto\n"
+            f"grid:\n  points: 4\n  {bound}\n"
+        )
+        assert cli.main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_yaml_12_floats_load(self, tmp_path):
+        """1e-3 is a float, as in YAML 1.2, not the string YAML 1.1 makes it."""
+        text = (CONFIGS / "hom-beam-splitter.yaml").read_text()
+        assert "min: 1.0e-3" in text and "max: 1.0e-1" in text
+        path = tmp_path / "hom.yaml"
+        path.write_text(text.replace("1.0e-3", "1e-3").replace("1.0e-1", "1E-1"))
+        assert load_config(path) == load_config(CONFIGS / "hom-beam-splitter.yaml")
+        assert load_config(path).t_min == 1e-3
+
     def test_run_dim_cap_exits_3(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 3})
         code = cli.main(["run", path, "--out-dir", str(tmp_path), "--dim-cap", "8"])

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonsynth.applications import conditional_beam_splitter
+from bosonsynth import product_formulas
+from bosonsynth.applications import conditional_beam_splitter, nonlinear_hamiltonian
 from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate, vacuum_parity_flip
 from bosonsynth.product_formulas import (
     Factor,
@@ -217,6 +218,39 @@ def test_eval_equals_recursive_fold_bitwise(pu, t):
     assert np.array_equal(pu.eval(t).mat, _fold(pu, t))
 
 
+def _eval_tiled(pu, t, budget):
+    """pu at t with tiles of budget bytes of rows (one row when budget is 1).
+    An eval at another parameter comes first, so a stack that a tile leaves
+    unwritten is unlikely to hold the right values from an earlier eval."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(product_formulas, "_TILE_BYTES", budget)
+        pu.eval(0.5 - t)
+        return pu.eval(t).mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(TREES, PARAMS, st.integers(2, 4096))
+def test_tiles_change_no_bits(pu, t, budget):
+    """A product built one row, or any number of rows, at a time equals it
+    built in one tile, bit for bit. A commutator recursion over the tree
+    needs its nodes at eight parameters or more, so tiles of several rows
+    end in a partial one."""
+    deep = bch(2, 1, pu, pu, base="lean")
+    whole = _eval_tiled(deep, t, 2**62)
+    assert np.array_equal(_eval_tiled(deep, t, 1), whole)
+    assert np.array_equal(_eval_tiled(deep, t, budget), whole)
+
+
+def test_deep_tree_tiles_change_no_bits():
+    """The 16-slice Kerr tree at cutoff 6, whose nodes hold up to 700 rows,
+    read through index arrays and frame gathers among them: one-row tiles,
+    the shipped budget and a single tile give the same bits."""
+    pu = sliced(nonlinear_hamiltonian(1, 1, q=3, cutoff=6).synthesis, 16)
+    whole = _eval_tiled(pu, 1.0, 2**62)
+    assert np.array_equal(pu.eval(1.0).mat, whole)
+    assert np.array_equal(_eval_tiled(pu, 1.0, 1), whole)
+
+
 def test_constant_product_at_several_parameters_equals_fold_bitwise():
     """A product of power-0 factors is planned at one row and broadcast to
     every parameter its parents need it at."""
@@ -401,20 +435,34 @@ def test_eval_holds_no_memory(pu):
     assert held == 0
 
 
+def _eval_peak(pu, t) -> int:
+    """The traced peak bytes of one eval of pu at t, after a first eval."""
+    pu.eval(t)  # one-time allocations happen outside the measurement
+    tracemalloc.start()
+    try:
+        pu.eval(t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_eval_working_set_is_bounded():
-    """One HOM eval's traced peak stays below 3.15 full-size matrices (3.09
+    """One HOM eval's traced peak stays below 3.15 full-size matrices (2.82
     measured): each local product is written into one output stack, and a
     child's stack on a class is freed once its last reader has built it."""
     pu = conditional_beam_splitter(cutoff=10, symmetrized=True).synthesis
-    pu.eval(0.05)  # one-time allocations happen outside the measurement
     full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
-    tracemalloc.start()
-    try:
-        pu.eval(0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / full < 3.15
+    assert _eval_peak(pu, 0.05) / full < 3.15
+
+
+def test_deep_tree_working_set_is_bounded():
+    """One eval of the 16-slice Kerr tree at cutoff 6 peaks below 3,300 of
+    its 14 x 14 blocks (2,999 measured; 3,852 when every product of a node
+    was a new stack of all its rows): a product is built a tile of rows at
+    a time into one output stack."""
+    pu = sliced(nonlinear_hamiltonian(1, 1, q=3, cutoff=6).synthesis, 16)
+    block = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
+    assert _eval_peak(pu, 1.0) / block < 3300
 
 
 # -- factor-local primitives ---------------------------------------------------
