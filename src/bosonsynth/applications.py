@@ -408,7 +408,7 @@ def success_probability_bound(
     spec = state_prep_protected(k, t, p, cutoff, base=base)
     t = float(spec.time)
     result = timeslice(spec.synthesis, spec.exact, t, 0.5 * delta)
-    psi = result.unitary.eval(t).mat @ spec.initial_state
+    psi = result.mat @ spec.initial_state
     amp = np.vdot(basis_state(spec.layout, 0, k), psi)
     counted = spec.gate_count() * result.slices
     return SuccessReport(

@@ -418,11 +418,15 @@ class SweepCell:
     within_bound: bool
 
 
-def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int):
+def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int, known: dict):
+    """Errors of family over grid. known maps grid points to family's matrix
+    there, to use and overwrite instead of an eval; they go first."""
     psi0 = spec.initial_state
 
     def one(t: float):
-        approx = family.eval(t).mat
+        approx = known.pop(t, None)
+        if approx is None:
+            approx = family.eval(t).mat
         exact = spec.exact(t).mat
         ac_err = None
         if psi0 is not None:
@@ -436,13 +440,14 @@ def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int):
         del exact
         return spectral_norm(approx), ac_err
 
+    points = sorted(grid, key=lambda t: t not in known)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, grid))
+            results = dict(zip(points, pool.map(one, points)))
     else:
-        results = [one(t) for t in grid]
-    op_errs = [r[0] for r in results]
-    ac_errs = None if psi0 is None else [r[1] for r in results]
+        results = {t: one(t) for t in points}
+    op_errs = [results[t][0] for t in grid]
+    ac_errs = None if psi0 is None else [results[t][1] for t in grid]
     return op_errs, ac_errs
 
 
@@ -453,12 +458,14 @@ def _measure(
     the grid. `bound` is the config's cost ceiling. Returns the spec and
     every SynthesisReport field but config."""
     spec = entry.build(cfg)
-    slices = cfg.slices
+    slices, known = cfg.slices, {}
     if slices == "auto":
-        delta = cfg.physical.get("delta", 0.1)
-        slices = timeslice(spec.synthesis, spec.exact, cfg.t_max, delta).slices
+        found = timeslice(spec.synthesis, spec.exact, cfg.t_max, cfg.physical.get("delta", 0.1))
+        # The search ends with the gate at grid.max, which the grid reuses.
+        slices, known[cfg.t_max] = found.slices, found.mat
+        del found
     grid = cfg.grid()
-    op_errs, ac_errs = _grid_errors(spec, sliced(spec.synthesis, slices), grid, threads)
+    op_errs, ac_errs = _grid_errors(spec, sliced(spec.synthesis, slices), grid, threads, known)
     try:
         fit = fit_power_law(grid, op_errs)
     except ValueError:
@@ -525,7 +532,7 @@ def run(
     emit_json(report, json_path)
     if config.application == "state-prep-T":
         heat_path = csv_path.with_name(csv_path.stem + "_heatmap.csv")
-        emit_heatmap(spec, float(spec.time), heat_path)
+        emit_heatmap(spec, report.slices, float(spec.time), heat_path)
     return report
 
 
@@ -596,9 +603,9 @@ def emit_csv(report: SynthesisReport, path: str | Path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def emit_heatmap(spec: ApplicationSpec, t: float, path: str | Path) -> None:
+def emit_heatmap(spec: ApplicationSpec, slices: int, t: float, path: str | Path) -> None:
     exact = spec.exact(t).mat
-    synth = spec.synthesized(t).mat
+    synth = sliced(spec.synthesis, slices).eval(t).mat
     lines = ["row,col,exact_modulus,synth_modulus"]
     for i in range(exact.shape[0]):
         for j in range(exact.shape[1]):

@@ -28,7 +28,15 @@ from bosonsynth.applications import (
     two_mode_span_block,
 )
 from bosonsynth.fock_ops import pauli
-from bosonsynth.product_formulas import FitWindow, Primitive, fit_power_law, sweep_errors
+from bosonsynth.product_formulas import (
+    FitWindow,
+    ParamUnitary,
+    Primitive,
+    fit_power_law,
+    sliced,
+    sweep_errors,
+    timeslice,
+)
 from bosonsynth.tensor_core import HilbertLayout, Operator, _sectors, basis_state, spectral_norm
 
 WINDOW = FitWindow(1e-3, 1e-1, 12)
@@ -272,6 +280,25 @@ class TestSuccessBound:
         assert rep.success_probability >= 0.8
         assert rep.error <= 0.1
         assert rep.counted <= rep.bound
+
+    @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
+    def test_reads_the_searched_gate(self, monkeypatch):
+        """The probability comes from the search's own matrix at the
+        preparation time: the report makes no eval besides the search's, and
+        its fields equal those read off a fresh eval of the sliced gate."""
+        calls = []
+        original = ParamUnitary.eval
+        monkeypatch.setattr(ParamUnitary, "eval", lambda pu, t: calls.append(t) or original(pu, t))
+        rep = success_probability_bound(0.2)
+        reported = len(calls)
+        spec = state_prep_protected(2, None, 2, 6)
+        calls.clear()
+        search = timeslice(spec.synthesis, spec.exact, rep.t, 0.1)
+        assert rep.slices == search.slices > 1 and reported == len(calls)
+        psi = sliced(spec.synthesis, rep.slices).eval(rep.t).mat @ spec.initial_state
+        amp = np.vdot(basis_state(spec.layout, 0, 2), psi)
+        assert rep.success_probability == float(abs(amp) ** 2)
+        assert rep.error == search.error == spectral_norm(search.mat - spec.exact(rep.t).mat)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

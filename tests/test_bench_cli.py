@@ -1,13 +1,16 @@
 """Tests for the experiment runner and its command line front end."""
+import csv
 import dataclasses
 import filecmp
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from bosonsynth import bench, cli
+from bosonsynth.applications import state_prep_T
 from bosonsynth.bench import (
     ExperimentConfig,
     ResourceExhaustedError,
@@ -20,7 +23,7 @@ from bosonsynth.bench import (
     run,
     run_sweep,
 )
-from bosonsynth.product_formulas import ParamUnitary
+from bosonsynth.product_formulas import ParamUnitary, sliced
 from bosonsynth.tensor_core import TOL
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -279,6 +282,47 @@ class TestRun:
         cfg = fast_config(slices="auto", physical={"delta": 0.5})
         report = run(cfg, out_dir=tmp_path)
         assert isinstance(report.slices, int) and report.slices >= 1
+
+    @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
+    def test_heatmap_is_the_gate_at_the_run_slice_count(self, tmp_path):
+        """At slices: 4 the heatmap shows the four-slice gate the CSV
+        measures, not the one-slice gate."""
+        cfg = ExperimentConfig(application="state-prep-T", cutoff=2, physical={"k": 2},
+                               bch_order=2, base="lean", slices=4, points=4, out_csv="prep.csv")
+        run(cfg, out_dir=tmp_path)
+        with open(tmp_path / "prep_heatmap.csv") as fh:
+            heat = [float(row["synth_modulus"]) for row in csv.DictReader(fh)]
+        spec = state_prep_T(2, p=2, cutoff=2, base="lean")
+        four, one = (sliced(spec.synthesis, r).eval(spec.time).mat for r in (4, 1))
+        assert heat == [abs(x) for x in four.ravel()]
+        assert heat != [abs(x) for x in one.ravel()]
+
+    @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_auto_slices_reuse_the_searched_gate(self, tmp_path, monkeypatch, threads):
+        """The slice search's matrix at grid.max stands in for that grid
+        point: a run of the shipped nonlinear-timeslice config makes one eval
+        fewer than the search and the grid add up to, and writes the same
+        bytes as a run that evaluates every grid point."""
+        calls, searched = [], []
+        evaluate, search, grid_errors = ParamUnitary.eval, bench.timeslice, bench._grid_errors
+
+        def counting_search(*args):
+            before = len(calls)
+            found = search(*args)
+            searched.append(len(calls) - before)
+            return found
+
+        monkeypatch.setattr(ParamUnitary, "eval", lambda pu, t: calls.append(t) or evaluate(pu, t))
+        monkeypatch.setattr(bench, "timeslice", counting_search)
+        cfg = load_config(CONFIGS / "nonlinear-timeslice.yaml")
+        run(cfg, out_dir=tmp_path / "reuse", threads=threads)
+        assert searched[0] > 1 and len(calls) == searched[0] + cfg.points - 1
+        assert sorted(calls[searched[0]:]) == cfg.grid()[:-1].tolist()
+        monkeypatch.setattr(bench, "_grid_errors", lambda *a: grid_errors(*a[:4], {}))
+        run(cfg, out_dir=tmp_path / "every", threads=threads)
+        for name in (cfg.out_csv, cfg.out_json):
+            assert filecmp.cmp(tmp_path / "reuse" / name, tmp_path / "every" / name, shallow=False)
 
 
 class TestRunSweep:

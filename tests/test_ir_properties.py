@@ -28,6 +28,8 @@ from bosonsynth.product_formulas import (
     _apply_groups,
     _classes,
     _place,
+    _plan,
+    _rows,
     _sectors_of,
     _topological,
     _tree_sectors,
@@ -284,6 +286,94 @@ def test_frame_over_local_primitive_at_several_parameters_equals_fold_bitwise():
     outer = compose("outer", [Factor(q), Factor(frame_conjugate(q, frame_h), -1.0, power=2)])
     for t in (0.37, -0.21):
         assert np.array_equal(outer.eval(t).mat, _fold(outer, t))
+
+
+def _plan_per_row(pu, params, need, gathers):
+    """The plan with one Factor.at call per row: the reference whose rows the
+    plan's list expressions must equal bit for bit."""
+    match pu.node:
+        case Repeat(child, count):
+            return [(id(child), _rows(need, id(child), [p / count for p in params]), False, None)]
+        case Product(factors):
+            slots, seen = [], {}
+            for i, f in enumerate(factors[1:2] if id(pu) in gathers else factors):
+                gate = f.pu.node.gate if isinstance(f.pu.node, Leaf) else None
+                local = gate if i > 0 and isinstance(gate, Primitive) and gate.local else None
+                key = (id(f.pu), f.coeff, f.power, f.invert, f.adjoint_if_negative, local)
+                if key not in seen:
+                    constant = f.power == 0 and not f.adjoint_if_negative
+                    at = [f.at(p) for p in (params[:1] if constant else params)]
+                    if local is None:
+                        flags = [adj for _, adj in at]
+                        mask = flags[0] if len(set(flags)) == 1 else np.array(flags)
+                        seen[key] = (id(f.pu), _rows(need, id(f.pu), [s for s, _ in at]), mask, None)
+                    else:
+                        block = ("block", id(f.pu))
+                        rows = _rows(need, block, [-s if adj else s for s, adj in at])
+                        seen[key] = (block, rows, False, local)
+                slots.append(seen[key])
+            return slots
+
+
+def _top_down(root, t, plan):
+    """need and slots of every node of root at t, from plan (_plan or the
+    per-row reference), in the eval's order."""
+    gathers = _sectors_of(root).gathers
+    need, plans = {id(root): {t: 0}}, {}
+    for pu in _topological(root):
+        if id(pu) in need and not isinstance(pu.node, Leaf):
+            plans[id(pu)] = plan(pu, list(need[id(pu)]), need, gathers)
+    return need, plans
+
+
+def _assert_same_plan(got, want):
+    """Same stacks with the same parameter rows in the same order, compared
+    as uint64, and the same slots: rows, adjoint flag or mask, local gate."""
+    (need, plans), (ref_need, ref_plans) = got, want
+    assert list(need) == list(ref_need)
+    for key, rows in ref_need.items():
+        bits = [np.array(list(r), dtype=float).view(np.uint64) for r in (need[key], rows)]
+        assert np.array_equal(*bits)
+    assert list(plans) == list(ref_plans)
+    for node, slots in ref_plans.items():
+        for (key, rows, adj, local), ref in zip(plans[node], slots, strict=True):
+            assert (key, local) == (ref[0], ref[3]) and type(rows) is type(ref[1])
+            assert rows == ref[1] if isinstance(rows, slice) else np.array_equal(rows, ref[1])
+            assert type(adj) is type(ref[2]) and np.array_equal(adj, ref[2])
+
+
+def test_plan_rows_equal_factor_at_where_numpy_powers_differ():
+    """A linear-term node (|t| ** (1/2), adjoint for t < 0) and a power-3
+    factor, planned at parameters of both signs where numpy's vectorized
+    power rounds differently from Python's float ** (found by search; on a
+    host where they never differ, the drawn parameters are used alone):
+    every row equals Factor.at's as uint64."""
+    xs = np.random.default_rng(7).uniform(1e-4, 2, 200_000)
+    odd = []
+    for e in (0.5, 3):
+        odd += [x for x, y in zip(xs.tolist(), np.power(xs, e).tolist()) if y != x**e][:5]
+    params = odd + [-x for x in odd] + xs[:5].tolist()
+    prims, _ = _qubit_world()
+    a, b = (primitive_unitary(p) for p in prims[:2])
+    lin = as_linear_term(group_commutator(a, b))
+    cubic = group_commutator(a, b, 3)
+    assert lin.node.factors[0].power == 0.5 and cubic.node.factors[1].power == 3
+    for pu in (lin, cubic):
+        need, ref_need = {}, {}
+        got = {0: _plan(pu, params, need, {})}
+        _assert_same_plan((need, got), (ref_need, {0: _plan_per_row(pu, params, ref_need, {})}))
+        if pu is lin:
+            assert isinstance(got[0][0][2], np.ndarray)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TREES, PARAMS)
+def test_plan_equals_per_row_factor_at(pu, t):
+    """Every node's planned rows, in order and as uint64, and its slots equal
+    a plan that calls Factor.at per row, over a level-2 commutator recursion
+    of the random trees, so nodes are planned at many parameters."""
+    deep = bch(2, 1, pu, pu, base="lean")
+    _assert_same_plan(_top_down(deep, t, _plan), _top_down(deep, t, _plan_per_row))
 
 
 @settings(max_examples=20, deadline=None)

@@ -360,6 +360,7 @@ class TestTimeslice:
         assert res.slices > 2
         assert calls and max(calls.values()) == 1
         assert res.error == spectral_norm(res.unitary.eval(0.5).mat - exact.eval(0.5).mat)
+        assert np.array_equal(res.mat, res.unitary.eval(0.5).mat)
 
     def test_error_monotone_in_slices(self):
         family, target = self._setup()
