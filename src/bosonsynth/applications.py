@@ -17,6 +17,7 @@ import numpy as np
 
 from .tensor_core import (
     HilbertLayout,
+    LayoutMismatchError,
     Operator,
     basis_state,
     expm,
@@ -111,7 +112,7 @@ class ApplicationSpec:
 
     def __post_init__(self, exact_generator: Operator):
         if exact_generator.layout != self.layout:
-            raise ValueError(f"{self.name}: generator layout mismatch")
+            raise LayoutMismatchError(f"{self.name}: generator layout mismatch")
         # Primitive rejects a non-Hermitian generator.
         object.__setattr__(self, "reference", Primitive(self.name, exact_generator))
 
@@ -129,9 +130,6 @@ class ApplicationSpec:
 
     def error(self, t: float | None = None) -> float:
         return spectral_norm(self.synthesized(t).mat - self.exact(t).mat)
-
-    def gate_count(self) -> int:
-        return self.synthesis.cost()
 
 
 @dataclass(frozen=True)
@@ -284,12 +282,7 @@ def _ladder_power(cutoff: int, k: int) -> Operator:
 
 
 def _ladder_encoding(
-    k: int,
-    p: int,
-    cutoff: int,
-    budget: SynthesisBudget | None,
-    base: str | None,
-    symmetrized: bool,
+    k: int, p: int, cutoff: int, base: str | None, symmetrized: bool
 ) -> BlockEncoding:
     """The encoding of (a^dag)^k that both preparations pulse: halving and
     adding for a power of two, binary digits (which take no order
@@ -297,8 +290,8 @@ def _ladder_encoding(
     if k < 1 or k > cutoff:
         raise ValueError("need 1 <= k <= cutoff")
     if k & (k - 1) == 0:
-        return power(k, p, cutoff, budget=budget, base=base, symmetrized=symmetrized)
-    if budget is not None or base is not None or symmetrized:
+        return power(k, p, cutoff, base=base, symmetrized=symmetrized)
+    if base is not None or symmetrized:
         raise ValueError("order overrides apply to power-of-two k only")
     return arb_power(k, p, cutoff)
 
@@ -308,12 +301,11 @@ def state_prep_T(
     t: float | None = None,
     p: int = 2,
     cutoff: int = 8,
-    budget: SynthesisBudget | None = None,
     base: str | None = None,
     symmetrized: bool = False,
 ) -> ApplicationSpec:
     """Block rotation that pumps |1, 0> toward |0, k>."""
-    enc = _ladder_encoding(k, p, cutoff, budget, base, symmetrized)
+    enc = _ladder_encoding(k, p, cutoff, base, symmetrized)
     layout = enc.layout
     if t is None:
         t = state_prep_exact_time(k, 0, cutoff)
@@ -332,7 +324,6 @@ def state_prep_protected(
     t: float | None = None,
     p: int = 2,
     cutoff: int = 8,
-    budget: SynthesisBudget | None = None,
     base: str | None = None,
     symmetrized: bool = False,
 ) -> ApplicationSpec:
@@ -344,7 +335,7 @@ def state_prep_protected(
     factors run at the full parameter; the echoed generator commutes with
     the bare one, so the two-factor product carries no splitting error.
     """
-    pulse = _ladder_encoding(k, p, cutoff, budget, base, symmetrized).unitary
+    pulse = _ladder_encoding(k, p, cutoff, base, symmetrized).unitary
     layout = pulse.layout
     if t is None:
         t = state_prep_exact_time(k, 0, cutoff, protected=True)
@@ -407,10 +398,10 @@ def success_probability_bound(
         raise ValueError("need 0 < delta <= 1")
     spec = state_prep_protected(k, t, p, cutoff, base=base)
     t = float(spec.time)
-    result = timeslice(spec.synthesis, spec.exact, t, 0.5 * delta)
+    result = timeslice(spec.synthesis, spec.exact(t).mat, t, 0.5 * delta)
     psi = result.mat @ spec.initial_state
     amp = np.vdot(basis_state(spec.layout, 0, k), psi)
-    counted = spec.gate_count() * result.slices
+    counted = spec.synthesis.cost() * result.slices
     return SuccessReport(
         delta=delta,
         k=k,

@@ -62,6 +62,12 @@ class UsageError(ValueError):
     """Invalid configuration or command-line input (exit code 2)."""
 
 
+# The largest grid bound a config may set. A bound near the float range
+# overflows a primitive's phases into non-finite entries; the shipped configs
+# stay below 2.
+_GRID_CEILING = 1e6
+
+
 def _at(*path: str, **kw):
     """A config field stored in the YAML at `path`, such as ("grid", "min")."""
     return field(metadata={"at": path}, **kw)
@@ -111,10 +117,14 @@ class ExperimentConfig:
         for key, value in (("min", self.t_min), ("max", self.t_max)):
             if not math.isfinite(value):
                 raise UsageError(f"grid.{key} must be finite, got {value}")
+            if value > _GRID_CEILING:
+                raise UsageError(f"grid.{key} must be at most {_GRID_CEILING:g}, got {value:g}")
         if not (0.0 < self.t_min < self.t_max):
             raise UsageError(f"grid needs 0 < min < max, got [{self.t_min}, {self.t_max}]")
         if self.bch_order < 1:
             raise UsageError("formula orders must be >= 1")
+        if self.symmetrized and not entry.symmetrizes:
+            raise UsageError(f"{self.application} takes no orders.symmetrized")
         if self.base not in (None, "lean", "split"):
             raise UsageError(f"base must be 'lean' or 'split', got {self.base!r}")
         if self.slices != "auto" and (isinstance(self.slices, str) or self.slices < 1):
@@ -221,6 +231,7 @@ class _AppEntry:
     modes: int
     detail: str = ""
     physical: tuple[str, ...] = ()  # the physical keys `build` reads, besides delta
+    symmetrizes: bool = False  # whether `build` reads orders.symmetrized
 
 
 def _trotter_reps(p: int) -> int:
@@ -303,6 +314,7 @@ _REGISTRY: dict[str, _AppEntry] = {
         bound=_bound_state_prep,
         modes=1,
         physical=("k",),
+        symmetrizes=True,
         detail=(
             "Powers of the seed encoding assembled by repeated squaring.  Driving\n"
             "|1,0> for the exact flip time t = (2n+1)*pi/(2*sqrt(k!)) lands the\n"
@@ -318,6 +330,7 @@ _REGISTRY: dict[str, _AppEntry] = {
         build=_build_hom,
         bound=_bound_hom,
         modes=2,
+        symmetrizes=True,
         detail=(
             "Commutator synthesis from two conditional quadrature couplings.  From\n"
             "|g,1,1> the exact gate shows the two-photon interference dip: the\n"
@@ -420,14 +433,15 @@ class SweepCell:
 
 def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int, known: dict):
     """Errors of family over grid. known maps grid points to family's matrix
-    there, to use and overwrite instead of an eval; they go first."""
+    there and the exact reference's, to use (and overwrite) instead of an
+    eval and a reference; they go first."""
     psi0 = spec.initial_state
 
     def one(t: float):
-        approx = known.pop(t, None)
-        if approx is None:
-            approx = family.eval(t).mat
-        exact = spec.exact(t).mat
+        if t in known:
+            approx, exact = known.pop(t)
+        else:
+            approx, exact = family.eval(t).mat, spec.exact(t).mat
         ac_err = None
         if psi0 is not None:
             ac_err = abs(
@@ -460,10 +474,12 @@ def _measure(
     spec = entry.build(cfg)
     slices, known = cfg.slices, {}
     if slices == "auto":
-        found = timeslice(spec.synthesis, spec.exact, cfg.t_max, cfg.physical.get("delta", 0.1))
-        # The search ends with the gate at grid.max, which the grid reuses.
-        slices, known[cfg.t_max] = found.slices, found.mat
-        del found
+        exact = spec.exact(cfg.t_max).mat
+        found = timeslice(spec.synthesis, exact, cfg.t_max, cfg.physical.get("delta", 0.1))
+        # The search ends with the gate at grid.max, which the grid reuses
+        # with the search's reference.
+        slices, known[cfg.t_max] = found.slices, (found.mat, exact)
+        del found, exact
     grid = cfg.grid()
     op_errs, ac_errs = _grid_errors(spec, sliced(spec.synthesis, slices), grid, threads, known)
     try:

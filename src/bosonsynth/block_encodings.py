@@ -39,7 +39,7 @@ from .product_formulas import (
     symmetrize,
     trotter,
 )
-from .tensor_core import HilbertLayout, Operator, spectral_norm
+from .tensor_core import HilbertLayout, LayoutMismatchError, Operator, spectral_norm
 
 __all__ = [
     "BlockEncoding",
@@ -100,19 +100,13 @@ class BlockEncoding:
     def reference(self) -> Primitive:
         return Primitive(f"exact[{self.unitary.label}]", self.generator)
 
-    def eval(self, t: float) -> Operator:
-        return self.unitary.eval(t)
-
-    def cost(self) -> int:
-        return self.unitary.cost()
-
     def exact(self, t: float) -> Operator:
         return Operator(self.layout, self.reference.unitary(t))
 
     def block(self, t: float) -> np.ndarray:
         """The qubit block that carries the target at first order in t."""
         d = self.block_target.dim
-        mat = self.eval(t).mat
+        mat = self.unitary.eval(t).mat
         if self.kind == "off_diagonal":
             return mat[:d, d:]
         return mat[:d, :d]
@@ -214,7 +208,7 @@ def add(
     base and symmetrized override the defaults for cost/accuracy studies.
     """
     if left.layout != right.layout:
-        raise ValueError("operand layouts differ")
+        raise LayoutMismatchError("operand layouts differ")
     if left.kind != "off_diagonal" or right.kind != "off_diagonal":
         raise ValueError("add expects off-diagonal encodings")
     _commutation_check(left.block_target, right.block_target)
@@ -262,7 +256,7 @@ def mult(
     exp(it [[A B, 0], [0, -(B A + (B A)^dag)/2]]) when A B is Hermitian.
     """
     if left.layout != right.layout:
-        raise ValueError("operand layouts differ")
+        raise LayoutMismatchError("operand layouts differ")
     if left.kind != "off_diagonal" or right.kind != "off_diagonal":
         raise ValueError("mult expects off-diagonal encodings")
     a_t, b_t = left.block_target, right.block_target

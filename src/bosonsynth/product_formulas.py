@@ -39,6 +39,7 @@ from .fock_ops import embed
 from .tensor_core import (
     TOL,
     HilbertLayout,
+    LayoutMismatchError,
     Operator,
     ResourceExhaustedError,
     _hermitian_defect,
@@ -290,19 +291,20 @@ class Factor:
 
 @dataclass(frozen=True)
 class Product:
-    """Factors in operator order: factors[0] is leftmost and acts last."""
+    """Factors in operator order: factors[0] is leftmost and acts last. A
+    positive step_scale marks a Suzuki formula, which warns once when
+    step_scale * |t| > 1."""
 
     factors: tuple[Factor, ...]
+    step_scale: float = 0.0
 
 
 @dataclass(frozen=True)
 class Repeat:
-    """child(t / count) applied count times. A positive step_scale marks a
-    one-slice Suzuki formula, which warns once when step_scale * |t| > 1."""
+    """child(t / count) applied count times."""
 
     child: ParamUnitary
     count: int
-    step_scale: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -347,7 +349,7 @@ class ParamUnitary:
         return f"ParamUnitary({self.label!r}, cost={self.cost()})"
 
 
-# One-slice Suzuki nodes that have already warned about their step size.
+# Suzuki nodes that have already warned about their step size.
 _WARNED: weakref.WeakSet = weakref.WeakSet()
 
 
@@ -411,22 +413,24 @@ def _rows(need: dict, key, params: list[float]) -> slice | np.ndarray:
 
 
 def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> list[tuple]:
-    """pu's slots at params: (stack key, rows, adjoint, local primitive). A
-    product in gathers reads only its middle factor, as a plain slot. Each
-    slot's parameters are one list expression of Factor.at's float operations
-    (numpy's powers round some differently), and p ** 1 == p is left out."""
+    """pu's slots at params: (stack key, rows, adjoint, local primitive).
+    Every slot reads one row per parameter, so a constant factor reads the
+    same row throughout. A product in gathers reads only its middle factor,
+    as a plain slot. Each slot's parameters are one list expression of
+    Factor.at's float operations (numpy's powers round some differently),
+    and p ** 1 == p is left out."""
     match pu.node:
-        case Repeat(child, count, step_scale):
-            if step_scale * max(map(abs, params)) > 1.0 and pu not in _WARNED:
+        case Repeat(child, count):
+            return [(id(child), _rows(need, id(child), [p / count for p in params]), False, None)]
+        case Product(factors, step_scale):
+            if step_scale and step_scale * max(map(abs, params)) > 1.0 and pu not in _WARNED:
                 _WARNED.add(pu)
                 warnings.warn(
-                    f"{child.label}: step size outside the well-conditioned "
+                    f"{pu.label}: step size outside the well-conditioned "
                     "range at one slice",
                     RuntimeWarning,
                     stacklevel=4,
                 )
-            return [(id(child), _rows(need, id(child), [p / count for p in params]), False, None)]
-        case Product(factors):
             slots, seen = [], {}
             if id(pu) in gathers:
                 factors = factors[1:2]
@@ -443,10 +447,6 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> l
                         # One adjoint flag when every row agrees, else a mask.
                         flips = [(p < 0) != adjoint for p in params]
                         adjoint = flips[0] if len(set(flips)) == 1 else np.array(flips)
-                    elif e == 0:
-                        # A constant factor is one matrix at every row: it is
-                        # planned at one row, which the products broadcast.
-                        ss = [c * params[0] ** e]
                     elif e == 1:
                         # 1.0 * p == p: a pass-through slot reads the parent's.
                         ss = params if c == 1 else [c * p for p in params]
@@ -536,12 +536,9 @@ def _assemble(blocks: list[np.ndarray], placed: list[tuple], m: int, k: int) -> 
 def _apply_groups(mat: np.ndarray, blocks: list, placed: list[tuple], out=None) -> np.ndarray:
     """mat @ a local primitive's unitaries on one class of equal sectors,
     for a stack of shape (batch, m, k, k): the columns at each row of
-    columns multiply by blocks[g], for each (g, columns) in placed. A
-    one-row mat (constant slots only) is broadcast to the blocks' rows.
-    Each group's product is written into its own columns of out (new when
+    columns multiply by blocks[g], for each (g, columns) in placed. Each
+    group's product is written into its own columns of out (new when
     None; laid out as _assemble's stacks), which the groups cover."""
-    if len(mat) < len(blocks[0]):
-        mat = np.broadcast_to(mat, blocks[0].shape[:1] + mat.shape[1:])
     batch, m, k = mat.shape[:3]
     # The class's sectors side by side: wide[:, r, j*k + p] = mat[:, j, r, p].
     wide = mat.transpose(0, 2, 1, 3).reshape(batch, k, m * k)
@@ -646,28 +643,28 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
 
 
 def _tile(stack: np.ndarray, rows: slice | np.ndarray, lo: int, step: int) -> np.ndarray:
-    """stack[rows][lo:lo+step], but a one-row slice (a constant slot) whole."""
+    """stack[rows][lo:lo+step], gathering only the tile's rows."""
     if isinstance(rows, np.ndarray):
         return stack[rows[lo : lo + step]]
-    return stack[rows] if rows.stop - rows.start == 1 else stack[rows][lo : lo + step]
+    return stack[rows][lo : lo + step]
 
 
 def _build_class(node, slots, stacks: dict, i: int, places: dict, gather, size: int) -> np.ndarray:
     """A Product or Repeat node's stack on class i, with size rows, from its
-    children's class-i stacks; gather is the node's entry in the tree's
-    gathers, if any. Nothing it reads outlives the call.
+    children's class-i stacks, each slot reading size rows; gather is the
+    node's entry in the tree's gathers, if any. Nothing it reads outlives
+    the call.
 
     A product is built a cache-sized tile (_TILE_BYTES) of rows at a time
     into one output stack, none for one tile or a lone slot read as is."""
     if isinstance(node, Repeat):
         key, rows, _, _ = slots[0]
         return np.linalg.matrix_power(stacks[key][i][rows], node.count)
-    n = max(len(r) if isinstance(r, np.ndarray) else r.stop - r.start for _, r, _, _ in slots)
     m, k = stacks[slots[0][0]][i].shape[1:3]
-    step = n if len(slots) == 1 and gather is None else max(1, _TILE_BYTES // (16 * m * k * k))
+    step = size if len(slots) == 1 and gather is None else max(1, _TILE_BYTES // (16 * m * k * k))
     # Laid out as _apply_groups writes (C order when m == 1).
-    out = np.empty((n, k, m, k), complex).transpose(0, 2, 1, 3) if step < n else None
-    for lo in range(0, n, step):
+    out = np.empty((size, k, m, k), complex).transpose(0, 2, 1, 3) if step < size else None
+    for lo in range(0, size, step):
         tile = None if out is None else out[lo : lo + step]
         mat = None
         for j, (key, rows, adjoint, local) in enumerate(slots):
@@ -689,11 +686,7 @@ def _build_class(node, slots, stacks: dict, i: int, places: dict, gather, size: 
             mat = np.take(mat.reshape(len(mat), -1), first + second, 1, tile, "clip")
             if phases is not None:
                 mat *= phases[0] * phases[1]
-    mat = mat if out is None else out
-    if len(mat) < size:
-        # Only constant slots: one row, repeated for the node's own.
-        mat = np.broadcast_to(mat, (size,) + mat.shape[1:])
-    return mat
+    return mat if out is None else out
 
 
 def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
@@ -793,9 +786,8 @@ def _reverse(pu: ParamUnitary, done: dict) -> ParamUnitary:
         case Leaf():
             return pu
         case Product(factors):
-            node = Product(
-                tuple(dataclasses.replace(f, pu=_reverse(f.pu, done)) for f in reversed(factors))
-            )
+            backwards = [dataclasses.replace(f, pu=_reverse(f.pu, done)) for f in factors[::-1]]
+            node = dataclasses.replace(pu.node, factors=tuple(backwards))
         case Repeat(child):
             node = dataclasses.replace(pu.node, child=_reverse(child, done))
     done[id(pu)] = out = ParamUnitary(f"rev[{pu.label}]", pu.layout, node, pu.target_power)
@@ -819,7 +811,7 @@ def compose(
     layout = factors[0].pu.layout
     for f in factors:
         if f.pu.layout != layout:
-            raise ValueError("all factors must share one layout")
+            raise LayoutMismatchError("all factors must share one layout")
     return ParamUnitary(label, layout, Product(factors), target_power)
 
 
@@ -828,7 +820,7 @@ def frame_conjugate(pu: ParamUnitary, frame: FrameGate) -> ParamUnitary:
     power 0, so reversal and inversion follow the product rules and the
     frame is recorded but not counted."""
     if frame.layout != pu.layout:
-        raise ValueError("frame and unitary layouts differ")
+        raise LayoutMismatchError("frame and unitary layouts differ")
     leaf = ParamUnitary(frame.label, frame.layout, Leaf(frame))
     factors = [Factor(leaf, power=0), Factor(pu), Factor(leaf, power=0, invert=True)]
     return compose(f"{frame.label}[{pu.label}]", factors, pu.target_power)
@@ -902,7 +894,7 @@ def bch(
     if k < 1 or k % 2 == 0:
         raise ValueError("inner power k must be odd and positive")
     if u_a.layout != u_b.layout:
-        raise ValueError("operand layouts differ")
+        raise LayoutMismatchError("operand layouts differ")
     if base is None:
         base = "split" if k == 1 else "lean"
     if base not in ("split", "lean"):
@@ -944,12 +936,12 @@ def suzuki_index(p: int) -> int:
     return (p + 1) // 2
 
 
-def trotter(order: int, terms: Sequence[ParamUnitary], slices: int = 1) -> ParamUnitary:
+def trotter(order: int, terms: Sequence[ParamUnitary]) -> ParamUnitary:
     """Suzuki product formula of even order for a list of term flows.
 
     Each term is a flow s -> exp(s G_j); the result approximates
-    exp(t sum_j G_j) with error O(t^(order+1)) per application. slices > 1
-    applies the formula slices times at t/slices each.
+    exp(t sum_j G_j) with error O(t^(order+1)) per application. sliced
+    applies it several times at a shorter step.
     """
     if order < 2 or order % 2:
         raise ValueError("order must be even and >= 2")
@@ -958,9 +950,7 @@ def trotter(order: int, terms: Sequence[ParamUnitary], slices: int = 1) -> Param
     layout = terms[0].layout
     for term in terms:
         if term.layout != layout:
-            raise ValueError("all terms must share one layout")
-    if slices < 1:
-        raise ValueError("slices must be >= 1")
+            raise LayoutMismatchError("all terms must share one layout")
 
     halves = [Factor(term, 0.5) for term in terms]
     factors = halves + halves[::-1]
@@ -969,12 +959,8 @@ def trotter(order: int, terms: Sequence[ParamUnitary], slices: int = 1) -> Param
         outer = Factor(level, suzuki_coefficient(k))
         factors = [outer, outer, Factor(level, 1.0 - 4.0 * outer.coeff), outer, outer]
     label = f"trotter{order}[" + ",".join(t.label for t in terms) + "]"
-    level = compose(label, factors)
-
-    step_scale = 4.0 * len(terms) * 5.0 ** (order // 2 - 1) if slices == 1 else 0.0
-    if slices > 1:
-        label = f"{label}/r{slices}"
-    return ParamUnitary(label, layout, Repeat(level, slices, step_scale))
+    step_scale = 4.0 * len(terms) * 5.0 ** (order // 2 - 1)
+    return ParamUnitary(label, layout, Product(tuple(factors), step_scale))
 
 
 def symmetrize(pu: ParamUnitary) -> ParamUnitary:
@@ -1012,24 +998,24 @@ class TimesliceResult:
 
 def timeslice(
     pu: ParamUnitary,
-    target: Callable[[float], Operator],
+    target: np.ndarray,
     t: float,
     eps: float,
     max_slices: int = 1 << 20,
 ) -> TimesliceResult:
-    """Smallest r with ||U(t/r)^r - target(t)|| <= eps.
+    """Smallest r with ||U(t/r)^r - target|| <= eps, for target the matrix
+    the gate approximates at t.
 
     Doubling search bracket, then bisection to the minimal count, each
     count evaluated once. Only the matrix at the upper bracket is kept; it
     is returned, so a caller need not evaluate the gate at t again.
     """
-    target_mat = target(t).mat
     best = None
 
     def err(r: int) -> float:
         nonlocal best
         mat = sliced(pu, r).eval(t).mat
-        e = spectral_norm(mat - target_mat)
+        e = spectral_norm(mat - target)
         if e <= eps:
             best = (r, e, mat)
         return e

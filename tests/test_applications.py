@@ -110,7 +110,7 @@ class TestConditionalRotation:
 
     @pytest.mark.parametrize("p,count", [(1, 34), (2, 194)])
     def test_pulse_count(self, p, count):
-        assert conditional_rotation_phase_space(p=p, cutoff=4).gate_count() == count
+        assert conditional_rotation_phase_space(p=p, cutoff=4).synthesis.cost() == count
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestConditionalRotation:
     def test_fock_route_slope_and_count(self):
         spec = conditional_rotation_fock(p=1, cutoff=15)
         assert fitted(spec) >= 1.2
-        assert spec.gate_count() == 9
+        assert spec.synthesis.cost() == 9
 
     def test_routes_agree_within_error_budget(self):
         fock = conditional_rotation_fock(p=1, cutoff=15)
@@ -242,7 +242,7 @@ class TestStatePrepSynthesized:
         errs = []
         for p, base, count, cap in self.LADDER:
             spec = state_prep_T(2, p=p, cutoff=2, base=base)
-            assert spec.gate_count() == count
+            assert spec.synthesis.cost() == count
             err = spec.error()
             assert err < cap
             errs.append(err)
@@ -250,12 +250,12 @@ class TestStatePrepSynthesized:
 
     def test_480_pulse_prep_lands_close(self):
         spec = state_prep_T(2, p=2, cutoff=2, base="lean")
-        assert spec.gate_count() == 480
+        assert spec.synthesis.cost() == 480
         assert spec.error() < 0.1
 
     def test_protected_doubles_count(self):
         spec = state_prep_protected(2, p=2, cutoff=2, base="lean")
-        assert spec.gate_count() == 960
+        assert spec.synthesis.cost() == 960
         assert spec.error() < 0.02
 
     def test_protection_costs_accuracy_at_equal_time(self):
@@ -293,7 +293,7 @@ class TestSuccessBound:
         reported = len(calls)
         spec = state_prep_protected(2, None, 2, 6)
         calls.clear()
-        search = timeslice(spec.synthesis, spec.exact, rep.t, 0.1)
+        search = timeslice(spec.synthesis, spec.exact(rep.t).mat, rep.t, 0.1)
         assert rep.slices == search.slices > 1 and reported == len(calls)
         psi = sliced(spec.synthesis, rep.slices).eval(rep.t).mat @ spec.initial_state
         amp = np.vdot(basis_state(spec.layout, 0, 2), psi)
@@ -309,8 +309,8 @@ class TestSuccessBound:
 
 class TestBeamSplitter:
     def test_step_pulse_counts(self):
-        assert conditional_beam_splitter(p=1, cutoff=4, symmetrized=False).gate_count() == 8
-        assert conditional_beam_splitter(p=1, cutoff=4, symmetrized=True).gate_count() == 16
+        assert conditional_beam_splitter(p=1, cutoff=4, symmetrized=False).synthesis.cost() == 8
+        assert conditional_beam_splitter(p=1, cutoff=4, symmetrized=True).synthesis.cost() == 16
 
     def test_exact_interference_dip(self):
         tr = hom_trace(nsteps=40, cutoff=7, synthesized=False)
@@ -349,7 +349,7 @@ class TestEffectivePauli:
     def test_z_gate_exact(self):
         spec = effective_pauli_span01("z", cutoff=6)
         assert spectral_norm(spec.synthesized(0.37).mat - spec.exact(0.37).mat) < 1e-10
-        assert spec.gate_count() == 2
+        assert spec.synthesis.cost() == 2
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_leakage_slope_symmetrized(self, axis):
@@ -358,10 +358,10 @@ class TestEffectivePauli:
         leaks = [span01_leakage(spec, lam) for lam in lams]
         fit = fit_power_law(list(lams**2), leaks)
         assert fit.exponent >= 3.5
-        assert spec.gate_count() == 17
+        assert spec.synthesis.cost() == 17
 
     def test_plain_recipe_depth(self):
-        assert effective_pauli_span01("x", cutoff=4, symmetrized=False).gate_count() == 9
+        assert effective_pauli_span01("x", cutoff=4, symmetrized=False).synthesis.cost() == 9
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
@@ -388,7 +388,7 @@ class TestAnharmonicity:
         assert fitted(anharmonicity_gate(p=p), SMALL_WINDOW) >= floor
 
     def test_pulse_count(self):
-        assert anharmonicity_gate().gate_count() == 5
+        assert anharmonicity_gate().synthesis.cost() == 5
 
 
 class TestCrossKerr:
@@ -402,7 +402,7 @@ class TestCrossKerr:
     @pytest.mark.parametrize("p,floor,count", [(1, 1.2, 4), (2, 2.0, 24)])
     def test_slope_and_count(self, p, floor, count):
         spec = cross_kerr_gate(p=p)
-        assert spec.gate_count() == count
+        assert spec.synthesis.cost() == count
         assert fitted(spec, SMALL_WINDOW) >= floor
 
 
@@ -466,7 +466,7 @@ class TestNonlinearHamiltonian:
     @pytest.mark.parametrize("q,floor,count", [(1, 0.95, 776), (2, 1.95, 829488)])
     def test_slope_and_count(self, q, floor, count):
         spec = nonlinear_hamiltonian(1.0, 0.1, q=q, cutoff=15)
-        assert spec.gate_count() == count
+        assert spec.synthesis.cost() == count
         assert fitted(spec) >= floor
 
     def test_guards(self):

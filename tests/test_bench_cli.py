@@ -23,7 +23,7 @@ from bosonsynth.bench import (
     run,
     run_sweep,
 )
-from bosonsynth.product_formulas import ParamUnitary, sliced
+from bosonsynth.product_formulas import ParamUnitary, Repeat, _topological, sliced
 from bosonsynth.tensor_core import TOL
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,6 +180,16 @@ class TestRegistry:
     def test_describe_unknown(self):
         with pytest.raises(UsageError):
             describe("bogus")
+
+    @pytest.mark.parametrize("bch", [1, 2])
+    @pytest.mark.parametrize("name", APPS)
+    def test_trees_repeat_only_to_repeat(self, name, bch):
+        """A Suzuki formula is a product of its own: every Repeat in a built
+        tree applies its child more than once."""
+        cfg = ExperimentConfig(application=name, cutoff=2, bch_order=bch, points=4)
+        pu = bench._REGISTRY[name].build(cfg).synthesis
+        counts = [node.node.count for node in _topological(pu) if isinstance(node.node, Repeat)]
+        assert all(count > 1 for count in counts)
 
 
 class TestRun:
@@ -441,6 +451,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("key", ["min", "max"])
+    def test_grid_bound_past_the_ceiling_exits_2_before_any_build(
+        self, tmp_path, capsys, monkeypatch, command, key
+    ):
+        """A finite bound whose phases would overflow (1e308 at cutoff 2)."""
+        def refuse(cfg):
+            raise AssertionError("built a gate")
+
+        entry = dataclasses.replace(bench._REGISTRY["fswap"], build=refuse)
+        monkeypatch.setitem(bench._REGISTRY, "fswap", entry)
+        grid = {"min": 1.0, "max": 1.0e308, "points": 4}
+        if key == "min":
+            grid.update(min=2.0e6, max=3.0e6)
+        path = self._write(tmp_path, {"application": "fswap", "cutoff": 2, "grid": grid})
+        assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid.{key} must be at most 1e+06") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("application", APPS)
+    def test_symmetrized_only_where_the_build_reads_it(
+        self, tmp_path, capsys, command, application
+    ):
+        """orders.symmetrized: true exits 2 where the build would ignore it,
+        so no artifact claims a symmetrization that never ran."""
+        path = self._write(tmp_path, {"application": application, "cutoff": 2,
+                                      "grid": {"points": 4}, "orders": {"symmetrized": True}})
+        code = cli.main([command, path, "--out-dir", str(tmp_path / "out")])
+        if application in ("hom-beam-splitter", "state-prep-T"):
+            assert code == 0
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {application} takes no orders.symmetrized\n"
+            assert not (tmp_path / "out").exists()
 
     def test_yaml_12_floats_load(self, tmp_path):
         """1e-3 is a float, as in YAML 1.2, not the string YAML 1.1 makes it."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonsynth.applications import nonlinear_hamiltonian
+from bosonsynth.applications import ApplicationSpec, nonlinear_hamiltonian
 from bosonsynth.block_encodings import (
     SynthesisBudget,
     add,
@@ -18,9 +18,20 @@ from bosonsynth.block_encodings import (
     s1,
     s1_from_conditional_displacements,
 )
-from bosonsynth.fock_ops import annihilation, creation, number
-from bosonsynth.product_formulas import FitWindow, Primitive, fit_power_law, sweep_errors
-from bosonsynth.tensor_core import is_unitary, spectral_norm
+from bosonsynth.fock_ops import annihilation, creation, number, qubit_gate
+from bosonsynth.product_formulas import (
+    Factor,
+    FitWindow,
+    FrameGate,
+    Primitive,
+    bch,
+    compose,
+    fit_power_law,
+    frame_conjugate,
+    sweep_errors,
+    trotter,
+)
+from bosonsynth.tensor_core import LayoutMismatchError, is_unitary, spectral_norm
 
 WINDOW = FitWindow(1e-3, 1e-1, 12)
 
@@ -31,7 +42,7 @@ def fd_deviation(enc, t):
 
 
 def fitted_slope(enc):
-    ts, errs = sweep_errors(lambda t: enc.eval(t), enc.exact, WINDOW)
+    ts, errs = sweep_errors(lambda t: enc.unitary.eval(t), enc.exact, WINDOW)
     return fit_power_law(ts, errs).exponent
 
 
@@ -41,14 +52,14 @@ class TestSeed:
         t = 0.731
         psi = np.zeros(8)
         psi[enc.layout.index(1, 0)] = 1.0
-        out = enc.eval(t).mat @ psi
+        out = enc.unitary.eval(t).mat @ psi
         expect = np.zeros(8, dtype=complex)
         expect[enc.layout.index(1, 0)] = np.cos(t)
         expect[enc.layout.index(0, 1)] = 1j * np.sin(t)
         assert np.abs(out - expect).max() < 1e-14
 
     def test_zero_time_identity(self):
-        assert spectral_norm(s1(4).eval(0.0).mat - np.eye(10)) < 1e-14
+        assert spectral_norm(s1(4).unitary.eval(0.0).mat - np.eye(10)) < 1e-14
 
     def test_generator_blocks(self):
         enc = s1(3)
@@ -57,7 +68,7 @@ class TestSeed:
         assert np.array_equal(gen[4:, :4], annihilation(3).mat)
 
     def test_cost_is_one_primitive(self):
-        assert s1(5).cost() == 1
+        assert s1(5).unitary.cost() == 1
 
     def test_first_order_block(self):
         enc = s1(15)
@@ -66,7 +77,7 @@ class TestSeed:
     def test_identity_encoding_block(self):
         enc = identity_encoding(3)
         assert np.array_equal(enc.block_target.mat, np.eye(4))
-        assert is_unitary(enc.eval(0.4), 1e-10)
+        assert is_unitary(enc.unitary.eval(0.4), 1e-10)
 
 
 class TestConditionalDisplacementRoute:
@@ -104,16 +115,16 @@ class TestConjugate:
     def test_sdg_inverts_s(self):
         enc = conjugate(conjugate(s1(3), "S"), "Sdg")
         base = s1(3)
-        assert spectral_norm(enc.eval(0.4).mat - base.eval(0.4).mat) < 1e-14
+        assert spectral_norm(enc.unitary.eval(0.4).mat - base.unitary.eval(0.4).mat) < 1e-14
         assert np.abs(enc.block_target.mat - base.block_target.mat).max() < 1e-15
 
     def test_double_x_involution(self):
         enc = conjugate(conjugate(s1(4), "X"), "X")
         base = s1(4)
-        assert spectral_norm(enc.eval(0.7).mat - base.eval(0.7).mat) == 0.0
+        assert spectral_norm(enc.unitary.eval(0.7).mat - base.unitary.eval(0.7).mat) == 0.0
 
     def test_frames_are_free(self):
-        assert conjugate(s1(4), "X").cost() == 1
+        assert conjugate(s1(4), "X").unitary.cost() == 1
 
     def test_rejects_unknown_frame(self):
         with pytest.raises(ValueError):
@@ -143,16 +154,16 @@ class TestAdd:
     def test_exponential_count(self, p, count):
         enc = add(s1(15), s1(15), p, p)
         q = SynthesisBudget.from_orders(p, p).bch_order
-        assert enc.cost() == count
-        assert enc.cost() <= 1.07 * 30**q
+        assert enc.unitary.cost() == count
+        assert enc.unitary.cost() <= 1.07 * 30**q
 
     def test_zero_time_identity(self):
         enc = add(s1(6), s1(6), 2, 2)
-        assert spectral_norm(enc.eval(0.0).mat - np.eye(14)) < 1e-12
+        assert spectral_norm(enc.unitary.eval(0.0).mat - np.eye(14)) < 1e-12
 
     def test_unitary_output(self):
         enc = add(s1(8), s1(8), 4, 4)
-        assert is_unitary(enc.eval(0.3), 1e-9)
+        assert is_unitary(enc.unitary.eval(0.3), 1e-9)
 
     def test_first_order_block_q2(self):
         enc = add(s1(15), s1(15), 4, 4)
@@ -169,7 +180,7 @@ class TestAdd:
             add(s1(6), conjugate(s1(6), "X"), 2, 2)
 
     def test_rejects_layout_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LayoutMismatchError):
             add(s1(4), s1(5), 2, 2)
 
     def test_rejects_upper_left_operand(self):
@@ -206,15 +217,15 @@ class TestMult:
     def test_exponential_count(self, p):
         enc = self._number_encoding(8, p)
         q = SynthesisBudget.from_orders(p, p).bch_order
-        assert enc.cost() == 8 * 6 ** (q - 1)
+        assert enc.unitary.cost() == 8 * 6 ** (q - 1)
 
     def test_zero_time_identity(self):
         enc = self._number_encoding(6, 2)
-        assert spectral_norm(enc.eval(0.0).mat - np.eye(14)) < 1e-12
+        assert spectral_norm(enc.unitary.eval(0.0).mat - np.eye(14)) < 1e-12
 
     def test_unitary_output(self):
         enc = self._number_encoding(8, 2)
-        assert is_unitary(enc.eval(0.3), 1e-9)
+        assert is_unitary(enc.unitary.eval(0.3), 1e-9)
 
     def test_nonhermitian_product_warns(self):
         with pytest.warns(RuntimeWarning, match="Hermitian"):
@@ -225,7 +236,7 @@ class TestPower:
     def test_single_power_is_seed(self):
         lhs = power(1, 2, 6)
         rhs = s1(6)
-        assert spectral_norm(lhs.eval(0.37).mat - rhs.eval(0.37).mat) == 0.0
+        assert spectral_norm(lhs.unitary.eval(0.37).mat - rhs.unitary.eval(0.37).mat) == 0.0
 
     def test_square_error_slope(self):
         enc = power(2, 2, 15)
@@ -236,17 +247,17 @@ class TestPower:
         p = 2
         enc = power(k, p, 6)
         bound = 6 ** math.log2(k) * 420 ** (k * p / 2)
-        assert enc.cost() <= bound
+        assert enc.unitary.cost() <= bound
 
     def test_square_count_pinned(self):
-        assert power(2, 2, 6).cost() == 960
+        assert power(2, 2, 6).unitary.cost() == 960
 
     def test_first_order_block(self):
         enc = power(2, 2, 15)
         assert fd_deviation(enc, 1e-6) < 1e-4 * spectral_norm(enc.block_target)
 
     def test_unitary_output(self):
-        assert is_unitary(power(2, 2, 8).eval(0.3), 1e-9)
+        assert is_unitary(power(2, 2, 8).unitary.eval(0.3), 1e-9)
 
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_rejects_non_power_of_two(self, k):
@@ -262,11 +273,11 @@ class TestArbPower:
     def test_power_of_two_matches_direct_route(self):
         lhs = arb_power(2, 2, 15)
         rhs = power(2, 2, 15)
-        assert spectral_norm(lhs.eval(0.05).mat - rhs.eval(0.05).mat) == 0.0
+        assert spectral_norm(lhs.unitary.eval(0.05).mat - rhs.unitary.eval(0.05).mat) == 0.0
 
     def test_single_bit_is_seed(self):
         lhs = arb_power(1, 3, 6)
-        assert spectral_norm(lhs.eval(0.23).mat - s1(6).eval(0.23).mat) == 0.0
+        assert spectral_norm(lhs.unitary.eval(0.23).mat - s1(6).unitary.eval(0.23).mat) == 0.0
 
     def test_cube_target_and_slope(self):
         enc = arb_power(3, 2, 15)
@@ -278,7 +289,7 @@ class TestArbPower:
         enc = arb_power(3, 2, 6)
         n, p = 2, 2
         bound = n**1.6 * 30 ** (n * p) * 420 ** (n * n * p / 2) * 6 ** (math.log2(n) + 1)
-        assert enc.cost() <= bound
+        assert enc.unitary.cost() <= bound
 
     def test_cube_first_order_block(self):
         # probe above the deep tree's roundoff floor (~5e-8 in the block)
@@ -289,7 +300,7 @@ class TestArbPower:
     def test_unitary_within_roundoff_floor(self):
         # ~1e5 factor products accumulate past the 1e-9 budget of the
         # single-level constructions; the defect stays at the 1e-6 scale
-        u = arb_power(3, 2, 15).eval(0.3)
+        u = arb_power(3, 2, 15).unitary.eval(0.3)
         assert is_unitary(u, 1e-6)
 
     def test_zero_digit_between_ones_matches_reference(self):
@@ -348,3 +359,22 @@ class TestBlockGenerator:
         assert np.array_equal(gen.mat[:4, 4:], number(3).mat)
         assert np.array_equal(gen.mat[4:, :4], number(3).mat)
         assert np.count_nonzero(gen.mat[:4, :4]) == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a, b: compose("ab", [Factor(a.unitary), Factor(b.unitary)]),
+        lambda a, b: trotter(2, [a.unitary, b.unitary]),
+        lambda a, b: bch(1, 1, a.unitary, b.unitary),
+        lambda a, b: frame_conjugate(a.unitary, FrameGate("X", b.layout, {0: qubit_gate("X")})),
+        lambda a, b: mult(a, b, 2, 2),
+        lambda a, b: ApplicationSpec("ab", a.layout, b.generator, a.unitary),
+    ],
+    ids=["compose", "trotter", "bch", "frame_conjugate", "mult", "spec"],
+)
+def test_layout_checks_raise_layout_mismatch(build):
+    """Every combinator that joins two layouts refuses different ones with
+    the one error type Operator raises (a ValueError); add is checked above."""
+    with pytest.raises(LayoutMismatchError):
+        build(s1(2), s1(3))

@@ -131,7 +131,7 @@ def _trees(world):
                 lambda a, b, p: bch(p, 1, a, b, base="lean"), children, children, st.integers(1, 2)
             ),
             st.builds(
-                lambda ts, o, r: trotter(o, ts, r),
+                lambda ts, o, r: sliced(trotter(o, ts), r),
                 st.lists(children, min_size=1, max_size=2),
                 st.sampled_from([2, 4]),
                 st.integers(1, 2),
@@ -254,8 +254,8 @@ def test_deep_tree_tiles_change_no_bits():
 
 
 def test_constant_product_at_several_parameters_equals_fold_bitwise():
-    """A product of power-0 factors is planned at one row and broadcast to
-    every parameter its parents need it at."""
+    """A product of power-0 factors, needed at several parameters, reads
+    its factors' one row at each of them."""
     prims, (_, frame_s) = _cutoff2_world()
     layout = frame_s.layout
     a, b = (primitive_unitary(p) for p in prims)
@@ -278,7 +278,7 @@ def test_constant_product_at_several_parameters_equals_fold_bitwise():
 
 def test_frame_over_local_primitive_at_several_parameters_equals_fold_bitwise():
     """A frame conjugation of a leaf on one factor, needed at t and -t by a
-    group commutator: the frame's one row is broadcast to the leaf's rows."""
+    group commutator: the frame's one row is read at each of the leaf's."""
     prims, (frame_h, _) = _split_world()
     x, n, _ = (primitive_unitary(p) for p in prims)
     assert prims[0].local and prims[1].local
@@ -301,8 +301,7 @@ def _plan_per_row(pu, params, need, gathers):
                 local = gate if i > 0 and isinstance(gate, Primitive) and gate.local else None
                 key = (id(f.pu), f.coeff, f.power, f.invert, f.adjoint_if_negative, local)
                 if key not in seen:
-                    constant = f.power == 0 and not f.adjoint_if_negative
-                    at = [f.at(p) for p in (params[:1] if constant else params)]
+                    at = [f.at(p) for p in params]
                     if local is None:
                         flags = [adj for _, adj in at]
                         mask = flags[0] if len(set(flags)) == 1 else np.array(flags)
@@ -374,6 +373,19 @@ def test_plan_equals_per_row_factor_at(pu, t):
     of the random trees, so nodes are planned at many parameters."""
     deep = bch(2, 1, pu, pu, base="lean")
     _assert_same_plan(_top_down(deep, t, _plan), _top_down(deep, t, _plan_per_row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(TREES, PARAMS)
+def test_every_slot_reads_its_nodes_rows(pu, t):
+    """Every slot of a node, a constant (power-0) factor's included, reads
+    one row per parameter the node is needed at, over a level-2 commutator
+    recursion of the random trees."""
+    need, plans = _top_down(bch(2, 1, pu, pu, base="lean"), t, _plan)
+    for node, slots in plans.items():
+        for _, rows, _, _ in slots:
+            count = len(rows) if isinstance(rows, np.ndarray) else rows.stop - rows.start
+            assert count == len(need[node])
 
 
 @settings(max_examples=20, deadline=None)

@@ -252,19 +252,20 @@ class TestTrotter:
     def test_slices_multiply_cost(self):
         u = flow(qubit_mode_op(position(2), "x", 2))
         v = flow(qubit_mode_op(position(2), "z", 2))
-        assert trotter(2, [u, v], slices=3).cost() == 12
+        assert sliced(trotter(2, [u, v]), 3).cost() == 12
 
     def test_step_size_warning_once_per_node(self):
         u = flow(qubit_mode_op(position(2), "x", 2))
         v = flow(qubit_mode_op(position(2), "z", 2))
         out = trotter(2, [u, v])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # Each of the four slices takes a step of 0.1, inside the range.
+            sliced(out, 4).eval(0.4)
         with pytest.warns(RuntimeWarning, match="well-conditioned") as caught:
             out.eval(0.5)
             out.eval(0.7)
         assert len(caught) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            trotter(2, [u, v], slices=4).eval(0.7)
 
     def test_bad_arguments(self):
         u = flow(qubit_mode_op(position(2), "x", 2))
@@ -286,7 +287,7 @@ class TestSymmetrize:
         seq = base.expand(t)
         labels = [iv.label for iv in seq.invocations]
         assert labels[::-1] == labels
-        two_half_steps = trotter(2, [u, v], slices=2)
+        two_half_steps = sliced(trotter(2, [u, v]), 2)
         assert spectral_norm(symmetrize(base).eval(t).mat - two_half_steps.eval(t).mat) < 1e-12
 
     def test_cost_doubles(self):
@@ -324,7 +325,7 @@ class TestTimeslice:
 
     def test_loose_tolerance_single_slice(self):
         family, target = self._setup()
-        res = timeslice(family, target, 0.2, 1.0)
+        res = timeslice(family, target(0.2).mat, 0.2, 1.0)
         assert res.slices == 1
 
     def test_halving_tolerance_bounded_growth(self):
@@ -335,8 +336,8 @@ class TestTimeslice:
         family = trotter(2, [flow(gen_a), flow(gen_b)])
         exact = flow(gen_a + gen_b)
         t = 0.5
-        coarse = timeslice(family, exact.eval, t, 1e-3)
-        fine = timeslice(family, exact.eval, t, 5e-4)
+        coarse = timeslice(family, exact.eval(t).mat, t, 1e-3)
+        fine = timeslice(family, exact.eval(t).mat, t, 5e-4)
         assert coarse.error <= 1e-3 and fine.error <= 5e-4
         assert fine.slices <= 2 * 2 * coarse.slices
 
@@ -346,7 +347,7 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
-        exact = flow(gen_a + gen_b)
+        exact = flow(gen_a + gen_b).eval(0.5).mat
         calls = Counter()
         original = ParamUnitary.eval
 
@@ -356,10 +357,10 @@ class TestTimeslice:
 
         with monkeypatch.context() as patch:
             patch.setattr(ParamUnitary, "eval", counting)
-            res = timeslice(family, exact.eval, 0.5, 1e-3)
+            res = timeslice(family, exact, 0.5, 1e-3)
         assert res.slices > 2
         assert calls and max(calls.values()) == 1
-        assert res.error == spectral_norm(res.unitary.eval(0.5).mat - exact.eval(0.5).mat)
+        assert res.error == spectral_norm(res.unitary.eval(0.5).mat - exact)
         assert np.array_equal(res.mat, res.unitary.eval(0.5).mat)
 
     def test_error_monotone_in_slices(self):
@@ -373,7 +374,7 @@ class TestTimeslice:
     def test_slice_cap(self):
         family, target = self._setup()
         with pytest.raises(ResourceExhaustedError):
-            timeslice(family, target, 0.5, 1e-12, max_slices=4)
+            timeslice(family, target(0.5).mat, 0.5, 1e-12, max_slices=4)
 
 
 class TestFitPowerLaw:
