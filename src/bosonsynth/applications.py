@@ -21,12 +21,12 @@ from .tensor_core import (
     Operator,
     basis_state,
     expm,
-    spectral_norm,
 )
 from .fock_ops import (
     annihilation,
     creation,
     embed,
+    embed_sum,
     mode_identity,
     momentum,
     number,
@@ -44,6 +44,7 @@ from .product_formulas import (
     compose,
     frame_conjugate,
     group_commutator,
+    measure,
     primitive_unitary,
     rescale,
     suzuki_index,
@@ -129,7 +130,7 @@ class ApplicationSpec:
         return self.synthesis.eval(self._at(t))
 
     def error(self, t: float | None = None) -> float:
-        return spectral_norm(self.synthesized(t).mat - self.exact(t).mat)
+        return measure(self.synthesis, self._at(t), self.reference).error
 
 
 @dataclass(frozen=True)
@@ -398,9 +399,8 @@ def success_probability_bound(
         raise ValueError("need 0 < delta <= 1")
     spec = state_prep_protected(k, t, p, cutoff, base=base)
     t = float(spec.time)
-    result = timeslice(spec.synthesis, spec.exact(t).mat, t, 0.5 * delta)
-    psi = result.mat @ spec.initial_state
-    amp = np.vdot(basis_state(spec.layout, 0, k), psi)
+    result = timeslice(spec.synthesis, spec.reference, t, 0.5 * delta, spec.initial_state)
+    amp = np.vdot(basis_state(spec.layout, 0, k), result.measured.state)
     counted = spec.synthesis.cost() * result.slices
     return SuccessReport(
         delta=delta,
@@ -454,8 +454,8 @@ def conditional_beam_splitter(
         pu = trotter(2 * suzuki_index(p), [as_linear_term(u_xx), as_linear_term(u_pp)])
 
     sz, a = pauli("z"), annihilation(cutoff)
-    hop = embed({0: sz, 1: a.dag(), 2: a}, layout) + embed({0: sz, 1: a, 2: a.dag()}, layout)
-    gen = -1.0 * hop
+    # -(sz a1^dag a2 + sz a1 a2^dag), built in place: one full-size array.
+    gen = embed_sum([{0: sz, 1: a.dag(), 2: a}, {0: sz, 1: a, 2: a.dag()}], layout, -1.0)
     return ApplicationSpec(
         name="hom-beam-splitter",
         layout=layout,

@@ -37,8 +37,8 @@ from .applications import (
     nonlinear_hamiltonian,
     state_prep_T,
 )
-from .product_formulas import fit_power_law, sliced, suzuki_index, timeslice
-from .tensor_core import TOL, ResourceExhaustedError, spectral_norm
+from .product_formulas import fit_power_law, measure, sliced, suzuki_index, timeslice
+from .tensor_core import TOL, ResourceExhaustedError
 
 __all__ = [
     "UsageError",
@@ -142,6 +142,10 @@ class ExperimentConfig:
                 f"(it takes: {takes})"
             )
         self.physical = {key: float(value) for key, value in sorted(self.physical.items())}
+        if "delta" in self.physical and self.slices != "auto":
+            raise UsageError(
+                f"physical.delta applies only to slices: auto, not slices: {self.slices}"
+            )
         if self.slices == "auto" and not 0.0 < self.physical.get("delta", 0.1) <= 1.0:
             raise UsageError("slices: auto needs 0 < physical.delta <= 1")
         if "k" in entry.physical:
@@ -432,36 +436,28 @@ class SweepCell:
 
 
 def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int, known: dict):
-    """Errors of family over grid. known maps grid points to family's matrix
-    there and the exact reference's, to use (and overwrite) instead of an
-    eval and a reference; they go first."""
+    """Errors of family over grid, each grid point measured against the
+    exact reference one class of sectors at a time (product_formulas.measure).
+    known maps grid points to measurements already made, to use instead."""
     psi0 = spec.initial_state
 
     def one(t: float):
-        if t in known:
-            approx, exact = known.pop(t)
-        else:
-            approx, exact = family.eval(t).mat, spec.exact(t).mat
+        measured = known.pop(t) if t in known else measure(family, t, spec.reference, psi0)
         ac_err = None
         if psi0 is not None:
             ac_err = abs(
-                float(np.real(np.vdot(psi0, approx @ psi0)))
-                - float(np.real(np.vdot(psi0, exact @ psi0)))
+                float(np.real(np.vdot(psi0, measured.state)))
+                - float(np.real(np.vdot(psi0, measured.exact_state)))
             )
-        # eval returns an array it owns: the error overwrites it, so one
-        # full-size matrix is alive besides exact, which goes first.
-        approx -= exact
-        del exact
-        return spectral_norm(approx), ac_err
+        return measured.error, ac_err
 
-    points = sorted(grid, key=lambda t: t not in known)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(points, pool.map(one, points)))
+            results = list(pool.map(one, grid))
     else:
-        results = {t: one(t) for t in points}
-    op_errs = [results[t][0] for t in grid]
-    ac_errs = None if psi0 is None else [results[t][1] for t in grid]
+        results = [one(t) for t in grid]
+    op_errs = [op for op, _ in results]
+    ac_errs = None if psi0 is None else [ac for _, ac in results]
     return op_errs, ac_errs
 
 
@@ -474,12 +470,10 @@ def _measure(
     spec = entry.build(cfg)
     slices, known = cfg.slices, {}
     if slices == "auto":
-        exact = spec.exact(cfg.t_max).mat
-        found = timeslice(spec.synthesis, exact, cfg.t_max, cfg.physical.get("delta", 0.1))
-        # The search ends with the gate at grid.max, which the grid reuses
-        # with the search's reference.
-        slices, known[cfg.t_max] = found.slices, (found.mat, exact)
-        del found, exact
+        delta = cfg.physical.get("delta", 0.1)
+        found = timeslice(spec.synthesis, spec.reference, cfg.t_max, delta, spec.initial_state)
+        # The search ends with a measurement at grid.max, which the grid reuses.
+        slices, known[cfg.t_max] = found.slices, found.measured
     grid = cfg.grid()
     op_errs, ac_errs = _grid_errors(spec, sliced(spec.synthesis, slices), grid, threads, known)
     try:

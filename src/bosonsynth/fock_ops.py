@@ -5,12 +5,13 @@ annihilation matrix keeps the entries a[n, n+1] = sqrt(n+1); everything else
 is built from it, so truncation artifacts are confined to the top state and
 show up only where a commutator or product reaches |L>. `embed` places
 operators on the factors of a larger layout: a product of operators on
-distinct factors, such as sigma (x) x, is one Kronecker chain.
+distinct factors, such as sigma (x) x, is one Kronecker chain, and
+`embed_sum` adds such chains, holding one full-size array.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "pauli",
     "qubit_gate",
     "embed",
+    "embed_sum",
     "vacuum_parity_flip",
     "interior_projector",
     "mode_identity",
@@ -109,6 +111,43 @@ def embed(ops: Mapping[int, Operator], layout: HilbertLayout) -> Operator:
     factors costs no dense matrix product, and each of its entries is a
     product of one entry per factor.
     """
+    return Operator(layout, _kron_chain(_factor_mats(ops, layout)))
+
+
+def embed_sum(
+    terms: Sequence[Mapping[int, Operator]], layout: HilbertLayout, scale: float = 1.0
+) -> Operator:
+    """scale * (embed(terms[0], layout) + embed(terms[1], layout) + ...),
+    holding one full-size array.
+
+    Each term's Kronecker chain is formed one block at a time: entry (i, j)
+    of the chain over its leading factors times its last factor, which is
+    how np.kron forms those entries. A block is written straight into the
+    result, or added to it for a later term, so no temporary is larger
+    than a block (a broadcast np.kron of a row block would also allocate
+    ufunc buffers). The terms are summed in order and the scale is one
+    complex multiply in place, so the result equals the sum and product of
+    whole embeddings to the bit.
+    """
+    out = np.empty((layout.dim,) * 2, dtype=np.complex128)
+    for n, ops in enumerate(terms):
+        mats = _factor_mats(ops, layout)
+        lead, last = _kron_chain(mats[:-1]), mats[-1]
+        d = len(last)
+        for (i, j), x in np.ndenumerate(lead):
+            block = out[i * d : (i + 1) * d, j * d : (j + 1) * d]
+            if n:
+                block += x * last
+            else:
+                np.multiply(x, last, out=block)
+    if scale != 1.0:
+        out *= complex(scale)
+    return Operator(layout, out)
+
+
+def _factor_mats(ops: Mapping[int, Operator], layout: HilbertLayout) -> list[np.ndarray]:
+    """The matrix on each factor of layout: ops' where given, checked
+    against the factor, and the identity elsewhere."""
     for at, op in ops.items():
         if op.layout.nfactors != 1:
             raise ValueError("embed expects single-factor operators")
@@ -118,10 +157,15 @@ def embed(ops: Mapping[int, Operator], layout: HilbertLayout) -> Operator:
             raise ValueError(
                 f"factor {at} has dim {layout.dim_of(at)}, operator has dim {op.dim}"
             )
+    return [ops[pos].mat if pos in ops else np.eye(d) for pos, (_, d) in enumerate(layout.factors)]
+
+
+def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """((1 (x) mats[0]) (x) mats[1]) (x) ..., left to right."""
     mat = np.eye(1, dtype=np.complex128)
-    for pos, (_, d) in enumerate(layout.factors):
-        mat = np.kron(mat, ops[pos].mat if pos in ops else np.eye(d))
-    return Operator(layout, mat)
+    for m in mats:
+        mat = np.kron(mat, m)
+    return mat
 
 
 def vacuum_parity_flip(cutoff: int) -> Operator:

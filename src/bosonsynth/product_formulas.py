@@ -12,16 +12,19 @@ patterns, on which every node is exactly block-diagonal (one sector when a
 frame or a primitive connects everything), with each primitive's placement
 in them and the gathers of its monomial frame conjugations. They depend only
 on the immutable tree, so they are kept on it, and a sliced tree shares
-them. Every eval then makes two passes over the distinct nodes of its tree:
-top-down, every node collects the distinct parameters it is needed at (deep
-recursions revisit a node at the same parameter many times), each slot's in
-one list expression of Python floats; bottom-up, every node builds all of
-them as one stack of matrices per sector with batched products, a
-cache-sized tile of rows at a time. A later primitive on a strict subset of
-the factors multiplies in through its index groups in each sector, and a
-conjugation by an X, S or parity-flip frame is a gather of entries times
-fixed phases. The root's blocks are scattered into one full-size matrix; no
-matrix is kept between calls.
+them. Every eval then makes a top-down pass over the distinct nodes of its
+tree, in which every node collects the distinct parameters it is needed at
+(deep recursions revisit a node at the same parameter many times), each
+slot's in one list expression of Python floats; then, one class of sectors
+at a time, a bottom-up pass in which every node builds all of them as one
+stack of matrices per sector with batched products, a cache-sized tile of
+rows at a time. A later primitive on a strict subset of the factors
+multiplies in through its index groups in each sector, and a conjugation by
+an X, S or parity-flip frame is a gather of entries times fixed phases. The
+root's blocks come back class by class: eval scatters them into one
+full-size matrix, and measure takes each class's error against a reference
+on the same indices and drops it before the next class is built. No matrix
+is kept between calls.
 """
 from __future__ import annotations
 
@@ -72,6 +75,8 @@ __all__ = [
     "suzuki_index",
     "symmetrize",
     "sliced",
+    "measure",
+    "Measurement",
     "timeslice",
     "TimesliceResult",
     "fit_power_law",
@@ -104,8 +109,9 @@ class Primitive:
         subs = [block[np.ix_(sec, sec)] for sec in sectors]
         # Entries between sectors are zero both ways, and the generator is
         # exactly the block times the identity, so this gives the same
-        # answer as the check on the full-size generator.
-        scale = max(1.0, float(np.max(np.abs(block))))
+        # answer as the check on the full-size generator, and the largest
+        # entry of the sectors is the block's.
+        scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
         if not all(_hermitian_defect(sub) <= TOL.hermiticity * scale for sub in subs):
             raise ValueError(f"primitive {label!r} needs a Hermitian generator")
         # True when the generator leaves at least one factor alone.
@@ -121,26 +127,47 @@ class Primitive:
     def blocks(self, ts: np.ndarray) -> list[np.ndarray]:
         """exp(i t H) on each sector, one stack per entry of groups with a
         block per parameter in ts."""
-        out = []
-        for evals, evecs in self._eighs:
-            phases = np.exp(1j * ts[:, None] * evals)
-            out.append((evecs * phases[:, None, :]) @ evecs.conj().T)
+        return [_exp_block(eigh, ts) for eigh in self._eighs]
+
+    def restricted(self, t: float, idx: np.ndarray) -> np.ndarray:
+        """exp(i t H) on the sorted basis indices idx, which hold every row
+        of a group that they touch: entry (a, b) is the unitary's entry
+        (idx[a], idx[b])."""
+        pos = np.full(self.layout.dim, -1)
+        pos[idx] = np.arange(len(idx))
+        out = np.zeros((len(idx),) * 2, dtype=np.complex128)
+        ts = np.array([t], dtype=float)
+        for rows, eigh in zip(self.groups, self._eighs):
+            at = pos[rows]
+            at = at[at[:, 0] >= 0]
+            if len(at):
+                out[at[:, :, None], at[:, None, :]] = _exp_block(eigh, ts)
         return out
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(i t H) on the whole layout."""
-        groups = list(enumerate(self.groups))
-        return _assemble(self.blocks(np.array([t], dtype=float)), groups, 1, self.layout.dim)[0, 0]
+        return self.restricted(t, np.arange(self.layout.dim))
 
     def __repr__(self):
         return f"Primitive({self.label!r})"
 
 
+def _exp_block(eigh: tuple[np.ndarray, np.ndarray], ts: np.ndarray) -> np.ndarray:
+    """exp(i t H) on one sector from its eigendecomposition, a block per
+    parameter in ts."""
+    evals, evecs = eigh
+    phases = np.exp(1j * ts[:, None] * evals)
+    return (evecs * phases[:, None, :]) @ evecs.conj().T
+
+
 def _scalar_identity(m: np.ndarray) -> bool:
     """Whether m[..., i, j] is m[..., 0, 0] where i == j and zero elsewhere,
-    compared exactly, with no temporary of m's size."""
+    compared exactly, with no temporary of m's size (the diagonal is compared
+    one position at a time)."""
     diag = np.diagonal(m, axis1=-2, axis2=-1)
-    return bool(np.all(diag == diag[..., :1])) and np.count_nonzero(m) == np.count_nonzero(diag)
+    return all(
+        np.array_equal(diag[..., p], diag[..., 0]) for p in range(1, diag.shape[-1])
+    ) and np.count_nonzero(m) == np.count_nonzero(diag)
 
 
 def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
@@ -331,7 +358,17 @@ class ParamUnitary:
         return self._hash
 
     def eval(self, t: float) -> Operator:
-        return Operator(self.layout, _evaluate(self, float(t)))
+        out = np.zeros((self.layout.dim,) * 2, dtype=np.complex128)
+        for cls, blocks in self.eval_classes(t):
+            out[cls[:, :, None], cls[:, None, :]] = blocks
+            del blocks  # before the next class is built
+        return Operator(self.layout, out)
+
+    def eval_classes(self, t: float):
+        """U(t) one class of the tree's sectors at a time: yields (cls,
+        blocks), blocks[j] being U(t) on the basis indices cls[j]; nothing of
+        one class is kept while the next is built."""
+        return _evaluate(self, float(t))
 
     def cost(self) -> int:
         return sum(self.cost_counter.values())
@@ -423,11 +460,13 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> l
         case Repeat(child, count):
             return [(id(child), _rows(need, id(child), [p / count for p in params]), False, None)]
         case Product(factors, step_scale):
-            if step_scale and step_scale * max(map(abs, params)) > 1.0 and pu not in _WARNED:
+            step = max(map(abs, params))
+            if step_scale and step_scale * step > 1.0 and pu not in _WARNED:
                 _WARNED.add(pu)
+                # The node's own parameter: under a Repeat, the step of one slice.
                 warnings.warn(
-                    f"{pu.label}: step size outside the well-conditioned "
-                    "range at one slice",
+                    f"{pu.label}: step size {step:g} outside the well-conditioned "
+                    f"range |t| <= {1.0 / step_scale:g}",
                     RuntimeWarning,
                     stacklevel=4,
                 )
@@ -521,11 +560,18 @@ def _place(groups: list[np.ndarray], classes: list[np.ndarray]) -> list[list[tup
     return placed
 
 
-def _assemble(blocks: list[np.ndarray], placed: list[tuple], m: int, k: int) -> np.ndarray:
+def _assemble(
+    blocks: list[np.ndarray], placed: list[tuple], m: int, k: int, out=None
+) -> np.ndarray:
     """A stack of m zero k x k blocks per parameter, with blocks[g] scattered
-    onto every row of columns, for each (g, columns) in placed. It is laid
-    out as _apply_groups reads it: block j's row r at wide[:, r, j*k:(j+1)*k]."""
-    wide = np.zeros((len(blocks[0]), k, m * k), dtype=np.complex128)
+    onto every row of columns, for each (g, columns) in placed, written
+    into out when given. It is laid out as _apply_groups reads it: block
+    j's row r at wide[:, r, j*k:(j+1)*k]."""
+    if out is None:
+        wide = np.zeros((len(blocks[0]), k, m * k), dtype=np.complex128)
+    else:
+        wide = out.transpose(0, 2, 1, 3).reshape(len(out), k, m * k)
+        wide.fill(0)
     flat = wide.reshape(len(wide), -1)
     for g, cols in placed:
         # Entry (r, q) of the block on a row c of columns is wide[:, c[r] % k, c[q]].
@@ -537,8 +583,10 @@ def _apply_groups(mat: np.ndarray, blocks: list, placed: list[tuple], out=None) 
     """mat @ a local primitive's unitaries on one class of equal sectors,
     for a stack of shape (batch, m, k, k): the columns at each row of
     columns multiply by blocks[g], for each (g, columns) in placed. Each
-    group's product is written into its own columns of out (new when
-    None; laid out as _assemble's stacks), which the groups cover."""
+    group's product is written into its own columns of out (new when None;
+    laid out as _assemble's stacks), which the groups cover. out may be mat
+    itself: each group reads its columns before it writes them, and no
+    other group reads them."""
     batch, m, k = mat.shape[:3]
     # The class's sectors side by side: wide[:, r, j*k + p] = mat[:, j, r, p].
     wide = mat.transpose(0, 2, 1, 3).reshape(batch, k, m * k)
@@ -649,37 +697,72 @@ def _tile(stack: np.ndarray, rows: slice | np.ndarray, lo: int, step: int) -> np
     return stack[rows][lo : lo + step]
 
 
-def _build_class(node, slots, stacks: dict, i: int, places: dict, gather, size: int) -> np.ndarray:
-    """A Product or Repeat node's stack on class i, with size rows, from its
-    children's class-i stacks, each slot reading size rows; gather is the
-    node's entry in the tree's gathers, if any. Nothing it reads outlives
-    the call.
+def _lands(slots: list[tuple], assembled: bool) -> list:
+    """Where each slot's product lands along a tile of a product node: 0 in
+    the output tile, 1 in the scratch tile. The last lands in the output. A
+    local primitive multiplies in place when its input is already in one of
+    the two, and any other product moves to the other one. The first slot
+    is read as is (None), unless assembled into one of the two."""
+    lands = [0]
+    for j in range(len(slots) - 1, 0, -1):
+        in_place = slots[j][3] is not None and (j > 1 or assembled)
+        lands.append(lands[-1] if in_place else 1 - lands[-1])
+    lands.reverse()
+    if not assembled:
+        lands[0] = None
+    return lands
+
+
+def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather, size: int,
+                 assembled=None) -> np.ndarray:
+    """A Product or Repeat node's stack on class i of shape (m, k), with size
+    rows, from the class-i stacks of its children (stacks[key]; a local
+    primitive's entry holds its blocks(ts)), each slot reading size rows;
+    gather is the node's entry in the tree's gathers, if any. assembled,
+    when given, is the first slot's primitive as (blocks(ts), placement): a leaf
+    read by no other slot, whose rows are assembled straight into this
+    node's tiles. Nothing it reads outlives the call.
 
     A product is built a cache-sized tile (_TILE_BYTES) of rows at a time
-    into one output stack, none for one tile or a lone slot read as is."""
+    into one output stack, none for a lone slot read as is. Along a tile's
+    slots, the products alternate between the output tile and one scratch
+    tile (see _lands), so that the last lands in the output and no step
+    allocates its own."""
     if isinstance(node, Repeat):
         key, rows, _, _ = slots[0]
-        return np.linalg.matrix_power(stacks[key][i][rows], node.count)
-    m, k = stacks[slots[0][0]][i].shape[1:3]
-    step = size if len(slots) == 1 and gather is None else max(1, _TILE_BYTES // (16 * m * k * k))
-    # Laid out as _apply_groups writes (C order when m == 1).
-    out = np.empty((size, k, m, k), complex).transpose(0, 2, 1, 3) if step < size else None
+        return np.linalg.matrix_power(stacks[key][rows], node.count)
+    m, k = shape
+    alone = len(slots) == 1 and gather is None
+    step = size if alone else max(1, _TILE_BYTES // (16 * m * k * k))
+    lands = _lands(slots, assembled is not None)
+
+    def stack(n: int) -> np.ndarray:
+        # Laid out as _apply_groups writes (C order when m == 1).
+        return np.empty((n, k, m, k), complex).transpose(0, 2, 1, 3)
+
+    out = None if alone else stack(size)
+    spare = stack(min(step, size)) if 1 in lands else None
     for lo in range(0, size, step):
         tile = None if out is None else out[lo : lo + step]
+        ends = (tile, None if spare is None else spare[: len(tile)])
         mat = None
         for j, (key, rows, adjoint, local) in enumerate(slots):
-            last = tile if j == len(slots) - 1 else None
+            dest = None if lands[j] is None else ends[lands[j]]
+            if assembled is not None and j == 0:
+                blocks, placed = assembled
+                mat = _assemble([_tile(b, rows, lo, step) for b in blocks], placed, m, k, dest)
+                continue
             if local is not None:
                 blocks = [_tile(b, rows, lo, step) for b in stacks[key]]
-                mat = _apply_groups(mat, blocks, places[id(local)][i], last)
+                mat = _apply_groups(mat, blocks, places[id(local)][i], dest)
                 continue
-            sub = _tile(stacks[key][i], rows, lo, step)
+            sub = _tile(stacks[key], rows, lo, step)
             if isinstance(adjoint, np.ndarray):
                 mask = adjoint[lo : lo + step, None, None, None]
                 sub = np.where(mask, sub.conj().swapaxes(-1, -2), sub)
             elif adjoint:
                 sub = sub.conj().swapaxes(-1, -2)
-            mat = sub if mat is None else np.matmul(mat, sub, out=last)
+            mat = sub if mat is None else np.matmul(mat, sub, out=dest)
         if gather is not None:
             first, second, phases = gather[i]
             # Contiguous, unlike fancy indexing; clip mode writes into the tile.
@@ -689,19 +772,24 @@ def _build_class(node, slots, stacks: dict, i: int, places: dict, gather, size: 
     return mat if out is None else out
 
 
-def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
-    """root at t from two passes over its distinct nodes.
+def _evaluate(root: ParamUnitary, t: float):
+    """root at t, one class of its sectors at a time: yields (cls, blocks)
+    for each class cls, blocks[j] being root's block on the indices cls[j].
 
     The tree's classes of sectors, its primitives' placements in them and
     its frame gathers are found on the first eval and reused (_sectors_of).
     Top-down, every node collects the distinct parameters it is needed at
     (float equality, first occurrence kept) and plans which child rows each
-    of its slots reads. Bottom-up, every node builds, per class, one stack
-    of its blocks with a row per parameter from its children's stacks. A
-    child's class-i stack is dropped as soon as its last reader has built
-    class i. A product F·U·G of monomial frames gathers U's entries and
-    multiplies them by a fixed phase mask instead of two products. The
-    root's blocks are scattered into one full-size matrix.
+    of its slots reads. Then, class by class, a bottom-up pass builds every
+    node's stack of its blocks on that class, with a row per parameter,
+    from its children's stacks. A leaf's stack is built when the pass first
+    reads it, or assembled straight into its reader's tiles when that is
+    its only read, as the reader's first factor. A stack is dropped as soon
+    as its last reader has built its own, so nothing of one class is alive
+    while the next is built, and the caller can use and drop a class's root
+    blocks before the next class starts. A product F·U·G of monomial frames
+    gathers U's entries and multiplies them by a fixed phase mask instead
+    of two products.
     """
     sectors = _sectors_of(root)
     classes, places, gathers = sectors.classes, sectors.places, sectors.gathers
@@ -712,56 +800,156 @@ def _evaluate(root: ParamUnitary, t: float) -> np.ndarray:
     for pu in order:
         if id(pu) in need and not isinstance(pu.node, Leaf):
             plans[id(pu)] = _plan(pu, list(need[id(pu)]), need, gathers)
-            readers.update({slot[0] for slot in plans[id(pu)]})
+            readers.update(slot[0] for slot in plans[id(pu)])
+    leaves = {id(pu): pu.node.gate for pu in order if isinstance(pu.node, Leaf)}
+    nodes = [pu for pu in reversed(order) if id(pu) in plans]
 
-    # stacks[key][i] has shape (rows, m, k, k): the node's blocks on the
-    # sectors of classes[i]. A local primitive's ("block", id) entry holds
-    # its blocks(ts) instead, one per primitive sector.
-    stacks: dict = {}
-    for pu in reversed(order):
-        node = pu.node
-        if isinstance(node, Leaf):
-            gate = node.gate
-            if ("block", id(pu)) in need:
-                ts = np.array(list(need[("block", id(pu))]), dtype=float)
-                stacks[("block", id(pu))] = gate.blocks(ts)
-            if id(pu) in need:
-                ts = np.array(list(need[id(pu)]), dtype=float)
-                if isinstance(gate, Primitive):
-                    blocks = gate.blocks(ts)
-                    stacks[id(pu)] = [
-                        _assemble(blocks, placed, *cls.shape)
-                        for cls, placed in zip(classes, places[id(gate)])
-                    ]
-                else:
-                    fixed = [gate.mat[cls[:, :, None], cls[:, None, :]] for cls in classes]
-                    stacks[id(pu)] = [np.broadcast_to(f, (len(ts),) + f.shape) for f in fixed]
-            continue
-        slots = plans[id(pu)]
-        size = len(need[id(pu)])
-        # Class stacks this node is the last to read; a local primitive's
-        # blocks are not per class and go with the node below.
-        last = {slot[0] for slot in slots if slot[3] is None and readers[slot[0]] == 1}
-        mats = []
-        for i in range(len(classes)):
-            mats.append(_build_class(node, slots, stacks, i, places, gathers.get(id(pu)), size))
-            for key in last:
-                stacks[key][i] = None
-        for key in {slot[0] for slot in slots}:
-            readers[key] -= 1
-            if not readers[key]:
-                del stacks[key]
-        stacks[id(pu)] = mats
-    stack = stacks.pop(id(root))
-    if len(classes) == 1 and len(classes[0]) == 1:
-        # A broadcast row is read-only and may alias a frame's matrix: copy it.
-        out = stack[0][0, 0]
-        return out if out.flags.writeable else out.copy()
-    out = np.zeros((root.layout.dim,) * 2, dtype=np.complex128)
+    def leaf(key, i: int):
+        """Leaf key's stack on class i; a local primitive's ("block", id)
+        entry is its blocks(ts) instead, one per primitive sector."""
+        gate = leaves[key[1] if isinstance(key, tuple) else key]
+        ts = np.array(list(need[key]), dtype=float)
+        if isinstance(key, tuple):
+            return gate.blocks(ts)
+        if isinstance(gate, Primitive):
+            return _assemble(gate.blocks(ts), places[id(gate)][i], *classes[i].shape)
+        cls = classes[i]
+        fixed = gate.mat[cls[:, :, None], cls[:, None, :]]
+        return np.broadcast_to(fixed, (len(ts),) + fixed.shape)
+
     for i, cls in enumerate(classes):
-        out[cls[:, :, None], cls[:, None, :]] = stack[i][0]
-        stack[i] = None
-    return out
+        # stacks[key] has shape (rows, m, k, k): the node's blocks on the
+        # sectors of cls. readers counts, per key, the slots still to read it.
+        stacks: dict = {}
+        left = readers.copy()
+        for pu in nodes:
+            slots, gather = plans[id(pu)], gathers.get(id(pu))
+            key, _, adjoint, _ = slots[0]
+            assembled = None
+            if (
+                isinstance(leaves.get(key), Primitive) and left[key] == 1
+                and not isinstance(adjoint, np.ndarray) and not adjoint
+                and len(slots) > 1 and gather is None
+            ):
+                gate = leaves[key]
+                ts = np.array(list(need[key]), dtype=float)
+                assembled = gate.blocks(ts), places[id(gate)][i]
+            for key, *_ in slots[0 if assembled is None else 1 :]:
+                if key not in stacks:
+                    stacks[key] = leaf(key, i)
+            size = len(need[id(pu)])
+            stacks[id(pu)] = _build_class(
+                pu.node, slots, stacks, i, cls.shape, places, gather, size, assembled
+            )
+            for key, *_ in slots:
+                left[key] -= 1
+                if not left[key]:
+                    stacks.pop(key, None)
+        if id(root) not in stacks:
+            stacks[id(root)] = leaf(id(root), i)
+        # Held by nothing here while the caller uses it.
+        yield cls, stacks.pop(id(root))[0]
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """A gate U(t) against a reference E(t) (see measure): the operator-norm
+    error ||U - E||, and with an initial state psi0, U psi0 and E psi0."""
+
+    error: float
+    state: np.ndarray | None = field(default=None, repr=False, compare=False)
+    exact_state: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+def _measured_together(classes: list[np.ndarray], reference) -> list[list[int]]:
+    """The tree's classes of sectors, joined where one sector of the
+    reference straddles several (a row of one of a Primitive's groups; a
+    matrix reference is one sector)."""
+    if not isinstance(reference, Primitive):
+        return [list(range(len(classes)))]
+    owner = np.empty(reference.layout.dim, dtype=np.intp)
+    for i, cls in enumerate(classes):
+        owner[cls] = i
+    parent = list(range(len(classes)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for rows in reference.groups:
+        own = owner[rows]
+        for row in own[np.any(own != own[:, :1], axis=1)].tolist():
+            for i in row[1:]:
+                parent[find(i)] = find(row[0])
+    joined: dict[int, list[int]] = {}
+    for i in range(len(classes)):
+        joined.setdefault(find(i), []).append(i)
+    return list(joined.values())
+
+
+def measure(
+    pu: ParamUnitary, t: float, reference: Primitive | np.ndarray, psi0: np.ndarray | None = None
+) -> Measurement:
+    """pu's U(t) against the reference E(t): a Primitive's exp(i t H), or the
+    full-size matrix E(t) itself.
+
+    It is measured one class of pu's sectors at a time: the class's blocks
+    of U, the reference on the same indices, their difference and its norm
+    are formed and dropped before the next class is built. Classes that one
+    sector of the reference straddles are measured together, so a matrix
+    reference is measured whole. Each difference's norm is spectral_norm's
+    (one SVD per sector of its nonzero pattern), and every SVD sees the
+    entries, in the order, that spectral_norm of the full-size U - E gives
+    it, so the error is the same to the bit. U psi0 and E psi0 are taken one
+    class at a time too; for a basis state psi0 they equal the full-size
+    products to the bit.
+    """
+    dim = pu.layout.dim
+    shape = (reference.layout.dim,) * 2 if isinstance(reference, Primitive) else reference.shape
+    if shape != (dim, dim):
+        raise LayoutMismatchError(f"{pu.label}: a reference of shape {shape} for dim {dim}")
+    classes = _sectors_of(pu).classes
+    together = _measured_together(classes, reference)
+    # pos[a]: basis index a's position among the sorted indices idx of its
+    # measured class, which its blocks are scattered onto.
+    pos = np.empty(dim, dtype=np.intp)
+    which, indices, waiting = {}, [], []
+    for c, members in enumerate(together):
+        idx = np.sort(np.concatenate([classes[i].ravel() for i in members]))
+        pos[idx] = np.arange(len(idx))
+        indices.append(idx)
+        waiting.append(len(members))
+        which.update(dict.fromkeys(members, c))
+    states = None if psi0 is None else (np.zeros(dim, complex), np.zeros(dim, complex))
+    held, errors, i = {}, [], -1
+    # Counted by hand: enumerate would keep a class's blocks, in the tuple it
+    # reuses, while the next class is built.
+    for cls, blocks in pu.eval_classes(t):
+        i += 1
+        c, idx = which[i], indices[which[i]]
+        diff = held.pop(c) if c in held else np.zeros((len(idx),) * 2, dtype=np.complex128)
+        at = pos[cls]
+        diff[at[:, :, None], at[:, None, :]] = blocks
+        del blocks
+        waiting[c] -= 1
+        if waiting[c]:
+            held[c] = diff
+            continue
+        if not np.all(np.isfinite(diff)):
+            raise ValueError("operator entries must be finite")
+        if isinstance(reference, Primitive):
+            exact = reference.restricted(t, idx)
+        else:
+            exact = reference[np.ix_(idx, idx)]
+        if states is not None and np.any(psi0[idx]):
+            states[0][idx] = diff @ psi0[idx]
+            states[1][idx] = exact @ psi0[idx]
+        diff -= exact
+        del exact
+        errors.append(spectral_norm(diff))
+        del diff
+    return Measurement(max(errors), *(states or ()))
 
 
 def _expand(pu: ParamUnitary, t: float) -> list[Invocation]:
@@ -993,32 +1181,34 @@ class TimesliceResult:
     slices: int
     error: float
     unitary: ParamUnitary
-    mat: np.ndarray = field(repr=False, compare=False)  # unitary.eval(t).mat, to own
+    measured: Measurement = field(repr=False, compare=False)  # at slices
 
 
 def timeslice(
     pu: ParamUnitary,
-    target: np.ndarray,
+    target: Primitive | np.ndarray,
     t: float,
     eps: float,
+    psi0: np.ndarray | None = None,
     max_slices: int = 1 << 20,
 ) -> TimesliceResult:
-    """Smallest r with ||U(t/r)^r - target|| <= eps, for target the matrix
-    the gate approximates at t.
+    """Smallest r with ||U(t/r)^r - E(t)|| <= eps, for target the reference
+    E the gate approximates at t, as measure takes it: a Primitive, or the
+    matrix E(t).
 
     Doubling search bracket, then bisection to the minimal count, each
-    count evaluated once. Only the matrix at the upper bracket is kept; it
-    is returned, so a caller need not evaluate the gate at t again.
+    count measured once (with psi0, as in measure). The measurement at the
+    count found is returned, so a caller need not evaluate the gate at t
+    again.
     """
     best = None
 
     def err(r: int) -> float:
         nonlocal best
-        mat = sliced(pu, r).eval(t).mat
-        e = spectral_norm(mat - target)
-        if e <= eps:
-            best = (r, e, mat)
-        return e
+        measured = measure(sliced(pu, r), t, target, psi0)
+        if measured.error <= eps:
+            best = (r, measured)
+        return measured.error
 
     r = 1
     e = err(r)
@@ -1036,8 +1226,8 @@ def timeslice(
             hi = mid
         else:
             lo = mid
-    r, e, mat = best
-    return TimesliceResult(r, e, sliced(pu, r), mat)
+    r, measured = best
+    return TimesliceResult(r, measured.error, sliced(pu, r), measured)
 
 
 @dataclass(frozen=True)

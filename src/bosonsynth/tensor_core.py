@@ -200,17 +200,18 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
     smallest index. No True entry links two components, so a matrix with
     this pattern is exactly block-diagonal on them.
     """
-    adj = pattern | pattern.T
-    placed = np.zeros(len(adj), dtype=bool)
+    placed = np.zeros(len(pattern), dtype=bool)
     sectors = []
-    for start in range(len(adj)):
+    for start in range(len(pattern)):
         if placed[start]:
             continue
-        member = np.zeros(len(adj), dtype=bool)
+        member = np.zeros(len(pattern), dtype=bool)
         member[start] = True
         frontier = np.array([start])
         while frontier.size:
-            reach = adj[frontier].any(axis=0) & ~member
+            # Edges both ways, from the frontier's rows and columns, with no
+            # symmetrized copy of the pattern.
+            reach = (pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)) & ~member
             member |= reach
             frontier = np.flatnonzero(reach)
         placed |= member

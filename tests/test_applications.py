@@ -283,22 +283,24 @@ class TestSuccessBound:
 
     @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
     def test_reads_the_searched_gate(self, monkeypatch):
-        """The probability comes from the search's own matrix at the
+        """The probability comes from the search's own measurement at the
         preparation time: the report makes no eval besides the search's, and
         its fields equal those read off a fresh eval of the sliced gate."""
         calls = []
-        original = ParamUnitary.eval
-        monkeypatch.setattr(ParamUnitary, "eval", lambda pu, t: calls.append(t) or original(pu, t))
+        original = ParamUnitary.eval_classes
+        monkeypatch.setattr(
+            ParamUnitary, "eval_classes", lambda pu, t: calls.append(t) or original(pu, t)
+        )
         rep = success_probability_bound(0.2)
         reported = len(calls)
         spec = state_prep_protected(2, None, 2, 6)
         calls.clear()
         search = timeslice(spec.synthesis, spec.exact(rep.t).mat, rep.t, 0.1)
         assert rep.slices == search.slices > 1 and reported == len(calls)
-        psi = sliced(spec.synthesis, rep.slices).eval(rep.t).mat @ spec.initial_state
-        amp = np.vdot(basis_state(spec.layout, 0, 2), psi)
+        mat = sliced(spec.synthesis, rep.slices).eval(rep.t).mat
+        amp = np.vdot(basis_state(spec.layout, 0, 2), mat @ spec.initial_state)
         assert rep.success_probability == float(abs(amp) ** 2)
-        assert rep.error == search.error == spectral_norm(search.mat - spec.exact(rep.t).mat)
+        assert rep.error == search.error == spectral_norm(mat - spec.exact(rep.t).mat)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

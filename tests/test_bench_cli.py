@@ -310,12 +310,13 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
     @pytest.mark.parametrize("threads", [1, 2])
     def test_auto_slices_reuse_the_searched_gate(self, tmp_path, monkeypatch, threads):
-        """The slice search's matrix at grid.max stands in for that grid
+        """The slice search's measurement at grid.max stands in for that grid
         point: a run of the shipped nonlinear-timeslice config makes one eval
         fewer than the search and the grid add up to, and writes the same
         bytes as a run that evaluates every grid point."""
         calls, searched = [], []
-        evaluate, search, grid_errors = ParamUnitary.eval, bench.timeslice, bench._grid_errors
+        evaluate, search = ParamUnitary.eval_classes, bench.timeslice
+        grid_errors = bench._grid_errors
 
         def counting_search(*args):
             before = len(calls)
@@ -323,7 +324,9 @@ class TestRun:
             searched.append(len(calls) - before)
             return found
 
-        monkeypatch.setattr(ParamUnitary, "eval", lambda pu, t: calls.append(t) or evaluate(pu, t))
+        monkeypatch.setattr(
+            ParamUnitary, "eval_classes", lambda pu, t: calls.append(t) or evaluate(pu, t)
+        )
         monkeypatch.setattr(bench, "timeslice", counting_search)
         cfg = load_config(CONFIGS / "nonlinear-timeslice.yaml")
         run(cfg, out_dir=tmp_path / "reuse", threads=threads)
@@ -489,6 +492,17 @@ class TestCli:
             assert code == 2
             assert capsys.readouterr().err == f"error: {application} takes no orders.symmetrized\n"
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_delta_only_with_auto_slices(self, tmp_path, capsys, command):
+        """physical.delta with a fixed slice count exits 2 with one error
+        line, so no artifact echoes a tolerance the run never applied."""
+        path = self._write(tmp_path, {"application": "fswap", "cutoff": 2, "slices": 1,
+                                      "grid": {"points": 4}, "physical": {"delta": 0.5}})
+        assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: physical.delta applies only to slices: auto, not slices: 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_yaml_12_floats_load(self, tmp_path):
         """1e-3 is a float, as in YAML 1.2, not the string YAML 1.1 makes it."""

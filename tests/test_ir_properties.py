@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonsynth import product_formulas
+from bosonsynth import bench, product_formulas
 from bosonsynth.applications import conditional_beam_splitter, nonlinear_hamiltonian
 from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate, vacuum_parity_flip
 from bosonsynth.product_formulas import (
@@ -27,6 +27,7 @@ from bosonsynth.product_formulas import (
     Repeat,
     _apply_groups,
     _classes,
+    _measured_together,
     _place,
     _plan,
     _rows,
@@ -38,6 +39,7 @@ from bosonsynth.product_formulas import (
     compose,
     frame_conjugate,
     group_commutator,
+    measure,
     primitive_unitary,
     rescale,
     reverse_pu,
@@ -549,12 +551,109 @@ def _eval_peak(pu, t) -> int:
 
 
 def test_eval_working_set_is_bounded():
-    """One HOM eval's traced peak stays below 3.15 full-size matrices (2.82
-    measured): each local product is written into one output stack, and a
-    child's stack on a class is freed once its last reader has built it."""
+    """One HOM eval's traced peak stays below 2.25 full-size matrices (2.14
+    measured; 2.82 when every class of a node was built before the next
+    node): classes are built one at a time into the full-size result, a
+    leaf read once is assembled straight into its reader's tiles, and local
+    products are written in place."""
     pu = conditional_beam_splitter(cutoff=10, symmetrized=True).synthesis
     full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
-    assert _eval_peak(pu, 0.05) / full < 3.15
+    assert _eval_peak(pu, 0.05) / full < 2.25
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hom_build_holds_one_full_size_matrix():
+    """Building HOM at cutoff 16 (dim 578) peaks at 1.1 full-size matrices
+    (1.085 measured; 3.08 when the reference generator was the sum and the
+    negation of whole embeddings): the reference is summed and scaled in
+    one array, and the generator is the only full-size array alive."""
+    conditional_beam_splitter(cutoff=2, symmetrized=True)  # one-time allocations
+    full = 578**2 * np.dtype(np.complex128).itemsize
+    peak = _traced_peak(lambda: conditional_beam_splitter(cutoff=16, symmetrized=True))
+    assert peak <= 1.1 * full
+
+
+def test_grid_point_working_set_is_bounded():
+    """One HOM grid point at cutoff 16 (eval, reference, difference, norm and
+    autocorrelation) peaks below 1.8 full-size matrices (1.04 measured;
+    2.78 with a full-size eval and reference): each class of sectors is
+    built, measured and dropped before the next."""
+    spec = conditional_beam_splitter(cutoff=16, symmetrized=True)
+    full = spec.layout.dim**2 * np.dtype(np.complex128).itemsize
+    point = np.array([0.05])
+    bench._grid_errors(spec, spec.synthesis, point, 1, {})  # one-time allocations
+    assert _traced_peak(lambda: bench._grid_errors(spec, spec.synthesis, point, 1, {})) < 1.8 * full
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def _full_size_measurement(pu, t, reference, psi0) -> tuple[int, int, int]:
+    """(||U - E||, Re <psi0|U|psi0>, Re <psi0|E|psi0>) from the full-size
+    matrices, as bit patterns."""
+    approx = pu.eval(t).mat
+    exact = reference.unitary(t) if isinstance(reference, Primitive) else reference
+    auto = [float(np.real(np.vdot(psi0, m @ psi0))) for m in (approx, exact)]
+    return _bits(spectral_norm(approx - exact)), _bits(auto[0]), _bits(auto[1])
+
+
+def _class_measurement(pu, t, reference, psi0) -> tuple[int, int, int]:
+    got = measure(pu, t, reference, psi0)
+    auto = [float(np.real(np.vdot(psi0, v))) for v in (got.state, got.exact_state)]
+    return _bits(got.error), _bits(auto[0]), _bits(auto[1])
+
+
+@st.composite
+def _measured(draw):
+    """A random tree, a reference on its layout (one of its world's
+    primitives, a qubit flip whose sectors straddle parity classes, or the
+    flip's full-size matrix) and a basis state."""
+    world = draw(st.sampled_from(WORLDS))
+    pu = draw(_trees(world))
+    flip = Primitive("flip", embed({0: pauli("X")}, pu.layout))
+    reference = draw(st.sampled_from(world[0] + [flip, flip.unitary(0.3)]))
+    psi0 = np.zeros(pu.layout.dim, dtype=complex)
+    psi0[draw(st.integers(0, pu.layout.dim - 1))] = 1.0
+    return pu, reference, psi0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measured(), PARAMS)
+def test_class_measurement_equals_full_size_bitwise(case, t):
+    """The error and autocorrelations measured one class of sectors at a
+    time are those of the full-size matrices, bit for bit."""
+    pu, reference, psi0 = case
+    assert _class_measurement(pu, t, reference, psi0) == _full_size_measurement(
+        pu, t, reference, psi0
+    )
+
+
+def test_classes_a_reference_straddles_are_measured_together():
+    """At cutoff 5 the tree's two parity sectors are classes of their own; a
+    reference that flips the qubit straddles them, so they are measured as
+    one, and still equal the full-size measurement bit for bit."""
+    layout = HilbertLayout.qubit_modes(5, nmodes=2)
+    a = primitive_unitary(Primitive("x1*sx", embed({0: pauli("X"), 1: position(5)}, layout)))
+    b = primitive_unitary(Primitive("x2*sy", embed({0: pauli("Y"), 2: position(5)}, layout)))
+    pu = symmetrize(group_commutator(a, b))
+    classes = _sectors_of(pu).classes
+    flip = Primitive("flip", embed({0: pauli("X")}, layout))
+    assert len(classes) == 2 and len(_measured_together(classes, a.node.gate)) == 2
+    assert _measured_together(classes, flip) == [[0, 1]]
+    psi0 = np.zeros(layout.dim, dtype=complex)
+    psi0[layout.index(0, 1, 1)] = 1.0
+    for reference in (flip, a.node.gate):
+        got = _class_measurement(pu, 0.37, reference, psi0)
+        assert got == _full_size_measurement(pu, 0.37, reference, psi0)
 
 
 def test_deep_tree_working_set_is_bounded():

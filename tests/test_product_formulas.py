@@ -33,6 +33,7 @@ from bosonsynth.product_formulas import (
 from bosonsynth.tensor_core import (
     TOL,
     HilbertLayout,
+    LayoutMismatchError,
     Operator,
     _sectors,
     commutator,
@@ -267,6 +268,18 @@ class TestTrotter:
             out.eval(0.7)
         assert len(caught) == 1
 
+    def test_step_size_warning_names_the_step_it_checked(self):
+        """Under sliced, the warning names the per-slice step (8 / 4) and the
+        range it left, not the whole parameter."""
+        x = flow(qubit_mode_op(position(2), "x", 2))
+        z = flow(qubit_mode_op(position(2), "z", 2))
+        with pytest.warns(RuntimeWarning) as caught:
+            sliced(trotter(2, [x, z]), 4).eval(8.0)
+        assert [str(w.message) for w in caught] == [
+            f"trotter2[{x.label},{z.label}]: step size 2 outside the well-conditioned "
+            "range |t| <= 0.125"
+        ]
+
     def test_bad_arguments(self):
         u = flow(qubit_mode_op(position(2), "x", 2))
         with pytest.raises(ValueError):
@@ -348,20 +361,24 @@ class TestTimeslice:
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
         exact = flow(gen_a + gen_b).eval(0.5).mat
+        psi0 = np.zeros(len(exact), dtype=complex)
+        psi0[3] = 1.0
         calls = Counter()
-        original = ParamUnitary.eval
+        original = ParamUnitary.eval_classes
 
         def counting(pu, t):
             calls[pu.label] += 1
             return original(pu, t)
 
         with monkeypatch.context() as patch:
-            patch.setattr(ParamUnitary, "eval", counting)
-            res = timeslice(family, exact, 0.5, 1e-3)
+            patch.setattr(ParamUnitary, "eval_classes", counting)
+            res = timeslice(family, exact, 0.5, 1e-3, psi0=psi0)
         assert res.slices > 2
         assert calls and max(calls.values()) == 1
-        assert res.error == spectral_norm(res.unitary.eval(0.5).mat - exact)
-        assert np.array_equal(res.mat, res.unitary.eval(0.5).mat)
+        mat = res.unitary.eval(0.5).mat
+        assert res.error == spectral_norm(mat - exact)
+        assert np.array_equal(res.measured.state, mat @ psi0)
+        assert np.array_equal(res.measured.exact_state, exact @ psi0)
 
     def test_error_monotone_in_slices(self):
         family, target = self._setup()
@@ -370,6 +387,14 @@ class TestTimeslice:
             spectral_norm(sliced(family, r).eval(t).mat - target(t).mat) for r in (1, 2, 4, 8)
         ]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
+
+    def test_reference_of_another_size_is_refused(self):
+        """A target matrix of the wrong size raises instead of being read
+        on the gate's indices."""
+        family, target = self._setup()
+        big = np.eye(len(target(0.5).mat) + 2, dtype=complex)
+        with pytest.raises(LayoutMismatchError):
+            timeslice(family, big, 0.5, 1e-3)
 
     def test_slice_cap(self):
         family, target = self._setup()
