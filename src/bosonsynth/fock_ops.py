@@ -115,7 +115,7 @@ def embed(ops: Mapping[int, Operator], layout: HilbertLayout) -> Operator:
 
 
 def embed_sum(
-    terms: Sequence[Mapping[int, Operator]], layout: HilbertLayout, scale: float = 1.0
+    terms: Sequence[Mapping[int, Operator]], layout: HilbertLayout, scale: float
 ) -> Operator:
     """scale * (embed(terms[0], layout) + embed(terms[1], layout) + ...),
     holding one full-size array.
@@ -140,8 +140,7 @@ def embed_sum(
                 block += x * last
             else:
                 np.multiply(x, last, out=block)
-    if scale != 1.0:
-        out *= complex(scale)
+    out *= complex(scale)
     return Operator(layout, out)
 
 

@@ -124,10 +124,9 @@ class Primitive:
         self.groups = [index[sec].T for sec in sectors]
         self._eighs = [np.linalg.eigh(sub) for sub in subs]
 
-    def blocks(self, ts: np.ndarray) -> list[np.ndarray]:
-        """exp(i t H) on each sector, one stack per entry of groups with a
-        block per parameter in ts."""
-        return [_exp_block(eigh, ts) for eigh in self._eighs]
+    def block(self, ts: np.ndarray, g: int) -> np.ndarray:
+        """exp(i t H) on the sector of group g, a block per parameter in ts."""
+        return _exp_block(self._eighs[g], ts)
 
     def restricted(self, t: float, idx: np.ndarray) -> np.ndarray:
         """exp(i t H) on the sorted basis indices idx, which hold every row
@@ -563,9 +562,9 @@ def _place(groups: list[np.ndarray], classes: list[np.ndarray]) -> list[list[tup
 def _assemble(
     blocks: list[np.ndarray], placed: list[tuple], m: int, k: int, out=None
 ) -> np.ndarray:
-    """A stack of m zero k x k blocks per parameter, with blocks[g] scattered
-    onto every row of columns, for each (g, columns) in placed, written
-    into out when given. It is laid out as _apply_groups reads it: block
+    """A stack of m zero k x k blocks per parameter, with each of blocks
+    scattered onto every row of the columns placed beside it, written into
+    out when given. It is laid out as _apply_groups reads it: block
     j's row r at wide[:, r, j*k:(j+1)*k]."""
     if out is None:
         wide = np.zeros((len(blocks[0]), k, m * k), dtype=np.complex128)
@@ -573,16 +572,16 @@ def _assemble(
         wide = out.transpose(0, 2, 1, 3).reshape(len(out), k, m * k)
         wide.fill(0)
     flat = wide.reshape(len(wide), -1)
-    for g, cols in placed:
+    for block, (_, cols) in zip(blocks, placed):
         # Entry (r, q) of the block on a row c of columns is wide[:, c[r] % k, c[q]].
-        flat[:, (cols % k * m * k)[:, :, None] + cols[:, None, :]] = blocks[g][:, None]
+        flat[:, (cols % k * m * k)[:, :, None] + cols[:, None, :]] = block[:, None]
     return wide.reshape(len(wide), k, m, k).transpose(0, 2, 1, 3)
 
 
 def _apply_groups(mat: np.ndarray, blocks: list, placed: list[tuple], out=None) -> np.ndarray:
     """mat @ a local primitive's unitaries on one class of equal sectors,
-    for a stack of shape (batch, m, k, k): the columns at each row of
-    columns multiply by blocks[g], for each (g, columns) in placed. Each
+    for a stack of shape (batch, m, k, k): the columns at each row of the
+    columns of each entry of placed multiply by the block beside it. Each
     group's product is written into its own columns of out (new when None;
     laid out as _assemble's stacks), which the groups cover. out may be mat
     itself: each group reads its columns before it writes them, and no
@@ -595,12 +594,12 @@ def _apply_groups(mat: np.ndarray, blocks: list, placed: list[tuple], out=None) 
     # Row r of base starts at starts[r]. One flat index array scatters a
     # hom-450 group (k = 225) in 83 us, an index array per axis in 109 us.
     starts = np.arange(0, flat.size, m * k)[:, None]
-    for g, cols in placed:
+    for block, (_, cols) in zip(blocks, placed):
         # take, unlike fancy indexing, returns the gathered columns contiguous,
         # so each group product is one batched matmul with no reshape copy.
         # No name holds the product, so it is freed before the next group's.
         flat[(starts + cols.ravel()).ravel()] = (
-            np.take(wide, cols, axis=2).reshape(batch, -1, cols.shape[1]) @ blocks[g]
+            np.take(wide, cols, axis=2).reshape(batch, -1, cols.shape[1]) @ block
         ).ravel()
     return base.transpose(0, 2, 1, 3)
 
@@ -660,11 +659,13 @@ def _gathers(sides: tuple, classes: list[np.ndarray]) -> list[tuple]:
 @dataclass(frozen=True)
 class _TreeSectors:
     """What every eval of one tree reads of its sectors: the classes, each
-    primitive's placement in them (by id of the primitive) and the gathers
-    of each monomial frame sandwich (by id of the product)."""
+    primitive's placement in them and the last class each of its groups is
+    placed in (by id of the primitive), and the gathers of each monomial
+    frame sandwich (by id of the product)."""
 
     classes: list[np.ndarray]
     places: dict[int, list[list[tuple]]]
+    last: dict[int, dict[int, int]]
     gathers: dict[int, list[tuple]]
 
 
@@ -678,14 +679,15 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
         else:
             order = _topological(root)
             classes = _classes(_tree_sectors(order))
-            places, gathers = {}, {}
+            places, last, gathers = {}, {}, {}
             for pu in order:
                 match pu.node:
                     case Leaf(Primitive() as gate):
-                        places[id(gate)] = _place(gate.groups, classes)
+                        places[id(gate)] = placed = _place(gate.groups, classes)
+                        last[id(gate)] = {g: i for i, pl in enumerate(placed) for g, _ in pl}
                     case Product(factors) if (sides := _sandwich(factors)) is not None:
                         gathers[id(pu)] = _gathers(sides, classes)
-            cached = _TreeSectors(classes, places, gathers)
+            cached = _TreeSectors(classes, places, last, gathers)
         object.__setattr__(root, "_sector_cache", cached)
     return cached
 
@@ -804,18 +806,36 @@ def _evaluate(root: ParamUnitary, t: float):
     leaves = {id(pu): pu.node.gate for pu in order if isinstance(pu.node, Leaf)}
     nodes = [pu for pu in reversed(order) if id(pu) in plans]
 
+    # A group of a local primitive can lie in several classes: its blocks
+    # are exponentiated once per eval and kept until the last of them.
+    kept: dict = {}
+
+    def blocks(key, gate: Primitive, i: int) -> list[np.ndarray]:
+        """Leaf key's primitive gate on class i: its blocks at key's
+        parameters, one per group placed in the class."""
+        ts = np.array(list(need[key]), dtype=float)
+        out = []
+        for g, _ in places[id(gate)][i]:
+            block = kept.pop((key, g), None)
+            if block is None:
+                block = gate.block(ts, g)
+            if i < sectors.last[id(gate)][g]:
+                kept[(key, g)] = block
+            out.append(block)
+        return out
+
     def leaf(key, i: int):
         """Leaf key's stack on class i; a local primitive's ("block", id)
-        entry is its blocks(ts) instead, one per primitive sector."""
+        entry is its blocks on the class instead, one per placed group."""
         gate = leaves[key[1] if isinstance(key, tuple) else key]
-        ts = np.array(list(need[key]), dtype=float)
-        if isinstance(key, tuple):
-            return gate.blocks(ts)
         if isinstance(gate, Primitive):
-            return _assemble(gate.blocks(ts), places[id(gate)][i], *classes[i].shape)
+            exps = blocks(key, gate, i)
+            if isinstance(key, tuple):
+                return exps
+            return _assemble(exps, places[id(gate)][i], *classes[i].shape)
         cls = classes[i]
         fixed = gate.mat[cls[:, :, None], cls[:, None, :]]
-        return np.broadcast_to(fixed, (len(ts),) + fixed.shape)
+        return np.broadcast_to(fixed, (len(need[key]),) + fixed.shape)
 
     for i, cls in enumerate(classes):
         # stacks[key] has shape (rows, m, k, k): the node's blocks on the
@@ -832,8 +852,7 @@ def _evaluate(root: ParamUnitary, t: float):
                 and len(slots) > 1 and gather is None
             ):
                 gate = leaves[key]
-                ts = np.array(list(need[key]), dtype=float)
-                assembled = gate.blocks(ts), places[id(gate)][i]
+                assembled = blocks(key, gate, i), places[id(gate)][i]
             for key, *_ in slots[0 if assembled is None else 1 :]:
                 if key not in stacks:
                     stacks[key] = leaf(key, i)
@@ -861,12 +880,9 @@ class Measurement:
     exact_state: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _measured_together(classes: list[np.ndarray], reference) -> list[list[int]]:
+def _measured_together(classes: list[np.ndarray], reference: Primitive) -> list[list[int]]:
     """The tree's classes of sectors, joined where one sector of the
-    reference straddles several (a row of one of a Primitive's groups; a
-    matrix reference is one sector)."""
-    if not isinstance(reference, Primitive):
-        return [list(range(len(classes)))]
+    reference (a row of one of its groups) straddles several."""
     owner = np.empty(reference.layout.dim, dtype=np.intp)
     for i, cls in enumerate(classes):
         owner[cls] = i
@@ -889,26 +905,25 @@ def _measured_together(classes: list[np.ndarray], reference) -> list[list[int]]:
 
 
 def measure(
-    pu: ParamUnitary, t: float, reference: Primitive | np.ndarray, psi0: np.ndarray | None = None
+    pu: ParamUnitary, t: float, reference: Primitive, psi0: np.ndarray | None = None
 ) -> Measurement:
-    """pu's U(t) against the reference E(t): a Primitive's exp(i t H), or the
-    full-size matrix E(t) itself.
+    """pu's U(t) against the reference E(t), the primitive's exp(i t H).
 
     It is measured one class of pu's sectors at a time: the class's blocks
     of U, the reference on the same indices, their difference and its norm
     are formed and dropped before the next class is built. Classes that one
-    sector of the reference straddles are measured together, so a matrix
-    reference is measured whole. Each difference's norm is spectral_norm's
-    (one SVD per sector of its nonzero pattern), and every SVD sees the
-    entries, in the order, that spectral_norm of the full-size U - E gives
-    it, so the error is the same to the bit. U psi0 and E psi0 are taken one
-    class at a time too; for a basis state psi0 they equal the full-size
-    products to the bit.
+    sector of the reference straddles are measured together. Each
+    difference's norm is spectral_norm's (one SVD per sector of its nonzero
+    pattern), and every SVD sees the entries, in the order, that
+    spectral_norm of the full-size U - E gives it, so the error is the same
+    to the bit. U psi0 and E psi0 are taken one class at a time too; for a
+    basis state psi0 they equal the full-size products to the bit.
     """
     dim = pu.layout.dim
-    shape = (reference.layout.dim,) * 2 if isinstance(reference, Primitive) else reference.shape
-    if shape != (dim, dim):
-        raise LayoutMismatchError(f"{pu.label}: a reference of shape {shape} for dim {dim}")
+    if reference.layout.dim != dim:
+        raise LayoutMismatchError(
+            f"{pu.label}: a reference of dim {reference.layout.dim} for dim {dim}"
+        )
     classes = _sectors_of(pu).classes
     together = _measured_together(classes, reference)
     # pos[a]: basis index a's position among the sorted indices idx of its
@@ -938,10 +953,7 @@ def measure(
             continue
         if not np.all(np.isfinite(diff)):
             raise ValueError("operator entries must be finite")
-        if isinstance(reference, Primitive):
-            exact = reference.restricted(t, idx)
-        else:
-            exact = reference[np.ix_(idx, idx)]
+        exact = reference.restricted(t, idx)
         if states is not None and np.any(psi0[idx]):
             states[0][idx] = diff @ psi0[idx]
             states[1][idx] = exact @ psi0[idx]
@@ -1186,15 +1198,14 @@ class TimesliceResult:
 
 def timeslice(
     pu: ParamUnitary,
-    target: Primitive | np.ndarray,
+    target: Primitive,
     t: float,
     eps: float,
     psi0: np.ndarray | None = None,
     max_slices: int = 1 << 20,
 ) -> TimesliceResult:
-    """Smallest r with ||U(t/r)^r - E(t)|| <= eps, for target the reference
-    E the gate approximates at t, as measure takes it: a Primitive, or the
-    matrix E(t).
+    """Smallest r with ||U(t/r)^r - E(t)|| <= eps, for E(t) the target's
+    exp(i t H), the reference the gate approximates at t.
 
     Doubling search bracket, then bisection to the minimal count, each
     count measured once (with psi0, as in measure). The measurement at the

@@ -295,7 +295,7 @@ class TestSuccessBound:
         reported = len(calls)
         spec = state_prep_protected(2, None, 2, 6)
         calls.clear()
-        search = timeslice(spec.synthesis, spec.exact(rep.t).mat, rep.t, 0.1)
+        search = timeslice(spec.synthesis, spec.reference, rep.t, 0.1)
         assert rep.slices == search.slices > 1 and reported == len(calls)
         mat = sliced(spec.synthesis, rep.slices).eval(rep.t).mat
         amp = np.vdot(basis_state(spec.layout, 0, 2), mat @ spec.initial_state)

@@ -11,6 +11,7 @@ from bosonsynth.fock_ops import (
     annihilation,
     creation,
     embed,
+    embed_sum,
     interior_projector,
     ladder_power_norm,
     momentum,
@@ -164,6 +165,23 @@ class TestEmbed:
             before, after = math.prod(dims[:at]), math.prod(dims[at + 1:])
             dense = dense @ np.kron(np.kron(np.eye(before), op.mat), np.eye(after))
         assert np.array_equal(embed(ops, layout).mat, dense)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.5])
+    def test_sum_equals_scaled_sum_of_embeds_bitwise(self, scale):
+        """embed_sum equals the sum of whole embeddings times the scale, bit
+        for bit, including the signs of zeros."""
+        layout = HilbertLayout.qubit_modes(3, nmodes=2)
+        rng = np.random.default_rng(5)
+        terms = []
+        for support in ({0: 2, 1: 4, 2: 4}, {1: 4, 2: 4}, {0: 2, 2: 4}):
+            terms.append({
+                at: Operator(HilbertLayout((("mode", d),)), rng.normal(size=(d, d)) + 0j)
+                for at, d in support.items()
+            })
+        first, second, third = (embed(ops, layout).mat for ops in terms)
+        want = (first + second + third) * complex(scale)
+        got = embed_sum(terms, layout, scale).mat
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestVacuumFlip:

@@ -336,9 +336,17 @@ class TestTimeslice:
         target = commutator_target(gen_a, gen_b)
         return family, target
 
+    def _reference(self):
+        """The target exp([iA, iB] t) as a primitive: exp(i t H) for the
+        Hermitian H = i [A, B]."""
+        gen_a = qubit_mode_op(position(6), "x", 6)
+        gen_b = qubit_mode_op(position(6), "y", 6)
+        comm = commutator(gen_a, gen_b)
+        return Primitive("[x,y]", Operator(comm.layout, 1j * comm.mat))
+
     def test_loose_tolerance_single_slice(self):
-        family, target = self._setup()
-        res = timeslice(family, target(0.2).mat, 0.2, 1.0)
+        family, _ = self._setup()
+        res = timeslice(family, self._reference(), 0.2, 1.0)
         assert res.slices == 1
 
     def test_halving_tolerance_bounded_growth(self):
@@ -347,10 +355,10 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
-        exact = flow(gen_a + gen_b)
+        exact = Primitive("x+y", gen_a + gen_b)
         t = 0.5
-        coarse = timeslice(family, exact.eval(t).mat, t, 1e-3)
-        fine = timeslice(family, exact.eval(t).mat, t, 5e-4)
+        coarse = timeslice(family, exact, t, 1e-3)
+        fine = timeslice(family, exact, t, 5e-4)
         assert coarse.error <= 1e-3 and fine.error <= 5e-4
         assert fine.slices <= 2 * 2 * coarse.slices
 
@@ -360,7 +368,8 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
-        exact = flow(gen_a + gen_b).eval(0.5).mat
+        reference = Primitive("x+y", gen_a + gen_b)
+        exact = reference.unitary(0.5)
         psi0 = np.zeros(len(exact), dtype=complex)
         psi0[3] = 1.0
         calls = Counter()
@@ -372,7 +381,7 @@ class TestTimeslice:
 
         with monkeypatch.context() as patch:
             patch.setattr(ParamUnitary, "eval_classes", counting)
-            res = timeslice(family, exact, 0.5, 1e-3, psi0=psi0)
+            res = timeslice(family, reference, 0.5, 1e-3, psi0=psi0)
         assert res.slices > 2
         assert calls and max(calls.values()) == 1
         mat = res.unitary.eval(0.5).mat
@@ -389,17 +398,17 @@ class TestTimeslice:
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
     def test_reference_of_another_size_is_refused(self):
-        """A target matrix of the wrong size raises instead of being read
-        on the gate's indices."""
-        family, target = self._setup()
-        big = np.eye(len(target(0.5).mat) + 2, dtype=complex)
+        """A target on a layout of another size raises instead of being
+        read on the gate's indices."""
+        family, _ = self._setup()
+        big = Primitive("x", qubit_mode_op(position(7), "x", 7))
         with pytest.raises(LayoutMismatchError):
             timeslice(family, big, 0.5, 1e-3)
 
     def test_slice_cap(self):
-        family, target = self._setup()
+        family, _ = self._setup()
         with pytest.raises(ResourceExhaustedError):
-            timeslice(family, target(0.5).mat, 0.5, 1e-12, max_slices=4)
+            timeslice(family, self._reference(), 0.5, 1e-12, max_slices=4)
 
 
 class TestFitPowerLaw:
