@@ -17,10 +17,10 @@ import numpy as np
 
 from .tensor_core import (
     HilbertLayout,
-    LayoutMismatchError,
     Operator,
     basis_state,
     expm,
+    kron,
 )
 from .fock_ops import (
     annihilation,
@@ -95,12 +95,12 @@ __all__ = [
 class ApplicationSpec:
     """A synthesized unitary family with its exact reference.
 
-    exact(t) = exp(i t G) from the eigendecompositions of the sectors of G's
-    block on its support, made when the spec is built, so exact(t) is zero
-    between sectors. The spec keeps that reference, not the full-size
-    generator G (exact_generator). synthesized(t) evaluates the compiled
-    product. time records the evaluation point the construction was asked
-    for (the preparation time, one trace step, ...), where one exists.
+    exact(t) = exp(i t G) from the eigendecompositions of the sectors of G,
+    made when the spec is built, so exact(t) is zero between sectors. The
+    spec keeps that reference, not the full-size generator G
+    (exact_generator). synthesized(t) evaluates the compiled product. time
+    records the evaluation point the construction was asked for (the
+    preparation time, one trace step, ...), where one exists.
     """
 
     name: str
@@ -112,10 +112,8 @@ class ApplicationSpec:
     reference: Primitive = field(init=False, repr=False)
 
     def __post_init__(self, exact_generator: Operator):
-        if exact_generator.layout != self.layout:
-            raise LayoutMismatchError(f"{self.name}: generator layout mismatch")
-        # Primitive rejects a non-Hermitian generator.
-        object.__setattr__(self, "reference", Primitive(self.name, exact_generator))
+        # Primitive rejects a generator on another layout or a non-Hermitian one.
+        object.__setattr__(self, "reference", Primitive(self.name, self.layout, exact_generator))
 
     def _at(self, t: float | None) -> float:
         t = self.time if t is None else t
@@ -183,7 +181,7 @@ def _conditional_square(mode_op: Operator, tag: str, layout: HilbertLayout,
     scale = 1.0 / math.sqrt(2.0)
     u_a, u_b = (
         primitive_unitary(
-            Primitive(f"{tag}*s{s}", scale * embed({0: pauli(s), at: mode_op}, layout))
+            Primitive(f"{tag}*s{s}", layout, scale * kron(pauli(s), mode_op), (0, at))
         )
         for s in _AXIS_PAIR[axis]
     )
@@ -212,7 +210,7 @@ def conditional_rotation_phase_space(
     u_x2 = _conditional_square(x_op, "x", layout, 1, axis, p, base)
     u_p2 = _conditional_square(p_op, "p", layout, 1, axis, p, base)
     half_phase = primitive_unitary(
-        Primitive("half-phase", -0.5 * embed({0: pauli(axis)}, layout))
+        Primitive("half-phase", layout, -0.5 * pauli(axis), (0,))
     )
     pu = trotter(
         2 * suzuki_index(p), [as_linear_term(u_x2), as_linear_term(u_p2), half_phase]
@@ -245,7 +243,7 @@ def conditional_rotation_fock(
     enc = mult(s1(cutoff), conjugate(s1(cutoff), "X"), 2 * p, 2 * p, base=base)
     layout = enc.layout
     lower = Operator(HilbertLayout.single_qubit(), np.diag([0.0, 1.0]).astype(complex))
-    corr = primitive_unitary(Primitive("qubit1-phase", embed({0: lower}, layout)))
+    corr = primitive_unitary(Primitive("qubit1-phase", layout, lower, (0,)))
     pu = compose(
         "cond-rot-fock",
         [Factor(enc.unitary), Factor(corr)],
@@ -435,8 +433,8 @@ def conditional_beam_splitter(
     sx, sy = pauli("x"), pauli("y")
 
     def pair_block(m: Operator, tag: str) -> ParamUnitary:
-        u_a = primitive_unitary(Primitive(f"{tag}1*sx", embed({0: sx, 1: m}, layout)))
-        u_b = primitive_unitary(Primitive(f"{tag}2*sy", embed({0: sy, 2: m}, layout)))
+        u_a = primitive_unitary(Primitive(f"{tag}1*sx", layout, kron(sx, m), (0, 1)))
+        u_b = primitive_unitary(Primitive(f"{tag}2*sy", layout, kron(sy, m), (0, 2)))
         return bch(p, 1, u_a, u_b, base=base)
 
     u_xx = pair_block(position(cutoff), "x")
@@ -538,27 +536,26 @@ def effective_pauli_span01(
     sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
     xm, pm, nm = position(cutoff), momentum(cutoff), number(cutoff)
 
-    def prim(tag: str, gen: Operator) -> ParamUnitary:
-        return primitive_unitary(Primitive(tag, gen))
-
-    def on(ops: dict) -> Operator:
-        return embed(ops, layout)
+    def prim(tag: str, gen: Operator, at: tuple[int, ...]) -> ParamUnitary:
+        return primitive_unitary(Primitive(tag, layout, gen, at))
 
     if axis == "x":
-        anti = group_commutator(prim("x*sx", on({0: sx, 1: xm})), prim("n*sy", on({0: sy, 1: nm})))
-        comm = group_commutator(prim("p", on({1: pm})), prim("n*sz", on({0: sz, 1: nm})))
-        lin = prim("2x*sz", 2.0 * on({0: sz, 1: xm}))
+        anti = group_commutator(prim("x*sx", kron(sx, xm), (0, 1)),
+                                prim("n*sy", kron(sy, nm), (0, 1)))
+        comm = group_commutator(prim("p", pm, (1,)), prim("n*sz", kron(sz, nm), (0, 1)))
+        lin = prim("2x*sz", 2.0 * kron(sz, xm), (0, 1))
     elif axis == "y":
-        anti = group_commutator(prim("p*sx", on({0: sx, 1: pm})), prim("n*sy", on({0: sy, 1: nm})))
-        comm = group_commutator(prim("n*sz", on({0: sz, 1: nm})), prim("x", on({1: xm})))
-        lin = prim("2p*sz", 2.0 * on({0: sz, 1: pm}))
+        anti = group_commutator(prim("p*sx", kron(sx, pm), (0, 1)),
+                                prim("n*sy", kron(sy, nm), (0, 1)))
+        comm = group_commutator(prim("n*sz", kron(sz, nm), (0, 1)), prim("x", xm, (1,)))
+        lin = prim("2p*sz", 2.0 * kron(sz, pm), (0, 1))
     elif axis == "z":
         pu = compose(
             "eff-pauli-z",
-            [Factor(prim("qubit-phase", on({0: sz}))),
-             Factor(prim("-2n*sz", -2.0 * on({0: sz, 1: nm})))],
+            [Factor(prim("qubit-phase", sz, (0,))),
+             Factor(prim("-2n*sz", -2.0 * kron(sz, nm), (0, 1)))],
         )
-        gen = on({0: sz, 1: mode_identity(cutoff) - 2.0 * nm})
+        gen = embed({0: sz, 1: mode_identity(cutoff) - 2.0 * nm}, layout)
         return ApplicationSpec(
             name="eff-pauli-z",
             layout=layout,
@@ -575,7 +572,7 @@ def effective_pauli_span01(
         f"eff-pauli-{axis}",
         [Factor(as_linear_term(anti)), Factor(as_linear_term(comm)), Factor(lin)],
     )
-    gen = on({0: sz, 1: sigma_eff(axis, cutoff)})
+    gen = embed({0: sz, 1: sigma_eff(axis, cutoff)}, layout)
     return ApplicationSpec(
         name=f"eff-pauli-{axis}",
         layout=layout,
@@ -609,7 +606,7 @@ def anharmonicity_gate(
     layout = HilbertLayout.qubit_modes(cutoff)
     u_n2 = _conditional_square(number(cutoff), "n", layout, 1, axis, p, base)
     n_op, s_axis = number(cutoff), pauli(axis)
-    lin = primitive_unitary(Primitive("-n*sz", -1.0 * embed({0: s_axis, 1: n_op}, layout)))
+    lin = primitive_unitary(Primitive("-n*sz", layout, -1.0 * kron(s_axis, n_op), (0, 1)))
     pu = compose("anharmonicity", [Factor(as_linear_term(u_n2)), Factor(lin)])
     gen = embed({0: s_axis, 1: n_op @ n_op - n_op}, layout)
     return ApplicationSpec(
@@ -634,10 +631,10 @@ def cross_kerr_gate(
     n_op = number(cutoff)
     scale = 1.0 / math.sqrt(2.0)
     u_a = primitive_unitary(
-        Primitive(f"n1*s{first}", scale * embed({0: pauli(first), 1: n_op}, layout))
+        Primitive(f"n1*s{first}", layout, scale * kron(pauli(first), n_op), (0, 1))
     )
     u_b = primitive_unitary(
-        Primitive(f"n2*s{second}", scale * embed({0: pauli(second), 2: n_op}, layout))
+        Primitive(f"n2*s{second}", layout, scale * kron(pauli(second), n_op), (0, 2))
     )
     block = bch(p, 1, u_a, u_b, base=base)
     pu = as_linear_term(block, label="cross-kerr")

@@ -108,8 +108,10 @@ class ExperimentConfig:
         if entry is None:
             known = ", ".join(_REGISTRY)
             raise UsageError(f"unknown application {self.application!r} (known: {known})")
-        if self.cutoff < 1:
-            raise UsageError("cutoff must be >= 1")
+        if self.cutoff < entry.min_cutoff:
+            raise UsageError(
+                f"{self.application} needs cutoff >= {entry.min_cutoff}, got {self.cutoff}"
+            )
         if self.points < 4:
             raise UsageError(f"grid needs at least 4 points for fits, got {self.points}")
         if self.points > 10_000:
@@ -236,6 +238,7 @@ class _AppEntry:
     detail: str = ""
     physical: tuple[str, ...] = ()  # the physical keys `build` reads, besides delta
     symmetrizes: bool = False  # whether `build` reads orders.symmetrized
+    min_cutoff: int = 1  # the smallest cutoff `build` takes
 
 
 def _trotter_reps(p: int) -> int:
@@ -305,6 +308,7 @@ _REGISTRY: dict[str, _AppEntry] = {
         build=_build_conditional_rotation,
         bound=_bound_conditional_rotation,
         modes=1,
+        min_cutoff=2,
         detail=(
             "Trotterized sum of two commutator-synthesized squares plus one exact\n"
             "phase.  Exact-gate autocorrelation from |g,2> follows cos(2t).  Cost\n"
@@ -349,6 +353,7 @@ _REGISTRY: dict[str, _AppEntry] = {
         bound=_bound_nonlinear,
         modes=1,
         physical=("omega", "kappa"),
+        min_cutoff=2,
         detail=(
             "Number operator and its square assembled from ladder products, then\n"
             "Trotterized.  The qubit must start in |0>.  slices: auto picks the\n"

@@ -19,7 +19,6 @@ import numpy as np
 from .fock_ops import (
     annihilation,
     creation,
-    embed,
     interior_projector,
     mode_identity,
     number,
@@ -39,7 +38,7 @@ from .product_formulas import (
     symmetrize,
     trotter,
 )
-from .tensor_core import HilbertLayout, LayoutMismatchError, Operator, spectral_norm
+from .tensor_core import HilbertLayout, LayoutMismatchError, Operator, kron, spectral_norm
 
 __all__ = [
     "BlockEncoding",
@@ -98,7 +97,7 @@ class BlockEncoding:
 
     @cached_property
     def reference(self) -> Primitive:
-        return Primitive(f"exact[{self.unitary.label}]", self.generator)
+        return Primitive(f"exact[{self.unitary.label}]", self.layout, self.generator)
 
     def exact(self, t: float) -> Operator:
         return Operator(self.layout, self.reference.unitary(t))
@@ -120,7 +119,7 @@ def s1(cutoff: int) -> BlockEncoding:
     """The seed encoding of the creation operator: one native exponential."""
     target = creation(cutoff)
     gen = block_generator(target)
-    pu = primitive_unitary(Primitive("S1", gen))
+    pu = primitive_unitary(Primitive("S1", gen.layout, gen))
     return BlockEncoding(pu, target, gen)
 
 
@@ -128,7 +127,7 @@ def identity_encoding(cutoff: int) -> BlockEncoding:
     """Encodes the mode identity: exp(it X (x) I), a qubit rotation."""
     ident = mode_identity(cutoff)
     gen = block_generator(ident)
-    pu = primitive_unitary(Primitive("RX", gen))
+    pu = primitive_unitary(Primitive("RX", gen.layout, pauli("X"), (0,)))
     return BlockEncoding(pu, ident, gen)
 
 
@@ -141,9 +140,9 @@ def s1_from_conditional_displacements(cutoff: int) -> ParamUnitary:
     """
     layout = HilbertLayout.qubit_modes(cutoff)
     quad = annihilation(cutoff) + creation(cutoff)
-    cd_x = primitive_unitary(Primitive("CD_x", embed({0: pauli("X"), 1: quad}, layout)))
-    cd_y = primitive_unitary(Primitive("CD_y", embed({0: pauli("Y"), 1: quad}, layout)))
-    rot = primitive_unitary(Primitive("Rmode", embed({1: number(cutoff)}, layout)))
+    cd_x = primitive_unitary(Primitive("CD_x", layout, kron(pauli("X"), quad), (0, 1)))
+    cd_y = primitive_unitary(Primitive("CD_y", layout, kron(pauli("Y"), quad), (0, 1)))
+    rot = primitive_unitary(Primitive("Rmode", layout, number(cutoff), (1,)))
 
     quarter = math.pi / 2
     factors = [

@@ -89,28 +89,40 @@ __all__ = [
 class Primitive:
     """One directly exponentiable Hermitian generator.
 
-    The support is the set of tensor factors the generator acts on: off it,
-    the generator must equal its block on the support times the identity,
-    entry for entry. That block splits further into the sectors of its
-    nonzero pattern (the quantum numbers the generator conserves), and each
-    sector is eigendecomposed on its own. So exp(i t H) is unitary to
-    rounding and exactly block-diagonal on the index groups: group k holds
-    the full-size basis indices of sector k's support states, one row per
-    state of the spectator factors, and every row carries the same block.
-    The primitive keeps the groups and the sectors' eigendecompositions, not
-    the full-size generator.
+    The generator acts on the factors of layout at the strictly increasing
+    positions `at` (None: every factor), and its layout is theirs; on the
+    other factors the primitive is the identity. The builder names those
+    factors, so nothing is searched for: `support` is `at`. The generator
+    splits into the sectors of its nonzero pattern (the quantum numbers it
+    conserves), and each sector is eigendecomposed on its own. So
+    exp(i t H) is unitary to rounding and exactly block-diagonal on the
+    index groups: group k holds the full-size basis indices of sector k's
+    support states, one row per state of the other factors, and every row
+    carries the same block. The primitive keeps the groups and the sectors'
+    eigendecompositions, not a full-size generator.
     """
 
-    def __init__(self, label: str, generator: Operator):
+    def __init__(self, label: str, layout: HilbertLayout, generator: Operator,
+                 at: Sequence[int] | None = None):
         self.label = label
-        self.layout = generator.layout
-        self.support, block = _support_block(generator)
+        self.layout = layout
+        self.support = tuple(range(layout.nfactors)) if at is None else tuple(at)
+        fits = (
+            list(self.support) == sorted(set(self.support))
+            and set(self.support) <= set(range(layout.nfactors))
+            and generator.layout.factors == tuple(layout.factors[j] for j in self.support)
+        )
+        if not fits:
+            raise LayoutMismatchError(
+                f"primitive {label!r}: a generator on {generator.layout.factors} does not "
+                f"fit factors {self.support} of {layout.factors}"
+            )
+        block = generator.mat
         sectors = _sectors(block != 0)
         subs = [block[np.ix_(sec, sec)] for sec in sectors]
-        # Entries between sectors are zero both ways, and the generator is
-        # exactly the block times the identity, so this gives the same
-        # answer as the check on the full-size generator, and the largest
-        # entry of the sectors is the block's.
+        # Entries between sectors are zero both ways, so this gives the same
+        # answer as the check on the whole generator, and the largest entry
+        # of the sectors is the generator's.
         scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
         if not all(_hermitian_defect(sub) <= TOL.hermiticity * scale for sub in subs):
             raise ValueError(f"primitive {label!r} needs a Hermitian generator")
@@ -157,40 +169,6 @@ def _exp_block(eigh: tuple[np.ndarray, np.ndarray], ts: np.ndarray) -> np.ndarra
     evals, evecs = eigh
     phases = np.exp(1j * ts[:, None] * evals)
     return (evecs * phases[:, None, :]) @ evecs.conj().T
-
-
-def _scalar_identity(m: np.ndarray) -> bool:
-    """Whether m[..., i, j] is m[..., 0, 0] where i == j and zero elsewhere,
-    compared exactly, with no temporary of m's size (the diagonal is compared
-    one position at a time)."""
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    return all(
-        np.array_equal(diag[..., p], diag[..., 0]) for p in range(1, diag.shape[-1])
-    ) and np.count_nonzero(m) == np.count_nonzero(diag)
-
-
-def _support_block(op: Operator) -> tuple[tuple[int, ...], np.ndarray]:
-    """(support, block): the factors op acts on and its matrix there.
-
-    A factor is off the support when op equals its slice at that factor's
-    (0, 0) entry times the identity there, compared exactly. Each factor is
-    tested on the slice left by the factors dropped before it, so op is
-    exactly the block times the identity on every dropped factor. The
-    leading 2x2 corner is compared first, so most factors of the support
-    fail without a full-size comparison.
-    """
-    dims = [d for _, d in op.layout.factors]
-    tensor = op.mat.reshape(dims * 2)
-    support: list[int] = []
-    for j, d in enumerate(dims):
-        pos, m = len(support), tensor.ndim // 2
-        moved = np.moveaxis(tensor, (pos, m + pos), (-2, -1))
-        if _scalar_identity(moved[..., :2, :2]) and _scalar_identity(moved):
-            tensor = moved[..., 0, 0]
-        else:
-            support.append(j)
-    block_dim = math.prod(dims[j] for j in support)
-    return tuple(support), tensor.reshape(block_dim, block_dim)
 
 
 class FrameGate:

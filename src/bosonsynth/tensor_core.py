@@ -232,15 +232,12 @@ def is_unitary(op: Operator, tol: float | None = None) -> bool:
     return float(np.max(np.abs(gram - np.eye(op.dim)))) <= tol
 
 
-def expm(op: Operator, dim_cap: int | None = None) -> Operator:
+def expm(op: Operator) -> Operator:
     """exp(A) for anti-Hermitian A = iH, through one eigendecomposition of H,
     so the result is unitary to rounding. Any other input raises ValueError:
     every exponential the package takes is of this form."""
-    cap = TOL.dim_cap if dim_cap is None else dim_cap
-    if op.dim > cap:
-        raise ResourceExhaustedError(
-            f"expm of dimension {op.dim} exceeds cap {cap}"
-        )
+    if op.dim > TOL.dim_cap:
+        raise ResourceExhaustedError(f"expm of dimension {op.dim} exceeds cap {TOL.dim_cap}")
     mat = op.mat
     scale = max(1.0, float(np.max(np.abs(mat))))
     if _hermitian_defect(1j * mat) > 1e-13 * scale:

@@ -72,7 +72,7 @@ def qm_op(mode_op, axis, cutoff):
 
 
 def flow(gen, label="g"):
-    return primitive_unitary(Primitive(label, gen))
+    return primitive_unitary(Primitive(label, gen.layout, gen))
 
 
 def test_criterion_01_ladder_matrices():

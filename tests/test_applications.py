@@ -220,9 +220,9 @@ class TestStatePrepExact:
         labels = []
         init = Primitive.__init__
 
-        def counted(self, label, generator):
+        def counted(self, label, *args):
             labels.append(label)
-            init(self, label, generator)
+            init(self, label, *args)
 
         monkeypatch.setattr(Primitive, "__init__", counted)
         state_prep_protected(2, cutoff=6)

@@ -23,7 +23,14 @@ from bosonsynth.bench import (
     run,
     run_sweep,
 )
-from bosonsynth.product_formulas import ParamUnitary, Repeat, _topological, sliced
+from bosonsynth.product_formulas import (
+    Leaf,
+    ParamUnitary,
+    Primitive,
+    Repeat,
+    _topological,
+    sliced,
+)
 from bosonsynth.tensor_core import TOL
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,6 +197,31 @@ class TestRegistry:
         pu = bench._REGISTRY[name].build(cfg).synthesis
         counts = [node.node.count for node in _topological(pu) if isinstance(node.node, Repeat)]
         assert all(count > 1 for count in counts)
+
+    SUPPORTS = {
+        "conditional-rotation": {
+            "half-phase": (0,), "x*sx": (0, 1), "x*sy": (0, 1), "p*sx": (0, 1), "p*sy": (0, 1),
+        },
+        "state-prep-T": {"S1": (0, 1)},
+        "hom-beam-splitter": {
+            "x1*sx": (0, 1), "p1*sx": (0, 1), "x2*sy": (0, 2), "p2*sy": (0, 2),
+        },
+        "nonlinear-hamiltonian": {"S1": (0, 1)},
+        "fswap": {"n1*sy": (0, 1), "n2*sx": (0, 2)},
+    }
+
+    @pytest.mark.parametrize("bch", [1, 2])
+    @pytest.mark.parametrize("name", APPS)
+    def test_every_primitive_acts_on_its_declared_factors(self, name, bch):
+        """Each builder names the factors its pulses act on: the qubit and
+        the one mode a pulse couples to it, or the qubit alone."""
+        cfg = ExperimentConfig(application=name, cutoff=2, bch_order=bch, points=4)
+        pu = bench._REGISTRY[name].build(cfg).synthesis
+        supports = {}
+        for node in _topological(pu):
+            if isinstance(node.node, Leaf) and isinstance(node.node.gate, Primitive):
+                supports.setdefault(node.node.gate.label, set()).add(node.node.gate.support)
+        assert supports == {label: {at} for label, at in self.SUPPORTS[name].items()}
 
 
 class TestRun:
@@ -492,6 +524,34 @@ class TestCli:
             assert code == 2
             assert capsys.readouterr().err == f"error: {application} takes no orders.symmetrized\n"
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("application", APPS)
+    def test_cutoff_1_only_where_the_build_takes_it(
+        self, tmp_path, capsys, monkeypatch, command, application
+    ):
+        """Conditional rotation and the Kerr oscillator start from |g,2>, so
+        they need cutoff 2: at cutoff 1 they exit 2 with one error line
+        before any build. The others run at cutoff 1 (state-prep-T at
+        k = 1)."""
+        needs_2 = application in ("conditional-rotation", "nonlinear-hamiltonian")
+        if needs_2:
+            def refuse(cfg):
+                raise AssertionError("built a gate")
+
+            entry = dataclasses.replace(bench._REGISTRY[application], build=refuse)
+            monkeypatch.setitem(bench._REGISTRY, application, entry)
+        physical = {"k": 1} if application == "state-prep-T" else {}
+        path = self._write(tmp_path, {"application": application, "cutoff": 1,
+                                      "grid": {"points": 4}, "physical": physical})
+        code = cli.main([command, path, "--out-dir", str(tmp_path / "out")])
+        if needs_2:
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {application} needs cutoff >= 2, got 1\n"
+            assert not (tmp_path / "out").exists()
+        else:
+            assert code == 0
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_delta_only_with_auto_slices(self, tmp_path, capsys, command):

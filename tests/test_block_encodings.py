@@ -342,9 +342,9 @@ class TestExactReference:
         labels = []
         init = Primitive.__init__
 
-        def counted(self, label, generator):
+        def counted(self, label, *args):
             labels.append(label)
-            init(self, label, generator)
+            init(self, label, *args)
 
         monkeypatch.setattr(Primitive, "__init__", counted)
         nonlinear_hamiltonian(1.0, 1.0, q=3, cutoff=6, base="lean")

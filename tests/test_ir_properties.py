@@ -4,7 +4,7 @@ structural reversal; the batched eval must equal a plain recursive fold bit
 for bit; and evaluation must hold no memory between calls and keep a bounded
 working set. The local-primitive kernel and the frame gathers are checked
 against dense products. Primitives on random subsets of a layout's factors
-must find their support and agree with dense references."""
+keep their declared support and agree with dense references."""
 import math
 import tracemalloc
 from collections import Counter
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from bosonsynth import bench, product_formulas
 from bosonsynth.applications import conditional_beam_splitter, nonlinear_hamiltonian
-from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate, vacuum_parity_flip
+from bosonsynth.fock_ops import number, pauli, position, qubit_gate, vacuum_parity_flip
 from bosonsynth.product_formulas import (
     Factor,
     FrameGate,
@@ -53,6 +53,7 @@ from bosonsynth.tensor_core import (
     Operator,
     _sectors,
     is_unitary,
+    kron,
     spectral_norm,
 )
 
@@ -63,16 +64,17 @@ pytestmark = pytest.mark.filterwarnings(
 
 def _qubit_world():
     layout = HilbertLayout.single_qubit()
-    prims = [Primitive(name, pauli(name)) for name in ("X", "Y", "Z")]
+    prims = [Primitive(name, layout, pauli(name)) for name in ("X", "Y", "Z")]
     frames = [FrameGate(name, layout, {0: qubit_gate(name)}) for name in ("H", "S")]
     return prims, frames
 
 
 def _cutoff2_world():
     layout = HilbertLayout.qubit_modes(2)
-    x_sx = embed({0: pauli("X"), 1: position(2)}, layout)
-    n_sy = embed({0: pauli("Y"), 1: number(2)}, layout)
-    prims = [Primitive("x*sx", x_sx), Primitive("n*sy", n_sy)]
+    prims = [
+        Primitive("x*sx", layout, kron(pauli("X"), position(2))),
+        Primitive("n*sy", layout, kron(pauli("Y"), number(2))),
+    ]
     frames = [FrameGate(name, layout, {0: qubit_gate(name)}) for name in ("H", "S")]
     return prims, frames
 
@@ -82,9 +84,9 @@ def _split_world():
     on one factor multiplies into a product through its support."""
     layout = HilbertLayout.qubit_modes(2)
     prims = [
-        Primitive("x", embed({0: pauli("X")}, layout)),
-        Primitive("n", embed({1: number(2)}, layout)),
-        Primitive("x*sx", embed({0: pauli("X"), 1: position(2)}, layout)),
+        Primitive("x", layout, pauli("X"), (0,)),
+        Primitive("n", layout, number(2), (1,)),
+        Primitive("x*sx", layout, kron(pauli("X"), position(2)), (0, 1)),
     ]
     frames = [FrameGate(name, layout, {0: qubit_gate(name)}) for name in ("H", "S")]
     return prims, frames
@@ -98,8 +100,8 @@ def _parity_world():
     unevenly into them."""
     layout = HilbertLayout.qubit_modes(2, nmodes=2)
     prims = [
-        Primitive("x1*sx", embed({0: pauli("X"), 1: position(2)}, layout)),
-        Primitive("x2*sy", embed({0: pauli("Y"), 2: position(2)}, layout)),
+        Primitive("x1*sx", layout, kron(pauli("X"), position(2)), (0, 1)),
+        Primitive("x2*sy", layout, kron(pauli("Y"), position(2)), (0, 2)),
     ]
     return prims, [FrameGate("S", layout, {0: qubit_gate("S")})]
 
@@ -415,8 +417,8 @@ def test_large_sectors_eval_equals_fold_bitwise():
     stacked; a frame-conjugated local pulse multiplies in through its
     groups in each."""
     layout = HilbertLayout.qubit_modes(5, nmodes=2)
-    a = primitive_unitary(Primitive("x1*sx", embed({0: pauli("X"), 1: position(5)}, layout)))
-    b = primitive_unitary(Primitive("x2*sy", embed({0: pauli("Y"), 2: position(5)}, layout)))
+    a = primitive_unitary(Primitive("x1*sx", layout, kron(pauli("X"), position(5)), (0, 1)))
+    b = primitive_unitary(Primitive("x2*sy", layout, kron(pauli("Y"), position(5)), (0, 2)))
     frame = FrameGate("S", layout, {0: qubit_gate("S")})
     pu = symmetrize(group_commutator(frame_conjugate(a, frame), b))
     sectors = _tree_sectors(_topological(pu))
@@ -480,8 +482,8 @@ def test_monomial_frame_conjugation_is_an_exact_gather(name, monomial):
     else:
         frame = FrameGate(name, layout, {0: qubit_gate(name)})
     assert frame.monomial == monomial
-    full = Primitive("x*sx", embed({0: pauli("X"), 1: position(3)}, layout))
-    local = Primitive("n", embed({1: number(3)}, layout))
+    full = Primitive("x*sx", layout, kron(pauli("X"), position(3)))
+    local = Primitive("n", layout, number(3), (1,))
     for prim in (full, local):
         for f in (frame, frame.dagger()):
             pu = frame_conjugate(primitive_unitary(prim), f)
@@ -501,7 +503,7 @@ def test_phase_frame_off_the_unit_set_is_not_monomial():
     t_gate = Operator(HilbertLayout.single_qubit(), np.diag([1.0, np.exp(1j * np.pi / 4)]))
     frame = FrameGate("T", layout, {0: t_gate})
     assert not frame.monomial
-    pu = frame_conjugate(primitive_unitary(Primitive("n", embed({1: number(2)}, layout))), frame)
+    pu = frame_conjugate(primitive_unitary(Primitive("n", layout, number(2), (1,))), frame)
     assert id(pu) not in _sectors_of(pu).gathers
 
 
@@ -644,7 +646,7 @@ def _measured(draw):
     a basis state."""
     world = draw(st.sampled_from(WORLDS))
     pu = draw(_trees(world))
-    flip = Primitive("flip", embed({0: pauli("X")}, pu.layout))
+    flip = Primitive("flip", pu.layout, pauli("X"), (0,))
     reference = draw(st.sampled_from(world[0] + [flip]))
     psi0 = np.zeros(pu.layout.dim, dtype=complex)
     psi0[draw(st.integers(0, pu.layout.dim - 1))] = 1.0
@@ -667,11 +669,11 @@ def test_classes_a_reference_straddles_are_measured_together():
     reference that flips the qubit straddles them, so they are measured as
     one, and still equal the full-size measurement bit for bit."""
     layout = HilbertLayout.qubit_modes(5, nmodes=2)
-    a = primitive_unitary(Primitive("x1*sx", embed({0: pauli("X"), 1: position(5)}, layout)))
-    b = primitive_unitary(Primitive("x2*sy", embed({0: pauli("Y"), 2: position(5)}, layout)))
+    a = primitive_unitary(Primitive("x1*sx", layout, kron(pauli("X"), position(5)), (0, 1)))
+    b = primitive_unitary(Primitive("x2*sy", layout, kron(pauli("Y"), position(5)), (0, 2)))
     pu = symmetrize(group_commutator(a, b))
     classes = _sectors_of(pu).classes
-    flip = Primitive("flip", embed({0: pauli("X")}, layout))
+    flip = Primitive("flip", layout, pauli("X"), (0,))
     assert len(classes) == 2 and len(_measured_together(classes, a.node.gate)) == 2
     assert _measured_together(classes, flip) == [[0, 1]]
     psi0 = np.zeros(layout.dim, dtype=complex)
@@ -699,10 +701,7 @@ def _embedded(dims, support, block):
     on the rest, built entry by entry from the basis digits."""
     digits = np.array(np.unravel_index(np.arange(math.prod(dims)), dims))
     rest = [j for j in range(len(dims)) if j not in support]
-    if support:
-        sub = np.ravel_multi_index(tuple(digits[list(support)]), [dims[j] for j in support])
-    else:
-        sub = np.zeros(digits.shape[1], dtype=int)
+    sub = np.ravel_multi_index(tuple(digits[list(support)]), [dims[j] for j in support])
     same_rest = np.all(digits[rest][:, :, None] == digits[rest][:, None, :], axis=0)
     return np.where(same_rest, block[np.ix_(sub, sub)], 0.0)
 
@@ -710,18 +709,20 @@ def _embedded(dims, support, block):
 @st.composite
 def _local_world(draw):
     """A layout of 2-3 small factors and 1-4 primitives, each a random
-    Hermitian block on a random (possibly empty or full) set of factors,
+    Hermitian block on a random nonempty (possibly full) set of factors,
     drawn as (primitive, support, dense generator)."""
     dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
     layout = HilbertLayout(tuple(("mode", d) for d in dims))
     prims = []
     for i in range(draw(st.integers(1, 4))):
-        support = tuple(j for j in range(len(dims)) if draw(st.booleans()))
+        support = tuple(sorted(draw(st.sets(st.sampled_from(range(len(dims))), min_size=1))))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         d = math.prod(dims[j] for j in support)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        gen = Operator(layout, _embedded(dims, support, 0.5 * (a + a.conj().T)))
-        prims.append((Primitive(f"h{i}", gen), support, gen))
+        block = 0.5 * (a + a.conj().T)
+        on_support = Operator(HilbertLayout(tuple(layout.factors[j] for j in support)), block)
+        prim = Primitive(f"h{i}", layout, on_support, support)
+        prims.append((prim, support, Operator(layout, _embedded(dims, support, block))))
     return layout, prims
 
 
@@ -730,7 +731,7 @@ LOCAL_PARAMS = st.floats(-2.0, 2.0, allow_nan=False)
 
 @settings(max_examples=40, deadline=None)
 @given(_local_world(), LOCAL_PARAMS)
-def test_support_detected_and_unitary_matches_dense(world, t):
+def test_declared_support_and_unitary_matches_dense(world, t):
     _, prims = world
     for prim, support, gen in prims:
         assert prim.support == support

@@ -55,7 +55,7 @@ def qubit_mode_op(mode_op, axis, cutoff):
 
 
 def flow(generator, label="g"):
-    return primitive_unitary(Primitive(label, generator))
+    return primitive_unitary(Primitive(label, generator.layout, generator))
 
 
 def commutator_target(gen_a, gen_b):
@@ -81,22 +81,25 @@ class TestSectorSplitPrimitive:
 
     @staticmethod
     def _generators():
-        """(label, generator, support, sectors): the local pulse x1 (x) sx,
-        which keeps the parity of q + n1 and leaves n2 alone, and the
-        hopping term, which keeps q and n1 + n2 and has eigenvalues shared
-        between sectors."""
+        """(label, generator on its factors, their positions, full-size
+        generator, sectors): the local pulse x1 (x) sx, which keeps the
+        parity of q + n1 and leaves n2 alone, and the hopping term, which
+        keeps q and n1 + n2 and has eigenvalues shared between sectors."""
         layout, a = TestSectorSplitPrimitive.LAYOUT, annihilation(4)
+        x1_sx = kron(pauli("x"), position(4))
         hop = embed({0: pauli("z"), 1: a.dag(), 2: a}, layout)
+        hop = hop + hop.dag()
         return [
-            ("x1*sx", embed({0: pauli("x"), 1: position(4)}, layout), (0, 1), 10),
-            ("hop", hop + hop.dag(), (0, 1, 2), 18),
+            ("x1*sx", x1_sx, (0, 1), embed({0: pauli("x"), 1: position(4)}, layout), 10),
+            ("hop", hop, None, hop, 18),
         ]
 
     @pytest.mark.parametrize("case", range(2))
     def test_unitary_is_zero_off_its_sectors(self, case):
-        name, gen, support, count = self._generators()[case]
-        prim = Primitive(name, gen)
-        assert prim.support == support
+        name, factor_gen, at, gen, count = self._generators()[case]
+        prim = Primitive(name, self.LAYOUT, factor_gen, at)
+        assert prim.support == (at or (0, 1, 2))
+        assert prim.local == (at is not None)
         u = prim.unitary(0.7)
         label = np.empty(gen.dim, dtype=int)
         sectors = _sectors(gen.mat != 0)
@@ -107,9 +110,33 @@ class TestSectorSplitPrimitive:
         assert np.max(np.abs(u - expm(0.7j * gen).mat)) < 1e-13
 
     def test_nonhermitian_local_generator_rejected(self):
-        gen = embed({1: annihilation(4)}, self.LAYOUT)
         with pytest.raises(ValueError, match="Hermitian"):
-            Primitive("a1", gen)
+            Primitive("a1", self.LAYOUT, annihilation(4), (1,))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["mode-dim", "qubit-as-mode", "all-factors", "too-few-factors", "unsorted",
+         "repeated", "past-the-end", "negative", "empty"],
+    )
+    def test_primitive_rejects_a_generator_that_does_not_fit(self, case):
+        """The generator's layout must be the layout's factors at the
+        strictly increasing, in-range positions at; a generator that would
+        fit factors listed out of order, twice or from the end is refused
+        too."""
+        x_sx, m = kron(pauli("x"), position(4)), position(4)
+        gen, at = {
+            "mode-dim": (kron(pauli("x"), position(3)), (0, 1)),
+            "qubit-as-mode": (Operator(HilbertLayout((("mode", 2),)), pauli("x").mat), (0,)),
+            "all-factors": (embed({0: pauli("x"), 1: m}, self.LAYOUT), (0, 1)),
+            "too-few-factors": (x_sx, None),
+            "unsorted": (kron(m, pauli("x")), (1, 0)),
+            "repeated": (kron(m, m), (1, 1)),
+            "past-the-end": (x_sx, (0, 3)),
+            "negative": (m, (-1,)),
+            "empty": (x_sx, ()),
+        }[case]
+        with pytest.raises(LayoutMismatchError, match="does not fit"):
+            Primitive("bad", self.LAYOUT, gen, at)
 
 
 class TestExpansionCap:
@@ -342,7 +369,7 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(6), "x", 6)
         gen_b = qubit_mode_op(position(6), "y", 6)
         comm = commutator(gen_a, gen_b)
-        return Primitive("[x,y]", Operator(comm.layout, 1j * comm.mat))
+        return Primitive("[x,y]", comm.layout, Operator(comm.layout, 1j * comm.mat))
 
     def test_loose_tolerance_single_slice(self):
         family, _ = self._setup()
@@ -355,7 +382,7 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
-        exact = Primitive("x+y", gen_a + gen_b)
+        exact = Primitive("x+y", gen_a.layout, gen_a + gen_b)
         t = 0.5
         coarse = timeslice(family, exact, t, 1e-3)
         fine = timeslice(family, exact, t, 5e-4)
@@ -368,7 +395,7 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
-        reference = Primitive("x+y", gen_a + gen_b)
+        reference = Primitive("x+y", gen_a.layout, gen_a + gen_b)
         exact = reference.unitary(0.5)
         psi0 = np.zeros(len(exact), dtype=complex)
         psi0[3] = 1.0
@@ -401,7 +428,7 @@ class TestTimeslice:
         """A target on a layout of another size raises instead of being
         read on the gate's indices."""
         family, _ = self._setup()
-        big = Primitive("x", qubit_mode_op(position(7), "x", 7))
+        big = Primitive("x", QM(7), qubit_mode_op(position(7), "x", 7))
         with pytest.raises(LayoutMismatchError):
             timeslice(family, big, 0.5, 1e-3)
 

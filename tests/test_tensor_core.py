@@ -1,11 +1,15 @@
 """Dense linear-algebra kernel: kron, expm, norms, predicates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonsynth import tensor_core
 from bosonsynth.tensor_core import (
+    TOL,
     HilbertLayout,
     LayoutMismatchError,
     Operator,
@@ -126,10 +130,11 @@ class TestExpm:
         with pytest.raises(ValueError, match="anti-Hermitian"):
             expm(Operator(HilbertLayout((("mode", 8),)), m))
 
-    def test_dim_cap(self):
+    def test_dim_cap(self, monkeypatch):
         layout = HilbertLayout((("mode", 16),))
-        with pytest.raises(ResourceExhaustedError):
-            expm(Operator(layout, np.eye(16)), dim_cap=8)
+        monkeypatch.setattr(tensor_core, "TOL", dataclasses.replace(TOL, dim_cap=8))
+        with pytest.raises(ResourceExhaustedError, match="exceeds cap 8"):
+            expm(Operator(layout, np.eye(16)))
 
 
 class TestSpectralNorm:
