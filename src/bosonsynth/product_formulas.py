@@ -141,18 +141,29 @@ class Primitive:
         return _exp_block(self._eighs[g], ts)
 
     def restricted(self, t: float, idx: np.ndarray) -> np.ndarray:
-        """exp(i t H) on the sorted basis indices idx, which hold every row
-        of a group that they touch: entry (a, b) is the unitary's entry
+        """exp(i t H) on the sorted basis indices idx, which must hold every
+        row of a group that they touch: entry (a, b) is the unitary's entry
         (idx[a], idx[b])."""
-        pos = np.full(self.layout.dim, -1)
-        pos[idx] = np.arange(len(idx))
         out = np.zeros((len(idx),) * 2, dtype=np.complex128)
         ts = np.array([t], dtype=float)
-        for rows, eigh in zip(self.groups, self._eighs):
+        for g, at in self._rows_within(idx):
+            out[at[:, :, None], at[:, None, :]] = self.block(ts, g)
+        return out
+
+    def _rows_within(self, idx: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(g, at) per group g with rows among the basis indices idx, at[r]
+        holding the positions in idx of its r-th such row; ValueError for a
+        row only partly among them."""
+        pos = np.full(self.layout.dim, -1)
+        pos[idx] = np.arange(len(idx))
+        out = []
+        for g, rows in enumerate(self.groups):
             at = pos[rows]
-            at = at[at[:, 0] >= 0]
-            if len(at):
-                out[at[:, :, None], at[:, None, :]] = _exp_block(eigh, ts)
+            whole = np.all(at >= 0, axis=1)
+            if np.any(whole != np.any(at >= 0, axis=1)):
+                raise ValueError(f"{self.label!r}: idx holds a row of group {g} only in part")
+            if whole.any():
+                out.append((g, at[whole]))
         return out
 
     def unitary(self, t: float) -> np.ndarray:
@@ -521,65 +532,63 @@ def _classes(sectors: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _place(groups: list[np.ndarray], classes: list[np.ndarray]) -> list[list[tuple]]:
-    """Per class of sectors, (g, columns) for the rows of a primitive's
-    group g that lie in it. Column j*k + p is position p of the class's
-    sector j. Each row lies in one sector, and the rows in a sector cover it."""
+    """Per class of sectors, (g, (sector, position)) for the rows of a
+    primitive's group g that lie in it: the group's r-th such row holds the
+    positions position[r] of the class's sector sector[r, 0]. Each row lies
+    in one sector, and the rows in a sector cover it."""
     owner = np.empty(sum(cls.size for cls in classes), dtype=np.intp)
-    column = np.empty_like(owner)
+    sector, position = np.empty_like(owner), np.empty_like(owner)
     for i, cls in enumerate(classes):
         owner[cls] = i
-        column[cls] = np.arange(cls.size).reshape(cls.shape)
+        sector[cls] = np.arange(len(cls))[:, None]
+        position[cls] = np.arange(cls.shape[1])
     placed: list[list[tuple]] = [[] for _ in classes]
     for g, rows in enumerate(groups):
         own = owner[rows[:, 0]]
         for i in set(own.tolist()):
-            placed[i].append((g, column[rows[own == i]]))
+            mine = rows[own == i]
+            placed[i].append((g, (sector[mine[:, :1]], position[mine])))
     return placed
 
 
 def _assemble(
     blocks: list[np.ndarray], placed: list[tuple], m: int, k: int, out=None
 ) -> np.ndarray:
-    """A stack of m zero k x k blocks per parameter, with each of blocks
-    scattered onto every row of the columns placed beside it, written into
-    out when given. It is laid out as _apply_groups reads it: block
-    j's row r at wide[:, r, j*k:(j+1)*k]."""
+    """A stack of m zero k x k blocks per parameter, with each of blocks on
+    every row of the group placed beside it, written into out (any layout)
+    when given, else new and C order."""
     if out is None:
-        wide = np.zeros((len(blocks[0]), k, m * k), dtype=np.complex128)
+        out = np.zeros((len(blocks[0]), m, k, k), dtype=np.complex128)
     else:
-        wide = out.transpose(0, 2, 1, 3).reshape(len(out), k, m * k)
-        wide.fill(0)
-    flat = wide.reshape(len(wide), -1)
-    for block, (_, cols) in zip(blocks, placed):
-        # Entry (r, q) of the block on a row c of columns is wide[:, c[r] % k, c[q]].
-        flat[:, (cols % k * m * k)[:, :, None] + cols[:, None, :]] = block[:, None]
-    return wide.reshape(len(wide), k, m, k).transpose(0, 2, 1, 3)
+        out.fill(0)
+    # Entry (a, b) of a block on a row is columns[:, sector, position[b], position[a]].
+    columns = out.swapaxes(2, 3)
+    for block, (_, (sector, position)) in zip(blocks, placed):
+        columns[:, sector[:, :, None], position[:, :, None], position[:, None, :]] = (
+            block.swapaxes(1, 2)[:, None]
+        )
+    return out
 
 
-def _apply_groups(mat: np.ndarray, blocks: list, placed: list[tuple], out=None) -> np.ndarray:
+def _apply_groups(
+    mat: np.ndarray, blocks: list, placed: list[tuple], out: np.ndarray
+) -> np.ndarray:
     """mat @ a local primitive's unitaries on one class of equal sectors,
-    for a stack of shape (batch, m, k, k): the columns at each row of the
-    columns of each entry of placed multiply by the block beside it. Each
-    group's product is written into its own columns of out (new when None;
-    laid out as _assemble's stacks), which the groups cover. out may be mat
-    itself: each group reads its columns before it writes them, and no
-    other group reads them."""
-    batch, m, k = mat.shape[:3]
-    # The class's sectors side by side: wide[:, r, j*k + p] = mat[:, j, r, p].
-    wide = mat.transpose(0, 2, 1, 3).reshape(batch, k, m * k)
-    base = np.empty((batch, k, m, k), complex) if out is None else out.transpose(0, 2, 1, 3)
-    flat = base.reshape(-1)
-    # Row r of base starts at starts[r]. One flat index array scatters a
-    # hom-450 group (k = 225) in 83 us, an index array per axis in 109 us.
-    starts = np.arange(0, flat.size, m * k)[:, None]
-    for block, (_, cols) in zip(blocks, placed):
-        # take, unlike fancy indexing, returns the gathered columns contiguous,
-        # so each group product is one batched matmul with no reshape copy.
+    for stacks of shape (batch, m, k, k) in any layout: the columns at each
+    row of each group placed multiply by the group's block, into out (may
+    be mat), whose columns the groups cover. Column-major stacks are
+    gathered and written a whole contiguous column at a time. Each row's
+    k x s columns, read column-major, times the block is a matmul with a
+    C-order output: the same bits as one C-order product of all the group's
+    gathered columns."""
+    columns = mat.swapaxes(2, 3)
+    written = out.swapaxes(2, 3)
+    for block, (_, (sector, position)) in zip(blocks, placed):
         # No name holds the product, so it is freed before the next group's.
-        flat[(starts + cols.ravel()).ravel()] = (
-            np.take(wide, cols, axis=2).reshape(batch, -1, cols.shape[1]) @ block
-        ).ravel()
-    return base.transpose(0, 2, 1, 3)
+        written[:, sector, position] = (
+            columns[:, sector, position].swapaxes(2, 3) @ block[:, None]
+        ).swapaxes(2, 3)
+    return out
 
 
 def _sandwich(factors: tuple[Factor, ...]) -> tuple | None:
@@ -639,12 +648,14 @@ class _TreeSectors:
     """What every eval of one tree reads of its sectors: the classes, each
     primitive's placement in them and the last class each of its groups is
     placed in (by id of the primitive), and the gathers of each monomial
-    frame sandwich (by id of the product)."""
+    frame sandwich (by id of the product), and measured, what _measured
+    finds per reference."""
 
     classes: list[np.ndarray]
     places: dict[int, list[list[tuple]]]
     last: dict[int, dict[int, int]]
     gathers: dict[int, list[tuple]]
+    measured: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
 
 
 def _sectors_of(root: ParamUnitary) -> _TreeSectors:
@@ -680,12 +691,14 @@ def _tile(stack: np.ndarray, rows: slice | np.ndarray, lo: int, step: int) -> np
 def _lands(slots: list[tuple], assembled: bool) -> list:
     """Where each slot's product lands along a tile of a product node: 0 in
     the output tile, 1 in the scratch tile. The last lands in the output. A
-    local primitive multiplies in place when its input is already in one of
-    the two, and any other product moves to the other one. The first slot
-    is read as is (None), unless assembled into one of the two."""
+    local primitive multiplies in place after another or after the first
+    slot assembled (both column-major), and any other product moves to the
+    other one. The first slot is read as is (None), unless assembled."""
     lands = [0]
     for j in range(len(slots) - 1, 0, -1):
-        in_place = slots[j][3] is not None and (j > 1 or assembled)
+        in_place = slots[j][3] is not None and (
+            slots[j - 1][3] is not None or (j == 1 and assembled)
+        )
         lands.append(lands[-1] if in_place else 1 - lands[-1])
     lands.reverse()
     if not assembled:
@@ -707,7 +720,9 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather,
     into one output stack, none for a lone slot read as is. Along a tile's
     slots, the products alternate between the output tile and one scratch
     tile (see _lands), so that the last lands in the output and no step
-    allocates its own."""
+    allocates its own. Tiles are raw rows, laid out per product: column-major
+    for a local primitive's and an assembled first slot (see _apply_groups),
+    else C order, where a matmul gives the bits of a plain product."""
     if isinstance(node, Repeat):
         key, rows, _, _ = slots[0]
         return np.linalg.matrix_power(stacks[key][rows], node.count)
@@ -716,18 +731,20 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather,
     step = size if alone else max(1, _TILE_BYTES // (16 * m * k * k))
     lands = _lands(slots, assembled is not None)
 
-    def stack(n: int) -> np.ndarray:
-        # Laid out as _apply_groups writes (C order when m == 1).
-        return np.empty((n, k, m, k), complex).transpose(0, 2, 1, 3)
+    def laid_out(raw: np.ndarray, column_major: bool) -> np.ndarray:
+        blocks = raw.reshape(len(raw), m, k, k)
+        return blocks.swapaxes(2, 3) if column_major else blocks
 
-    out = None if alone else stack(size)
-    spare = stack(min(step, size)) if 1 in lands else None
+    out = None if alone else np.empty((size, m * k * k), complex)
+    spare = np.empty((min(step, size), m * k * k), complex) if 1 in lands else None
     for lo in range(0, size, step):
         tile = None if out is None else out[lo : lo + step]
         ends = (tile, None if spare is None else spare[: len(tile)])
         mat = None
         for j, (key, rows, adjoint, local) in enumerate(slots):
-            dest = None if lands[j] is None else ends[lands[j]]
+            # Column-major for a local primitive's product or the assembled slot.
+            column_major = j == 0 or local is not None
+            dest = None if lands[j] is None else laid_out(ends[lands[j]], column_major)
             if assembled is not None and j == 0:
                 blocks, placed = assembled
                 mat = _assemble([_tile(b, rows, lo, step) for b in blocks], placed, m, k, dest)
@@ -745,11 +762,15 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather,
             mat = sub if mat is None else np.matmul(mat, sub, out=dest)
         if gather is not None:
             first, second, phases = gather[i]
+            # mat's entries in C order: a copy when mat is column-major.
+            flat = mat.reshape(len(mat), -1)
             # Contiguous, unlike fancy indexing; clip mode writes into the tile.
-            mat = np.take(mat.reshape(len(mat), -1), first + second, 1, tile, "clip")
+            mat = np.take(flat, first + second, 1, laid_out(tile, False), "clip")
             if phases is not None:
                 mat *= phases[0] * phases[1]
-    return mat if out is None else out
+    if out is None:
+        return mat
+    return laid_out(out, gather is None and slots[-1][3] is not None)
 
 
 def _evaluate(root: ParamUnitary, t: float):
@@ -864,22 +885,33 @@ def _measured_together(classes: list[np.ndarray], reference: Primitive) -> list[
     owner = np.empty(reference.layout.dim, dtype=np.intp)
     for i, cls in enumerate(classes):
         owner[cls] = i
-    parent = list(range(len(classes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
+    linked = np.eye(len(classes), dtype=bool)
     for rows in reference.groups:
         own = owner[rows]
-        for row in own[np.any(own != own[:, :1], axis=1)].tolist():
-            for i in row[1:]:
-                parent[find(i)] = find(row[0])
-    joined: dict[int, list[int]] = {}
-    for i in range(len(classes)):
-        joined.setdefault(find(i), []).append(i)
-    return list(joined.values())
+        linked[own[:, :1], own] = True
+    return [sec.tolist() for sec in _sectors(linked)]
+
+
+def _measured(pu: ParamUnitary, reference: Primitive) -> tuple[list, list]:
+    """How measure takes pu's classes against reference, made once and kept
+    beside pu's sectors: per class, (c, at), its measured group c and the
+    positions of its blocks' indices among the group's sorted indices (None
+    for a class of one sector measured alone, already in that order); per
+    group, (indices, its number of classes, the reference's rows in it)."""
+    sectors = _sectors_of(pu)
+    if reference not in sectors.measured:
+        classes = sectors.classes
+        per_class, groups = [None] * len(classes), []
+        pos = np.empty(reference.layout.dim, dtype=np.intp)
+        for c, members in enumerate(_measured_together(classes, reference)):
+            idx = np.sort(np.concatenate([classes[i].ravel() for i in members]))
+            pos[idx] = np.arange(len(idx))
+            for i in members:
+                alone = len(members) == 1 and len(classes[i]) == 1
+                per_class[i] = c, None if alone else pos[classes[i]]
+            groups.append((idx, len(members), reference._rows_within(idx)))
+        sectors.measured[reference] = per_class, groups
+    return sectors.measured[reference]
 
 
 def measure(
@@ -887,12 +919,13 @@ def measure(
 ) -> Measurement:
     """pu's U(t) against the reference E(t), the primitive's exp(i t H).
 
-    It is measured one class of pu's sectors at a time: the class's blocks
-    of U, the reference on the same indices, their difference and its norm
-    are formed and dropped before the next class is built. Classes that one
-    sector of the reference straddles are measured together. Each
-    difference's norm is spectral_norm's (one SVD per sector of its nonzero
-    pattern), and every SVD sees the entries, in the order, that
+    It is measured one class of pu's sectors at a time, each dropped before
+    the next is built. The class's blocks of U are the difference (a class
+    of one sector measured alone is its own, with no copy), from which E's
+    blocks on the reference's rows among its indices are subtracted in
+    place; E is zero elsewhere. Classes that one sector of the reference
+    straddles are measured together. Each difference's norm is
+    spectral_norm's, and every SVD sees the entries, in the order, that
     spectral_norm of the full-size U - E gives it, so the error is the same
     to the bit. U psi0 and E psi0 are taken one class at a time too; for a
     basis state psi0 they equal the full-size products to the bit.
@@ -902,28 +935,23 @@ def measure(
         raise LayoutMismatchError(
             f"{pu.label}: a reference of dim {reference.layout.dim} for dim {dim}"
         )
-    classes = _sectors_of(pu).classes
-    together = _measured_together(classes, reference)
-    # pos[a]: basis index a's position among the sorted indices idx of its
-    # measured class, which its blocks are scattered onto.
-    pos = np.empty(dim, dtype=np.intp)
-    which, indices, waiting = {}, [], []
-    for c, members in enumerate(together):
-        idx = np.sort(np.concatenate([classes[i].ravel() for i in members]))
-        pos[idx] = np.arange(len(idx))
-        indices.append(idx)
-        waiting.append(len(members))
-        which.update(dict.fromkeys(members, c))
+    per_class, groups = _measured(pu, reference)
+    waiting = [count for _, count, _ in groups]
     states = None if psi0 is None else (np.zeros(dim, complex), np.zeros(dim, complex))
+    ts = np.array([t], dtype=float)
     held, errors, i = {}, [], -1
     # Counted by hand: enumerate would keep a class's blocks, in the tuple it
     # reuses, while the next class is built.
-    for cls, blocks in pu.eval_classes(t):
+    for _, blocks in pu.eval_classes(t):
         i += 1
-        c, idx = which[i], indices[which[i]]
-        diff = held.pop(c) if c in held else np.zeros((len(idx),) * 2, dtype=np.complex128)
-        at = pos[cls]
-        diff[at[:, :, None], at[:, None, :]] = blocks
+        c, at = per_class[i]
+        idx, _, rows = groups[c]
+        if at is None:
+            # A frame leaf's blocks are a read-only view of the frame's own.
+            diff = blocks[0] if blocks.flags.writeable else blocks[0].copy()
+        else:
+            diff = held.pop(c) if c in held else np.zeros((len(idx),) * 2, dtype=np.complex128)
+            diff[at[:, :, None], at[:, None, :]] = blocks
         del blocks
         waiting[c] -= 1
         if waiting[c]:
@@ -931,12 +959,14 @@ def measure(
             continue
         if not np.all(np.isfinite(diff)):
             raise ValueError("operator entries must be finite")
-        exact = reference.restricted(t, idx)
-        if states is not None and np.any(psi0[idx]):
+        live = states is not None and np.any(psi0[idx])
+        if live:
             states[0][idx] = diff @ psi0[idx]
-            states[1][idx] = exact @ psi0[idx]
-        diff -= exact
-        del exact
+        for g, row in rows:
+            exact = reference.block(ts, g)[0]
+            if live:
+                states[1][idx[row]] = psi0[idx[row]] @ exact.T
+            diff[row[:, :, None], row[:, None, :]] -= exact
         errors.append(spectral_norm(diff))
         del diff
     return Measurement(max(errors), *(states or ()))

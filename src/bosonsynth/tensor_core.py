@@ -247,8 +247,9 @@ def expm(op: Operator) -> Operator:
 
 
 def spectral_norm(op: Operator | np.ndarray) -> float:
-    """Largest singular value of a square matrix, so a reported error is
-    never an underestimate.
+    """Largest singular value of a square matrix, from LAPACK's SVD: exact
+    to rounding, which can fall on either side of the true value. Power
+    iteration converges from below; the SVD has no such bias.
 
     The matrix is exactly block-diagonal on the sectors of its nonzero
     pattern, so its norm is the largest of a dense SVD on each block. A

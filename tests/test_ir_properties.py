@@ -186,12 +186,30 @@ def _fold(pu, t):
     its own parameter, and a product multiplies its factors left to right
     from the first, taking the conjugate transpose of adjoint factors. As in
     eval, a later leaf on a strict subset of the factors multiplies in
-    through its index groups, and its adjoint is its blocks at -s."""
+    through its index groups (_group_product, not the kernel under test),
+    and its adjoint is its blocks at -s."""
     classes = _classes(_tree_sectors(_topological(pu)))
     out = np.zeros((pu.layout.dim,) * 2, dtype=complex)
     for i, cls in enumerate(classes):
         out[cls[:, :, None], cls[:, None, :]] = _fold_class(pu, t, classes, i)[0]
     return out
+
+
+def _group_product(mat, blocks, placed):
+    """mat @ a local primitive's unitaries on one class, for a stack of shape
+    (batch, m, k, k), as plain C-order products: per group, the class's
+    columns at all of the group's rows, gathered into one C-order matrix of
+    k rows per group row, times the group's block, written back."""
+    batch, m, k = mat.shape[:3]
+    # wide[:, r, j*k + p] = mat[:, j, r, p]: the class's sectors side by side.
+    wide = np.ascontiguousarray(mat.transpose(0, 2, 1, 3)).reshape(batch, k, m * k)
+    out = wide.copy()
+    for block, (_, (sector, position)) in zip(blocks, placed):
+        cols = sector * k + position
+        gathered = wide[:, :, cols]
+        product = gathered.reshape(batch, -1, cols.shape[1]) @ block
+        out[:, :, cols] = product.reshape(gathered.shape)
+    return out.reshape(batch, k, m, k).transpose(0, 2, 1, 3)
 
 
 def _fold_class(pu, t, classes, i):
@@ -209,7 +227,7 @@ def _fold_class(pu, t, classes, i):
                     placed = _place(gate.groups, classes)[i]
                     ss = np.array([-s if adjoint else s])
                     blocks = [gate.block(ss, g) for g, _ in placed]
-                    mat = _apply_groups(mat, blocks, placed)
+                    mat = _group_product(mat, blocks, placed)
                     continue
                 sub = _fold_class(f.pu, s, classes, i)
                 sub = sub.conj().swapaxes(-1, -2) if adjoint else sub
@@ -441,12 +459,17 @@ def test_eval_of_constant_tree_returns_an_owned_array():
 
 @pytest.mark.parametrize("world", [WORLDS[2], WORLDS[3]], ids=["split", "parity"])
 def test_apply_groups_matches_dense_product(world):
-    """The local-primitive kernel on each class equals the class's block of
-    a plain dense product mat @ U(s), row by row, and writes every column."""
+    """The local-primitive kernel on each class, at three parameters at once,
+    equals the class's block of a plain dense product mat @ U(s) within
+    rounding, and the C-order product per group bit for bit: from a C-order
+    stack, from a column-major one, and in place. It writes every column.
+    The parity world's small sectors are stacked (m > 1)."""
     prims, frames = world
     leaves = [primitive_unitary(p) for p in prims]
     tree = compose("all", [Factor(frame_conjugate(leaf, frames[-1])) for leaf in leaves])
     classes = _classes(_tree_sectors(_topological(tree)))
+    if world is WORLDS[3]:
+        assert any(len(cls) > 1 for cls in classes)
     labels = np.empty(tree.layout.dim, dtype=int)
     for i, cls in enumerate(classes):
         labels[cls.ravel()] = i
@@ -461,9 +484,18 @@ def test_apply_groups_matches_dense_product(world):
         for i, cls in enumerate(classes):
             index = (slice(None), cls[:, :, None], cls[:, None, :])
             blocks = [gate.block(ss, g) for g, _ in placed[i]]
-            got = _apply_groups(mats[index], blocks, placed[i])
-            assert np.all(np.isfinite(got))
-            assert np.max(np.abs(got - dense[index])) < 1e-13
+            mat = mats[index]
+            want = _group_product(mat, blocks, placed[i])
+            assert np.max(np.abs(want - dense[index])) < 1e-13
+            column_major = np.copy(mat.swapaxes(2, 3), order="C").swapaxes(2, 3)
+            for source in (mat, column_major):
+                # NaN where a column went unwritten.
+                out = np.full_like(column_major, np.nan)
+                assert _apply_groups(source, blocks, placed[i], out) is out
+                assert np.array_equal(out, want)
+            in_place = np.copy(column_major, order="K")
+            assert _apply_groups(in_place, blocks, placed[i], in_place) is in_place
+            assert np.array_equal(in_place, want)
 
 
 @pytest.mark.parametrize(
@@ -681,6 +713,24 @@ def test_classes_a_reference_straddles_are_measured_together():
     for reference in (flip, a.node.gate):
         got = _class_measurement(pu, 0.37, reference, psi0)
         assert got == _full_size_measurement(pu, 0.37, reference, psi0)
+
+
+def test_frame_leaf_measured_alone_leaves_the_frame_unchanged():
+    """A dense unitary frame on a 32-level mode is one sector, a class of its
+    own, measured alone: its block is the difference, except that a frame's
+    blocks are a view of its own matrix, so measure subtracts from a copy."""
+    layout = HilbertLayout((("mode", 32),))
+    dft = Operator(layout, np.fft.fft(np.eye(32)) / np.sqrt(32))
+    frame = FrameGate("F", layout, {0: dft})
+    before = frame.mat.copy()
+    pu = ParamUnitary("F", layout, Leaf(frame))
+    assert [cls.shape for cls in _sectors_of(pu).classes] == [(1, 32)]
+    reference = Primitive("n", layout, number(31))
+    psi0 = np.zeros(32, dtype=complex)
+    psi0[3] = 1.0
+    got = _class_measurement(pu, 0.37, reference, psi0)
+    assert got == _full_size_measurement(pu, 0.37, reference, psi0)
+    assert np.array_equal(frame.mat, before)
 
 
 def test_deep_tree_working_set_is_bounded():

@@ -138,6 +138,19 @@ class TestSectorSplitPrimitive:
         with pytest.raises(LayoutMismatchError, match="does not fit"):
             Primitive("bad", self.LAYOUT, gen, at)
 
+    def test_restricted_refuses_indices_that_hold_a_row_in_part(self):
+        """An X pulse on the first of two qubits keeps the second qubit's
+        state, so its rows are {0, 2} and {1, 3}. Indices holding whole rows
+        give the unitary's entries there; [0, 1, 3] holds row {0, 2} only in
+        part, where the unitary is not block-diagonal, so it is refused."""
+        layout = HilbertLayout((("qubit", 2), ("qubit", 2)))
+        prim = Primitive("x", layout, pauli("x"), (0,))
+        full = prim.unitary(0.3)
+        for idx in ([0, 2], [1, 3], [0, 1, 2, 3]):
+            assert np.array_equal(prim.restricted(0.3, np.array(idx)), full[np.ix_(idx, idx)])
+        with pytest.raises(ValueError, match="only in part"):
+            prim.restricted(0.3, np.array([0, 1, 3]))
+
 
 class TestExpansionCap:
     @staticmethod
