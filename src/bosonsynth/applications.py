@@ -99,8 +99,8 @@ class ApplicationSpec:
     made when the spec is built, so exact(t) is zero between sectors. The
     spec keeps that reference, not the full-size generator G
     (exact_generator). synthesized(t) evaluates the compiled product. time
-    records the evaluation point the construction was asked for (the
-    preparation time, one trace step, ...), where one exists.
+    is the default evaluation point: the flip time of the preparation
+    builders, None for the others.
     """
 
     name: str
@@ -169,30 +169,27 @@ def autocorrelation_trace(step: Operator, psi0: np.ndarray, nsteps: int,
     return DynamicsTrace(times, total, autocorrelation=auto)
 
 
-# Cyclic frame choice: the commutator of sigma^(first) with sigma^(second)
-# lands +i sigma^(axis) after the group-commutator sign flip.
-_AXIS_PAIR = {"z": ("y", "x"), "x": ("z", "y"), "y": ("x", "z")}
+# The commutator of sigma^y with sigma^x lands +i sigma^z after the
+# group-commutator sign flip.
+_AXIS_PAIR = ("y", "x")
 
 
 def _conditional_square(mode_op: Operator, tag: str, layout: HilbertLayout,
-                        at: int, axis: str, p: int,
-                        base: str | None) -> ParamUnitary:
-    """BCH block for exp(i t M^2 sigma^axis) from conditional M pulses."""
+                        at: int, p: int, base: str | None) -> ParamUnitary:
+    """BCH block for exp(i t M^2 sigma^z) from conditional M pulses."""
     scale = 1.0 / math.sqrt(2.0)
     u_a, u_b = (
         primitive_unitary(
             Primitive(f"{tag}*s{s}", layout, scale * kron(pauli(s), mode_op), (0, at))
         )
-        for s in _AXIS_PAIR[axis]
+        for s in _AXIS_PAIR
     )
     return bch(p, 1, u_a, u_b, base=base)
 
 
 def conditional_rotation_phase_space(
-    t: float | None = None,
     p: int = 1,
     cutoff: int = 14,
-    axis: str = "z",
     base: str | None = None,
 ) -> ApplicationSpec:
     """Qubit-conditioned mode rotation from quadrature pulses.
@@ -202,34 +199,28 @@ def conditional_rotation_phase_space(
     The reference generator is the truncated quadrature sum, which agrees
     with the number operator below the cutoff edge.
     """
-    if axis not in _AXIS_PAIR:
-        raise ValueError(f"unknown axis {axis!r}")
     layout = HilbertLayout.qubit_modes(cutoff)
     x_op, p_op = position(cutoff), momentum(cutoff)
 
-    u_x2 = _conditional_square(x_op, "x", layout, 1, axis, p, base)
-    u_p2 = _conditional_square(p_op, "p", layout, 1, axis, p, base)
-    half_phase = primitive_unitary(
-        Primitive("half-phase", layout, -0.5 * pauli(axis), (0,))
-    )
+    u_x2 = _conditional_square(x_op, "x", layout, 1, p, base)
+    u_p2 = _conditional_square(p_op, "p", layout, 1, p, base)
+    half_phase = primitive_unitary(Primitive("half-phase", layout, -0.5 * pauli("z"), (0,)))
     pu = trotter(
         2 * suzuki_index(p), [as_linear_term(u_x2), as_linear_term(u_p2), half_phase]
     )
 
     quad = x_op @ x_op + p_op @ p_op - 0.5 * mode_identity(cutoff)
-    gen = embed({0: pauli(axis), 1: quad}, layout)
+    gen = embed({0: pauli("z"), 1: quad}, layout)
     return ApplicationSpec(
         name="conditional-rotation",
         layout=layout,
         exact_generator=gen,
         synthesis=pu,
         initial_state=basis_state(layout, 0, 2),
-        time=t,
     )
 
 
 def conditional_rotation_fock(
-    t: float | None = None,
     p: int = 1,
     cutoff: int = 14,
     base: str | None = None,
@@ -255,7 +246,6 @@ def conditional_rotation_fock(
         exact_generator=gen,
         synthesis=pu,
         initial_state=basis_state(layout, 0, 2),
-        time=t,
     )
 
 
@@ -297,24 +287,21 @@ def _ladder_encoding(
 
 def state_prep_T(
     k: int,
-    t: float | None = None,
     p: int = 2,
     cutoff: int = 8,
     base: str | None = None,
     symmetrized: bool = False,
 ) -> ApplicationSpec:
-    """Block rotation that pumps |1, 0> toward |0, k>."""
+    """Block rotation that pumps |1, 0> toward |0, k>, timed to the flip."""
     enc = _ladder_encoding(k, p, cutoff, base, symmetrized)
     layout = enc.layout
-    if t is None:
-        t = state_prep_exact_time(k, 0, cutoff)
     return ApplicationSpec(
         name=f"state-prep-T{k}",
         layout=layout,
         exact_generator=block_generator(_ladder_power(cutoff, k)),
         synthesis=enc.unitary,
         initial_state=basis_state(layout, 1, 0),
-        time=t,
+        time=state_prep_exact_time(k, 0, cutoff),
     )
 
 
@@ -415,10 +402,9 @@ def success_probability_bound(
 
 
 def conditional_beam_splitter(
-    t: float | None = None,
     p: int = 1,
     cutoff: int = 14,
-    base: str | None = "lean",
+    base: str | None = None,
     symmetrized: bool = False,
 ) -> ApplicationSpec:
     """Qubit-conditioned two-mode hopping from quadrature pulses.
@@ -427,7 +413,8 @@ def conditional_beam_splitter(
     their product is the step at accumulated angle t. The truncation-edge
     terms of xx and pp cancel in the sum, so the reference is the plain
     hopping generator. p = 1 is the eight-pulse step (sixteen when
-    symmetrized); higher p joins the blocks with a Suzuki splitting.
+    symmetrized); higher p joins the blocks with a Suzuki splitting. base
+    None is the lean block.
     """
     layout = HilbertLayout.qubit_modes(cutoff, nmodes=2)
     sx, sy = pauli("x"), pauli("y")
@@ -435,7 +422,7 @@ def conditional_beam_splitter(
     def pair_block(m: Operator, tag: str) -> ParamUnitary:
         u_a = primitive_unitary(Primitive(f"{tag}1*sx", layout, kron(sx, m), (0, 1)))
         u_b = primitive_unitary(Primitive(f"{tag}2*sy", layout, kron(sy, m), (0, 2)))
-        return bch(p, 1, u_a, u_b, base=base)
+        return bch(p, 1, u_a, u_b, base=base or "lean")
 
     u_xx = pair_block(position(cutoff), "x")
     u_pp = pair_block(momentum(cutoff), "p")
@@ -460,7 +447,6 @@ def conditional_beam_splitter(
         exact_generator=gen,
         synthesis=pu,
         initial_state=basis_state(layout, 0, 1, 1),
-        time=t,
     )
 
 
@@ -598,17 +584,16 @@ def span01_leakage(spec: ApplicationSpec, lam: float) -> float:
 def anharmonicity_gate(
     p: int = 1,
     cutoff: int = 8,
-    axis: str = "z",
     base: str | None = "lean",
 ) -> ApplicationSpec:
     """Conditional self-Kerr phase n(n-1), from a number-squared commutator
     block and one opposing linear pulse. Family parameter: squared amplitude."""
     layout = HilbertLayout.qubit_modes(cutoff)
-    u_n2 = _conditional_square(number(cutoff), "n", layout, 1, axis, p, base)
-    n_op, s_axis = number(cutoff), pauli(axis)
-    lin = primitive_unitary(Primitive("-n*sz", layout, -1.0 * kron(s_axis, n_op), (0, 1)))
+    u_n2 = _conditional_square(number(cutoff), "n", layout, 1, p, base)
+    n_op, sz = number(cutoff), pauli("z")
+    lin = primitive_unitary(Primitive("-n*sz", layout, -1.0 * kron(sz, n_op), (0, 1)))
     pu = compose("anharmonicity", [Factor(as_linear_term(u_n2)), Factor(lin)])
-    gen = embed({0: s_axis, 1: n_op @ n_op - n_op}, layout)
+    gen = embed({0: sz, 1: n_op @ n_op - n_op}, layout)
     return ApplicationSpec(
         name="anharmonicity",
         layout=layout,
@@ -621,13 +606,13 @@ def anharmonicity_gate(
 def cross_kerr_gate(
     p: int = 1,
     cutoff: int = 5,
-    axis: str = "z",
-    base: str | None = "lean",
+    base: str | None = None,
 ) -> ApplicationSpec:
     """Conditional cross-Kerr phase n1 n2 from one two-mode commutator
-    block. Family parameter: squared amplitude."""
+    block. Family parameter: squared amplitude. base None is the lean
+    block."""
     layout = HilbertLayout.qubit_modes(cutoff, nmodes=2)
-    first, second = _AXIS_PAIR[axis]
+    first, second = _AXIS_PAIR
     n_op = number(cutoff)
     scale = 1.0 / math.sqrt(2.0)
     u_a = primitive_unitary(
@@ -636,9 +621,9 @@ def cross_kerr_gate(
     u_b = primitive_unitary(
         Primitive(f"n2*s{second}", layout, scale * kron(pauli(second), n_op), (0, 2))
     )
-    block = bch(p, 1, u_a, u_b, base=base)
+    block = bch(p, 1, u_a, u_b, base=base or "lean")
     pu = as_linear_term(block, label="cross-kerr")
-    gen = embed({0: pauli(axis), 1: n_op, 2: n_op}, layout)
+    gen = embed({0: pauli("z"), 1: n_op, 2: n_op}, layout)
     return ApplicationSpec(
         name="cross-kerr",
         layout=layout,
@@ -721,10 +706,9 @@ def fswap_product(cutoff: int = 4) -> tuple[Operator, HilbertLayout]:
 def nonlinear_hamiltonian(
     omega: float,
     kappa: float,
-    t: float | None = None,
     q: int = 1,
     cutoff: int = 15,
-    base: str | None = "lean",
+    base: str | None = None,
 ) -> ApplicationSpec:
     """Kerr oscillator evolution compiled from seed pulses only.
 
@@ -732,12 +716,14 @@ def nonlinear_hamiltonian(
     quartic term from MULT of the squared-ladder encodings; a Suzuki
     splitting joins the two flows. The qubit must start in |0>: the lower
     sector carries the mirrored junk blocks, which the reference generator
-    includes so the comparison stays a single expm.
+    includes so the comparison stays a single expm. base None is the lean
+    block at every level.
     """
     if omega < 0 or kappa < 0:
         raise ValueError("omega and kappa must be >= 0")
     if q < 1:
         raise ValueError("q must be >= 1")
+    base = base or "lean"
     seed = s1(cutoff)
     term1 = mult(seed, conjugate(seed, "X"), 2 * q, 2 * q, base=base)
     sq = power(2, 2 * q, cutoff, budget=SynthesisBudget(2 * q, q), base=base)
@@ -758,5 +744,4 @@ def nonlinear_hamiltonian(
         exact_generator=gen,
         synthesis=pu,
         initial_state=basis_state(layout, 0, 2),
-        time=t,
     )

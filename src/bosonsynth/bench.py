@@ -1,7 +1,7 @@
 """Experiment runner: sweeps synthesized gate families over timestep grids
 and emits plot-ready CSV/JSON artifacts with gate-count ledgers.
 
-Configs are YAML files with nested sections (grid, orders, physical, fit,
+Configs are YAML files with nested sections (grid, orders, physical,
 output); see `configs/` for the shipped examples. `ExperimentConfig` is the
 one schema: each field names its YAML location, its annotation is the type
 every value is checked against, and the registry names the physical keys
@@ -67,6 +67,10 @@ class UsageError(ValueError):
 # stay below 2.
 _GRID_CEILING = 1e6
 
+# Above this RMS log10 residual the fitted exponent is unreliable, and a
+# report gives no exponent or prefactor.
+_RESIDUAL_CAP = 0.1
+
 
 def _at(*path: str, **kw):
     """A config field stored in the YAML at `path`, such as ("grid", "min")."""
@@ -88,12 +92,10 @@ class ExperimentConfig:
     t_min: float = _at("grid", "min", default=1e-3)
     t_max: float = _at("grid", "max", default=1e-1)
     points: int = _at("grid", "points", default=12)
-    log_spaced: bool = _at("grid", "log_spaced", default=True)
     bch_order: int = _at("orders", "bch", default=1)
     symmetrized: bool = _at("orders", "symmetrized", default=False)
     base: str | None = _at("orders", "base", default=None)
     slices: int | str = _at("slices", default=1)
-    residual_cap: float = _at("fit", "residual_cap", default=0.1)
     out_csv: str | None = _at("output", "csv", default=None)
     out_json: str | None = _at("output", "json", default=None)
 
@@ -131,8 +133,6 @@ class ExperimentConfig:
             raise UsageError(f"base must be 'lean' or 'split', got {self.base!r}")
         if self.slices != "auto" and (isinstance(self.slices, str) or self.slices < 1):
             raise UsageError(f"slices must be a positive integer or 'auto', got {self.slices!r}")
-        if not self.residual_cap > 0:
-            raise UsageError("residual_cap must be positive")
         for key, value in self.physical.items():
             if not _has_type(value, float) or not math.isfinite(value):
                 raise UsageError(f"physical parameter {key!r} must be a finite number")
@@ -161,9 +161,7 @@ class ExperimentConfig:
                 raise UsageError(f"physical.{key} must be >= 0")
 
     def grid(self) -> np.ndarray:
-        if self.log_spaced:
-            return np.geomspace(self.t_min, self.t_max, self.points)
-        return np.linspace(self.t_min, self.t_max, self.points)
+        return np.geomspace(self.t_min, self.t_max, self.points)
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
@@ -203,7 +201,19 @@ def _has_type(value, hint) -> bool:
 class _Loader(yaml.SafeLoader):
     """PyYAML's safe loader, which follows YAML 1.1, taking floats also in
     the YAML 1.2 forms 1e-3, 2e5 and 1.5e3 (1.1 wants a dot and a signed
-    exponent, and reads these as strings)."""
+    exponent, and reads these as strings), and refusing a key repeated in
+    one mapping, where PyYAML would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in seen:
+                    raise yaml.YAMLError(
+                        f"repeated key {key.value!r} at line {key.start_mark.line + 1}"
+                    )
+                seen.add((key.tag, key.value))
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(
@@ -271,7 +281,7 @@ def _bound_state_prep(cfg: ExperimentConfig) -> float:
 
 def _build_hom(cfg: ExperimentConfig) -> ApplicationSpec:
     return conditional_beam_splitter(
-        p=cfg.bch_order, cutoff=cfg.cutoff, base=cfg.base or "lean", symmetrized=cfg.symmetrized
+        p=cfg.bch_order, cutoff=cfg.cutoff, base=cfg.base, symmetrized=cfg.symmetrized
     )
 
 
@@ -283,9 +293,7 @@ def _bound_hom(cfg: ExperimentConfig) -> float:
 def _build_nonlinear(cfg: ExperimentConfig) -> ApplicationSpec:
     omega = float(cfg.physical.get("omega", 1.0))
     kappa = float(cfg.physical.get("kappa", 1.0))
-    return nonlinear_hamiltonian(
-        omega, kappa, q=cfg.bch_order, cutoff=cfg.cutoff, base=cfg.base or "lean"
-    )
+    return nonlinear_hamiltonian(omega, kappa, q=cfg.bch_order, cutoff=cfg.cutoff, base=cfg.base)
 
 
 def _bound_nonlinear(cfg: ExperimentConfig) -> float:
@@ -294,7 +302,7 @@ def _bound_nonlinear(cfg: ExperimentConfig) -> float:
 
 
 def _build_fswap(cfg: ExperimentConfig) -> ApplicationSpec:
-    return cross_kerr_gate(p=cfg.bch_order, cutoff=cfg.cutoff, base=cfg.base or "lean")
+    return cross_kerr_gate(p=cfg.bch_order, cutoff=cfg.cutoff, base=cfg.base)
 
 
 def _bound_fswap(cfg: ExperimentConfig) -> float:
@@ -485,7 +493,7 @@ def _measure(
         fit = fit_power_law(grid, op_errs)
     except ValueError:
         fit = None
-    reliable = fit is not None and fit.residual < cfg.residual_cap
+    reliable = fit is not None and fit.residual < _RESIDUAL_CAP
     step_cost = spec.synthesis.cost()
     return spec, dict(
         times=[float(t) for t in grid],
@@ -528,6 +536,22 @@ def _check_limits(
     return bound
 
 
+def _artifact_paths(
+    config: ExperimentConfig, out_dir: str | Path, stem: str, heatmap: bool = False
+) -> list[Path]:
+    """The files a run writes: its CSV and JSON (named `stem` unless the
+    config names them) and, with heatmap, `<csv stem>_heatmap.csv` beside
+    the CSV. Two that name one file exit 2, before any work."""
+    out_dir = Path(out_dir)
+    csv_path = out_dir / (config.out_csv or f"{stem}.csv")
+    paths = [csv_path, out_dir / (config.out_json or f"{stem}.json")]
+    if heatmap:
+        paths.append(csv_path.with_name(csv_path.stem + "_heatmap.csv"))
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise UsageError(f"artifacts would overwrite each other: {', '.join(map(str, paths))}")
+    return paths
+
+
 def run(
     config: ExperimentConfig,
     out_dir: str | Path = ".",
@@ -537,17 +561,15 @@ def run(
     """Evaluate one config over its grid and write the CSV/JSON artifacts."""
     entry = _REGISTRY[config.application]
     bound = _check_limits(entry, config, threads, dim_cap)
+    heatmap = config.application == "state-prep-T"
+    csv_path, json_path, *heat_path = _artifact_paths(config, out_dir, config.application, heatmap)
     spec, measured = _measure(entry, config, threads, bound)
     report = SynthesisReport(config=config, **measured)
 
-    out_dir = Path(out_dir)
-    csv_path = out_dir / (config.out_csv or f"{config.application}.csv")
-    json_path = out_dir / (config.out_json or f"{config.application}.json")
     emit_csv(report, csv_path)
     emit_json(report, json_path)
-    if config.application == "state-prep-T":
-        heat_path = csv_path.with_name(csv_path.stem + "_heatmap.csv")
-        emit_heatmap(spec, report.slices, float(spec.time), heat_path)
+    if heatmap:
+        emit_heatmap(spec, report.slices, float(spec.time), *heat_path)
     return report
 
 
@@ -560,6 +582,7 @@ def run_sweep(
     """Order-by-timestep matrix: orders 1..bch with both commutator bases."""
     entry = _REGISTRY[config.application]
     _check_limits(entry, config, threads, dim_cap)
+    csv_path, json_path = _artifact_paths(config, out_dir, f"{config.application}-sweep")
     cells = []
     for order in range(1, config.bch_order + 1):
         for base in ("lean", "split"):
@@ -568,9 +591,6 @@ def run_sweep(
             shared = [f.name for f in dataclasses.fields(SweepCell) if f.name in measured]
             cells.append(SweepCell(order=order, base=base, **{k: measured[k] for k in shared}))
 
-    out_dir = Path(out_dir)
-    csv_path = out_dir / (config.out_csv or f"{config.application}-sweep.csv")
-    json_path = out_dir / (config.out_json or f"{config.application}-sweep.json")
     lines = ["order,base,t,op_norm_error,gate_count,slices"]
     for cell in cells:
         for t, err in zip(cell.times, cell.op_norm_error):

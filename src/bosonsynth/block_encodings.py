@@ -246,7 +246,6 @@ def mult(
     right: BlockEncoding,
     p_left: int,
     p_right: int,
-    budget: SynthesisBudget | None = None,
     base: str | None = None,
 ) -> BlockEncoding:
     """Encode a Hermitian product A B in the upper-left block.
@@ -269,14 +268,13 @@ def mult(
             RuntimeWarning,
             stacklevel=2,
         )
-    if budget is None:
-        budget = SynthesisBudget.from_orders(p_left, p_right)
+    q = SynthesisBudget.from_orders(p_left, p_right).bch_order
     layout = left.layout
     frame_x, frame_s = (FrameGate(g, layout, {0: qubit_gate(g)}) for g in "XS")
 
     b_left_s = frame_conjugate(left.unitary, frame_s)
     b_right_x = frame_conjugate(right.unitary, frame_x)
-    block = bch(budget.bch_order, 1, b_left_s, b_right_x, base=base)
+    block = bch(q, 1, b_left_s, b_right_x, base=base)
     inner_lin = as_linear_term(block)
     inner = compose(
         f"mult[{left.unitary.label},{right.unitary.label}]",

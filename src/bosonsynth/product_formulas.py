@@ -140,16 +140,6 @@ class Primitive:
         """exp(i t H) on the sector of group g, a block per parameter in ts."""
         return _exp_block(self._eighs[g], ts)
 
-    def restricted(self, t: float, idx: np.ndarray) -> np.ndarray:
-        """exp(i t H) on the sorted basis indices idx, which must hold every
-        row of a group that they touch: entry (a, b) is the unitary's entry
-        (idx[a], idx[b])."""
-        out = np.zeros((len(idx),) * 2, dtype=np.complex128)
-        ts = np.array([t], dtype=float)
-        for g, at in self._rows_within(idx):
-            out[at[:, :, None], at[:, None, :]] = self.block(ts, g)
-        return out
-
     def _rows_within(self, idx: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """(g, at) per group g with rows among the basis indices idx, at[r]
         holding the positions in idx of its r-th such row; ValueError for a
@@ -168,7 +158,11 @@ class Primitive:
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(i t H) on the whole layout."""
-        return self.restricted(t, np.arange(self.layout.dim))
+        out = np.zeros((self.layout.dim,) * 2, dtype=np.complex128)
+        ts = np.array([t], dtype=float)
+        for g, rows in enumerate(self.groups):
+            out[rows[:, :, None], rows[:, None, :]] = self.block(ts, g)
+        return out
 
     def __repr__(self):
         return f"Primitive({self.label!r})"
@@ -1210,7 +1204,6 @@ def timeslice(
     t: float,
     eps: float,
     psi0: np.ndarray | None = None,
-    max_slices: int = 1 << 20,
 ) -> TimesliceResult:
     """Smallest r with ||U(t/r)^r - E(t)|| <= eps, for E(t) the target's
     exp(i t H), the reference the gate approximates at t.
@@ -1218,7 +1211,7 @@ def timeslice(
     Doubling search bracket, then bisection to the minimal count, each
     count measured once (with psi0, as in measure). The measurement at the
     count found is returned, so a caller need not evaluate the gate at t
-    again.
+    again. A search past TOL.slice_cap slices raises ResourceExhaustedError.
     """
     best = None
 
@@ -1233,9 +1226,9 @@ def timeslice(
     e = err(r)
     while e > eps:
         r *= 2
-        if r > max_slices:
+        if r > TOL.slice_cap:
             raise ResourceExhaustedError(
-                f"timeslice: {r} slices exceed cap {max_slices} (error {e:.3g})"
+                f"timeslice: {r} slices exceed cap {TOL.slice_cap} (error {e:.3g})"
             )
         e = err(r)
     lo, hi = r // 2, r
@@ -1257,13 +1250,11 @@ class PowerLawFit:
     n_used: int
 
 
-def fit_power_law(
-    ts: Sequence[float], errs: Sequence[float], floor: float = TOL.noise_floor
-) -> PowerLawFit:
+def fit_power_law(ts: Sequence[float], errs: Sequence[float]) -> PowerLawFit:
     """Least-squares slope of log10(err) against log10(t).
 
-    Points at or below the noise floor are dropped; at least four must
-    survive. The residual is the RMS deviation in log10.
+    Points at or below the noise floor (TOL.noise_floor) are dropped; at
+    least four must survive. The residual is the RMS deviation in log10.
     """
     ts = np.asarray(ts, dtype=float)
     errs = np.asarray(errs, dtype=float)
@@ -1271,7 +1262,7 @@ def fit_power_law(
         raise ValueError("ts and errs must have equal length")
     if np.any(ts <= 0):
         raise ValueError("sample times must be positive")
-    keep = errs > floor
+    keep = errs > TOL.noise_floor
     if int(keep.sum()) < 4:
         raise ValueError(
             f"only {int(keep.sum())} samples above the noise floor, need >= 4"

@@ -58,6 +58,7 @@ class Tolerances:
     noise_floor: float = 1e-12
     dim_cap: int = 2048
     sequence_cap: int = 5_000_000
+    slice_cap: int = 1 << 20
 
 
 TOL = Tolerances()

@@ -62,8 +62,9 @@ class TestApplicationSpec:
             spec.exact()
 
     def test_stored_time_used(self):
-        spec = conditional_rotation_phase_space(t=0.2, cutoff=3)
-        assert spec.error() == spec.error(0.2)
+        spec = state_prep_T(2, cutoff=2)
+        assert spec.time == state_prep_exact_time(2, 0, 2)
+        assert spec.error() == spec.error(spec.time)
 
 
 class TestDynamicsTrace:
@@ -111,10 +112,6 @@ class TestConditionalRotation:
     @pytest.mark.parametrize("p,count", [(1, 34), (2, 194)])
     def test_pulse_count(self, p, count):
         assert conditional_rotation_phase_space(p=p, cutoff=4).synthesis.cost() == count
-
-    def test_rejects_unknown_axis(self):
-        with pytest.raises(ValueError):
-            conditional_rotation_phase_space(cutoff=4, axis="q")
 
     def test_fock_route_exact_target_phases(self):
         spec = conditional_rotation_fock(cutoff=8)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import filecmp
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -87,19 +88,9 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="base"):
             fast_config(base="fat")
 
-    def test_bad_residual_cap(self):
-        with pytest.raises(UsageError, match="residual_cap"):
-            fast_config(residual_cap=0.0)
-
     def test_nonfinite_physical(self):
         with pytest.raises(UsageError, match="finite"):
             fast_config(physical={"k": float("inf")})
-
-    def test_linear_grid(self):
-        cfg = fast_config(log_spaced=False, t_min=0.1, t_max=0.4)
-        grid = cfg.grid()
-        assert grid[0] == pytest.approx(0.1)
-        assert grid[1] - grid[0] == pytest.approx(grid[2] - grid[1])
 
 
 class TestFromMapping:
@@ -110,14 +101,12 @@ class TestFromMapping:
                 "cutoff": 3,
                 "grid": {"min": 1e-3, "max": 1e-1, "points": 5},
                 "orders": {"bch": 2, "base": "lean"},
-                "fit": {"residual_cap": 0.2},
                 "output": {"csv": "a.csv"},
             }
         )
         assert cfg.points == 5
         assert cfg.bch_order == 2
         assert cfg.base == "lean"
-        assert cfg.residual_cap == 0.2
         assert cfg.out_csv == "a.csv"
 
     def test_rejects_unknown_top_key(self):
@@ -167,6 +156,25 @@ class TestLoadConfig:
         with pytest.raises(UsageError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("application: fswap\ncutoff: 2\ngrid: {points: 4}\ncutoff: 3\n"
+             "grid: {points: 5}\n", "cutoff"),
+            ("application: fswap\ngrid:\n  points: 4\n  points: 5\n", "points"),
+        ],
+        ids=["top-level", "in-a-section"],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key):
+        """PyYAML keeps the last of two equal keys; a config refuses them."""
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"repeated key {key!r}" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRegistry:
     def test_listing_covers_all(self):
@@ -187,6 +195,17 @@ class TestRegistry:
     def test_describe_unknown(self):
         with pytest.raises(UsageError):
             describe("bogus")
+
+    @pytest.mark.parametrize("name", APPS)
+    def test_help_names_only_real_config_keys(self, name):
+        """`describe` text names config locations that exist, and only the
+        physical keys the entry reads."""
+        entry = bench._REGISTRY[name]
+        real = {".".join(f.metadata["at"]) for f in dataclasses.fields(ExperimentConfig)}
+        real |= {f"physical.{key}" for key in ("delta", *entry.physical)}
+        named = [item.split()[0] for item in re.split("[;,]", entry.params)]
+        named += re.findall(r"\b[a-z]+\.[a-z_]+\b", entry.params + entry.detail)
+        assert named and set(named) <= real - {"physical"}
 
     @pytest.mark.parametrize("bch", [1, 2])
     @pytest.mark.parametrize("name", APPS)
@@ -450,10 +469,12 @@ class TestCli:
             {"physical": {"k": 5}},
             {"physical": {"k": 3}, "cutoff": 3, "orders": {"base": "lean"}},
             {"application": "nonlinear-hamiltonian", "physical": {"kappa": -1}},
+            {"grid": {"points": 4, "log_spaced": True}},
+            {"fit": {"residual_cap": 0.1}},
         ],
         ids=["cutoff-abc", "cutoff-8.5", "cutoff-true", "points-list", "min-str",
              "symmetrized-no", "physical-kk", "k-2.5", "k-over-cutoff", "k-3-with-base",
-             "negative-kappa"],
+             "negative-kappa", "log-spaced", "residual-cap"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, override):
         path = self._write(tmp_path, {"application": "state-prep-T", "cutoff": 2,
@@ -681,6 +702,33 @@ class TestCli:
             parser.parse_args(["sweep", "c.yaml"]).dim_cap,
         }
         assert defaults == {TOL.dim_cap}
+
+    @pytest.mark.parametrize(
+        "command,application,output",
+        [
+            ("run", "fswap", {"csv": "out.txt", "json": "out.txt"}),
+            ("run", "fswap", {"csv": "out.csv", "json": "sub/../out.csv"}),
+            ("run", "state-prep-T", {"csv": "a.csv", "json": "a_heatmap.csv"}),
+            ("sweep", "fswap", {"csv": "out.txt", "json": "out.txt"}),
+        ],
+        ids=["run-csv-is-json", "run-json-via-parent", "heatmap-is-json", "sweep-csv-is-json"],
+    )
+    def test_colliding_artifacts_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, application, output
+    ):
+        def refuse(self, t):
+            raise AssertionError("evaluated a gate")
+
+        monkeypatch.setattr(ParamUnitary, "eval", refuse)
+        path = self._write(tmp_path, {"application": application, "cutoff": 2,
+                                      "grid": {"points": 4}, "output": output})
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        assert cli.main([command, path, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: artifacts would overwrite each other")
+        assert err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["sub"]
 
     def test_slice_cap_exits_3(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 1,

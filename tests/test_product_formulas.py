@@ -138,18 +138,20 @@ class TestSectorSplitPrimitive:
         with pytest.raises(LayoutMismatchError, match="does not fit"):
             Primitive("bad", self.LAYOUT, gen, at)
 
-    def test_restricted_refuses_indices_that_hold_a_row_in_part(self):
+    def test_rows_within_refuses_indices_that_hold_a_row_in_part(self):
         """An X pulse on the first of two qubits keeps the second qubit's
         state, so its rows are {0, 2} and {1, 3}. Indices holding whole rows
-        give the unitary's entries there; [0, 1, 3] holds row {0, 2} only in
-        part, where the unitary is not block-diagonal, so it is refused."""
+        give those rows' positions among them; [0, 1, 3] holds row {0, 2}
+        only in part, where the unitary is not block-diagonal, so it is
+        refused."""
         layout = HilbertLayout((("qubit", 2), ("qubit", 2)))
         prim = Primitive("x", layout, pauli("x"), (0,))
-        full = prim.unitary(0.3)
-        for idx in ([0, 2], [1, 3], [0, 1, 2, 3]):
-            assert np.array_equal(prim.restricted(0.3, np.array(idx)), full[np.ix_(idx, idx)])
+        cases = [([0, 2], [[0, 1]]), ([1, 3], [[0, 1]]), ([0, 1, 2, 3], [[0, 2], [1, 3]])]
+        for idx, rows in cases:
+            ((g, at),) = prim._rows_within(np.array(idx))
+            assert g == 0 and at.tolist() == rows
         with pytest.raises(ValueError, match="only in part"):
-            prim.restricted(0.3, np.array([0, 1, 3]))
+            prim._rows_within(np.array([0, 1, 3]))
 
 
 class TestExpansionCap:
@@ -445,10 +447,11 @@ class TestTimeslice:
         with pytest.raises(LayoutMismatchError):
             timeslice(family, big, 0.5, 1e-3)
 
-    def test_slice_cap(self):
+    def test_slice_cap(self, monkeypatch):
         family, _ = self._setup()
-        with pytest.raises(ResourceExhaustedError):
-            timeslice(family, self._reference(), 0.5, 1e-12, max_slices=4)
+        monkeypatch.setattr(product_formulas, "TOL", dataclasses.replace(TOL, slice_cap=4))
+        with pytest.raises(ResourceExhaustedError, match="8 slices exceed cap 4"):
+            timeslice(family, self._reference(), 0.5, 1e-12)
 
 
 class TestFitPowerLaw:
