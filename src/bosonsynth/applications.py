@@ -326,7 +326,7 @@ def state_prep_protected(
     if t is None:
         t = state_prep_exact_time(k, 0, cutoff, protected=True)
     flip = vacuum_parity_flip(cutoff)
-    frame = FrameGate("R0", layout, {1: flip})
+    frame = FrameGate("R0", layout, flip, (1,))
     echoed = frame_conjugate(rescale(pulse, -1.0), frame)
     pu = compose(f"protected-prep-T{k}", [Factor(pulse), Factor(echoed)])
     target = _ladder_power(cutoff, k)

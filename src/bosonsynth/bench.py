@@ -14,6 +14,7 @@ cost ceiling.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -541,14 +542,19 @@ def _artifact_paths(
 ) -> list[Path]:
     """The files a run writes: its CSV and JSON (named `stem` unless the
     config names them) and, with heatmap, `<csv stem>_heatmap.csv` beside
-    the CSV. Two that name one file exit 2, before any work."""
+    the CSV. Two that name one file, or a path that is a directory (an
+    existing one, or another artifact's), exit 2, before any work."""
     out_dir = Path(out_dir)
     csv_path = out_dir / (config.out_csv or f"{stem}.csv")
     paths = [csv_path, out_dir / (config.out_json or f"{stem}.json")]
     if heatmap:
         paths.append(csv_path.with_name(csv_path.stem + "_heatmap.csv"))
-    if len({path.resolve() for path in paths}) < len(paths):
+    resolved = [path.resolve() for path in paths]
+    if len(set(resolved)) < len(paths):
         raise UsageError(f"artifacts would overwrite each other: {', '.join(map(str, paths))}")
+    for path, full in zip(paths, resolved):
+        if full.is_dir() or any(full in other.parents for other in resolved):
+            raise UsageError(f"artifact path {path} is a directory")
     return paths
 
 
@@ -607,13 +613,16 @@ def run_sweep(
 # Serialization
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write text to path through a `.tmp` file, removed if either step fails."""
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise OSError(f"writing {path}: {exc}") from exc
 
 

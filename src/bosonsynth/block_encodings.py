@@ -171,7 +171,7 @@ def conjugate(enc: BlockEncoding, gate: str) -> BlockEncoding:
         raise ValueError("frame conjugation applies to off-diagonal encodings")
     if gate not in _CONJ_RULES:
         raise ValueError(f"unsupported frame {gate!r}")
-    pu = frame_conjugate(enc.unitary, FrameGate(gate, enc.layout, {0: qubit_gate(gate)}))
+    pu = frame_conjugate(enc.unitary, FrameGate(gate, enc.layout, qubit_gate(gate), (0,)))
     target = _CONJ_RULES[gate](enc.block_target)
     return BlockEncoding(pu, target, block_generator(target))
 
@@ -216,8 +216,8 @@ def add(
     q, s = budget.bch_order, budget.trotter_index
     layout = left.layout
 
-    frame_x, frame_s, frame_h = (FrameGate(g, layout, {0: qubit_gate(g)}) for g in "XSH")
-    frame_sh = FrameGate("SH", layout, {0: qubit_gate("S") @ qubit_gate("H")})
+    frame_x, frame_s, frame_h = (FrameGate(g, layout, qubit_gate(g), (0,)) for g in "XSH")
+    frame_sh = FrameGate("SH", layout, qubit_gate("S") @ qubit_gate("H"), (0,))
 
     b_right_x = frame_conjugate(right.unitary, frame_x)
     b_left_s = frame_conjugate(left.unitary, frame_s)
@@ -270,7 +270,7 @@ def mult(
         )
     q = SynthesisBudget.from_orders(p_left, p_right).bch_order
     layout = left.layout
-    frame_x, frame_s = (FrameGate(g, layout, {0: qubit_gate(g)}) for g in "XS")
+    frame_x, frame_s = (FrameGate(g, layout, qubit_gate(g), (0,)) for g in "XS")
 
     b_left_s = frame_conjugate(left.unitary, frame_s)
     b_right_x = frame_conjugate(right.unitary, frame_x)

@@ -15,7 +15,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .tensor_core import HilbertLayout, Operator, identity
+from .tensor_core import HilbertLayout, LayoutMismatchError, Operator, identity
 
 __all__ = [
     "annihilation",
@@ -146,14 +146,14 @@ def embed_sum(
 
 def _factor_mats(ops: Mapping[int, Operator], layout: HilbertLayout) -> list[np.ndarray]:
     """The matrix on each factor of layout: ops' where given, checked
-    against the factor, and the identity elsewhere."""
+    against the factor (LayoutMismatchError), and the identity elsewhere."""
     for at, op in ops.items():
         if op.layout.nfactors != 1:
-            raise ValueError("embed expects single-factor operators")
+            raise LayoutMismatchError("embed expects single-factor operators")
         if at not in range(layout.nfactors):
-            raise ValueError(f"factor {at} is not in a layout of {layout.nfactors}")
+            raise LayoutMismatchError(f"factor {at} is not in a layout of {layout.nfactors}")
         if layout.dim_of(at) != op.dim:
-            raise ValueError(
+            raise LayoutMismatchError(
                 f"factor {at} has dim {layout.dim_of(at)}, operator has dim {op.dim}"
             )
     return [ops[pos].mat if pos in ops else np.eye(d) for pos, (_, d) in enumerate(layout.factors)]

@@ -3,28 +3,28 @@ recursions, Suzuki splittings, symmetrization, timeslicing and order fits.
 
 A compiled gate is a ParamUnitary: an immutable tree of Leaf, Product and
 Repeat nodes, which the combinators below only build. A leaf is a counted
-primitive or a fixed, uncounted frame gate; a frame conjugation is a
-three-factor product whose outer factors are that frame at power 0. One
-interpreter evaluates, expands and reverses trees; the exponential ledger is
-summed once per node at build time. The first eval of a tree finds its
-sectors: the connected components of the union of its leaves' nonzero
-patterns, on which every node is exactly block-diagonal (one sector when a
-frame or a primitive connects everything), with each primitive's placement
-in them and the gathers of its monomial frame conjugations. They depend only
-on the immutable tree, so they are kept on it, and a sliced tree shares
-them. Every eval then makes a top-down pass over the distinct nodes of its
-tree, in which every node collects the distinct parameters it is needed at
-(deep recursions revisit a node at the same parameter many times), each
-slot's in one list expression of Python floats; then, one class of sectors
-at a time, a bottom-up pass in which every node builds all of them as one
-stack of matrices per sector with batched products, a cache-sized tile of
-rows at a time. A later primitive on a strict subset of the factors
-multiplies in through its index groups in each sector, and a conjugation by
-an X, S or parity-flip frame is a gather of entries times fixed phases. The
-root's blocks come back class by class: eval scatters them into one
-full-size matrix, and measure takes each class's error against a reference
-on the same indices and drops it before the next class is built. No matrix
-is kept between calls.
+primitive or a fixed, uncounted frame gate, each declared on the factors it
+acts on and kept as index groups and sector blocks, never at full size; a
+frame conjugation is a three-factor product whose outer factors are that
+frame at power 0. One interpreter evaluates, expands and reverses trees;
+the exponential ledger is summed once per node at build time. The first
+eval of a tree finds its sectors (the connected components of the union of
+its leaves' index groups, on which every node is exactly block-diagonal),
+each leaf's placement in them and the gathers of its monomial frame
+conjugations. They depend only on the immutable tree, so they are kept on
+it, and a sliced tree shares them. Every eval then makes a top-down pass
+over the distinct nodes of its tree, in which every node collects the
+distinct parameters it is needed at (deep recursions revisit a node at the
+same parameter many times), each slot's in one list expression of Python
+floats; then, one class of sectors at a time, a bottom-up pass in which
+every node builds all of them as one stack of matrices per sector with
+batched products, a cache-sized tile of rows at a time. A later primitive
+on a strict subset of the factors multiplies in through its index groups in
+each sector, and a conjugation by an X, S or parity-flip frame is a gather
+of entries times fixed phases. The root's blocks come back class by class:
+eval scatters them into one full-size matrix, and measure takes each
+class's error against a reference on the same indices and drops it before
+the next class is built. No matrix is kept between calls.
 """
 from __future__ import annotations
 
@@ -34,11 +34,10 @@ import warnings
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock_ops import embed
 from .tensor_core import (
     TOL,
     HilbertLayout,
@@ -86,83 +85,77 @@ __all__ = [
 ]
 
 
+def _declare(gate, label: str, layout: HilbertLayout, op: Operator,
+             at: Sequence[int] | None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Set gate's label, layout, support, local and groups for op on the
+    factors of layout at the strictly increasing positions at (None: every
+    factor), the identity elsewhere, and return the sectors of op's nonzero
+    pattern and op's block on each. local: op leaves a factor alone. Group k holds
+    the full-size basis indices of sector k's support states, one row per
+    state of the other factors, each row carrying block k. A layout of op
+    that is not those factors' raises LayoutMismatchError."""
+    support = tuple(range(layout.nfactors)) if at is None else tuple(at)
+    if not (
+        list(support) == sorted(set(support))
+        and set(support) <= set(range(layout.nfactors))
+        and op.layout.factors == tuple(layout.factors[j] for j in support)
+    ):
+        raise LayoutMismatchError(
+            f"{type(gate).__name__} {label!r}: an operator on {op.layout.factors} "
+            f"does not fit factors {support} of {layout.factors}"
+        )
+    mat = op.mat
+    sectors = _sectors(mat != 0)
+    dims = [d for _, d in layout.factors]
+    rest = [j for j in range(len(dims)) if j not in support]
+    # index[u, r]: the basis index of support state u and spectator state r.
+    index = np.arange(layout.dim).reshape(dims).transpose(list(support) + rest)
+    index = index.reshape(len(mat), -1)
+    gate.label, gate.layout, gate.support = label, layout, support
+    gate.local = len(support) < layout.nfactors
+    gate.groups = [index[sec].T for sec in sectors]
+    return sectors, [mat[np.ix_(sec, sec)] for sec in sectors]
+
+
+def _full_size(gate: Primitive | FrameGate, ts: np.ndarray) -> np.ndarray:
+    """gate on the whole layout at the one parameter in ts: each group's
+    block scattered onto its rows, zero elsewhere."""
+    out = np.zeros((gate.layout.dim,) * 2, dtype=np.complex128)
+    for g, rows in enumerate(gate.groups):
+        out[rows[:, :, None], rows[:, None, :]] = gate.block(ts, g)
+    return out
+
+
 class Primitive:
     """One directly exponentiable Hermitian generator.
 
-    The generator acts on the factors of layout at the strictly increasing
-    positions `at` (None: every factor), and its layout is theirs; on the
-    other factors the primitive is the identity. The builder names those
-    factors, so nothing is searched for: `support` is `at`. The generator
-    splits into the sectors of its nonzero pattern (the quantum numbers it
-    conserves), and each sector is eigendecomposed on its own. So
-    exp(i t H) is unitary to rounding and exactly block-diagonal on the
-    index groups: group k holds the full-size basis indices of sector k's
-    support states, one row per state of the other factors, and every row
-    carries the same block. The primitive keeps the groups and the sectors'
-    eigendecompositions, not a full-size generator.
+    The generator is declared on the factors it acts on (`at`, the identity
+    elsewhere; see _declare), so nothing is searched for: `support` is `at`.
+    It splits into the sectors of its nonzero pattern (the quantum numbers
+    it conserves), each eigendecomposed on its own. So exp(i t H) is unitary
+    to rounding and exactly block-diagonal on the index groups. The
+    primitive keeps the groups and the sectors' eigendecompositions, not a
+    full-size generator.
     """
 
     def __init__(self, label: str, layout: HilbertLayout, generator: Operator,
                  at: Sequence[int] | None = None):
-        self.label = label
-        self.layout = layout
-        self.support = tuple(range(layout.nfactors)) if at is None else tuple(at)
-        fits = (
-            list(self.support) == sorted(set(self.support))
-            and set(self.support) <= set(range(layout.nfactors))
-            and generator.layout.factors == tuple(layout.factors[j] for j in self.support)
-        )
-        if not fits:
-            raise LayoutMismatchError(
-                f"primitive {label!r}: a generator on {generator.layout.factors} does not "
-                f"fit factors {self.support} of {layout.factors}"
-            )
-        block = generator.mat
-        sectors = _sectors(block != 0)
-        subs = [block[np.ix_(sec, sec)] for sec in sectors]
+        _, subs = _declare(self, label, layout, generator, at)
         # Entries between sectors are zero both ways, so this gives the same
         # answer as the check on the whole generator, and the largest entry
         # of the sectors is the generator's.
         scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
         if not all(_hermitian_defect(sub) <= TOL.hermiticity * scale for sub in subs):
             raise ValueError(f"primitive {label!r} needs a Hermitian generator")
-        # True when the generator leaves at least one factor alone.
-        self.local = len(self.support) < self.layout.nfactors
-        dims = [d for _, d in self.layout.factors]
-        rest = [j for j in range(len(dims)) if j not in self.support]
-        # index[u, r]: the basis index of support state u and spectator state r.
-        index = np.arange(self.layout.dim).reshape(dims).transpose(list(self.support) + rest)
-        index = index.reshape(len(block), -1)
-        self.groups = [index[sec].T for sec in sectors]
         self._eighs = [np.linalg.eigh(sub) for sub in subs]
 
     def block(self, ts: np.ndarray, g: int) -> np.ndarray:
         """exp(i t H) on the sector of group g, a block per parameter in ts."""
         return _exp_block(self._eighs[g], ts)
 
-    def _rows_within(self, idx: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """(g, at) per group g with rows among the basis indices idx, at[r]
-        holding the positions in idx of its r-th such row; ValueError for a
-        row only partly among them."""
-        pos = np.full(self.layout.dim, -1)
-        pos[idx] = np.arange(len(idx))
-        out = []
-        for g, rows in enumerate(self.groups):
-            at = pos[rows]
-            whole = np.all(at >= 0, axis=1)
-            if np.any(whole != np.any(at >= 0, axis=1)):
-                raise ValueError(f"{self.label!r}: idx holds a row of group {g} only in part")
-            if whole.any():
-                out.append((g, at[whole]))
-        return out
-
     def unitary(self, t: float) -> np.ndarray:
         """exp(i t H) on the whole layout."""
-        out = np.zeros((self.layout.dim,) * 2, dtype=np.complex128)
-        ts = np.array([t], dtype=float)
-        for g, rows in enumerate(self.groups):
-            out[rows[:, :, None], rows[:, None, :]] = self.block(ts, g)
-        return out
+        return _full_size(self, np.array([t], dtype=float))
 
     def __repr__(self):
         return f"Primitive({self.label!r})"
@@ -180,52 +173,62 @@ class FrameGate:
     """Fixed unitary (basis change) that is recorded but not counted as an
     exponential.
 
-    factors maps a factor position to the one-factor unitary acting there, as
-    in fock_ops.embed, with the identity elsewhere. Unitarity is checked on
-    each factor, and mat is their embedding.
+    Declared like a Primitive: the unitary acts on the factors of layout at
+    `at` (None: every factor), the identity elsewhere, and splits into the
+    same support and index groups (see _declare). The frame keeps each
+    sector's indices on the support and its constant block, not a full-size
+    matrix.
 
-    The frame is monomial when every factor has one nonzero per row and per
+    The frame is monomial when every block has one nonzero per row and per
     column, each exactly +-1 or +-i (X, S, Sdg and the vacuum parity flip,
-    not H). Then so has mat: the nonzero of row a sits in column perm[a] and
-    equals phase[a], and a conjugation by it is an exact gather.
+    not H). Then so has the frame on the whole layout: the nonzero of row a
+    sits in column perm[a] and equals phase[a], and a conjugation by it is
+    an exact gather.
     """
 
-    def __init__(self, label: str, layout: HilbertLayout, factors: Mapping[int, Operator]):
-        for op in factors.values():
-            if not is_unitary(op):
-                raise ValueError(f"frame gate {label!r} must be unitary")
-        self.label = label
-        self.layout = layout
-        self.factors = dict(factors)
-        self.mat = embed(self.factors, layout).mat
-        self.monomial = all(_is_monomial(op.mat) for op in self.factors.values())
+    def __init__(self, label: str, layout: HilbertLayout, unitary: Operator,
+                 at: Sequence[int] | None = None):
+        self._sectors, self._blocks = _declare(self, label, layout, unitary, at)
+        if not is_unitary(unitary):
+            raise ValueError(f"frame gate {label!r} must be unitary")
+        # A unitary block with as many nonzeros as rows has one per row and column.
+        self.monomial = all(
+            np.count_nonzero(b) == len(b) and np.all(np.isin(b[b != 0], (1, -1, 1j, -1j)))
+            for b in self._blocks
+        )
         if self.monomial:
-            # One nonzero per row, so the row-major nonzeros come row by row.
-            self.perm = np.flatnonzero(self.mat) % layout.dim
-            self.phase = self.mat[np.arange(layout.dim), self.perm]
+            self.perm = np.empty(layout.dim, dtype=np.intp)
+            self.phase = np.empty(layout.dim, dtype=np.complex128)
+            for rows, block in zip(self.groups, self._blocks):
+                # Row-major, the nonzeros come one per row.
+                self.perm[rows] = rows[:, np.nonzero(block)[1]]
+                self.phase[rows] = block[block != 0]
         self._dagger: FrameGate | None = None
+
+    def block(self, ts: np.ndarray, g: int) -> np.ndarray:
+        """The frame on the sector of group g, on one row per parameter in ts."""
+        return np.broadcast_to(self._blocks[g], (len(ts),) + self._blocks[g].shape)
+
+    def unitary(self, t: float | None = None) -> np.ndarray:
+        """The frame on the whole layout; it takes no parameter."""
+        return _full_size(self, np.zeros(1))
 
     def dagger(self) -> "FrameGate":
         """The inverse gate; built once, and its own dagger is self, so
         reversed and inverted sequences compare equal gate by gate."""
         if self._dagger is None:
             label = self.label[:-1] if self.label.endswith("'") else self.label + "'"
-            factors = {at: op.dag() for at, op in self.factors.items()}
-            self._dagger = FrameGate(label, self.layout, factors)
+            # The inverse on the support, from the blocks on their sectors.
+            inverse = np.zeros((sum(map(len, self._sectors)),) * 2, dtype=np.complex128)
+            for sec, block in zip(self._sectors, self._blocks):
+                inverse[np.ix_(sec, sec)] = block.conj().T
+            on = HilbertLayout(tuple(self.layout.factors[j] for j in self.support))
+            self._dagger = FrameGate(label, self.layout, Operator(on, inverse), self.support)
             self._dagger._dagger = self
         return self._dagger
 
     def __repr__(self):
         return f"FrameGate({self.label!r})"
-
-
-def _is_monomial(m: np.ndarray) -> bool:
-    """Whether m has one nonzero per row and per column, each +-1 or +-i."""
-    nz = m != 0
-    return (
-        bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
-        and bool(np.all(np.isin(m[nz], (1, -1, 1j, -1j))))
-    )
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,7 @@ class Invocation:
         return self.gate.label
 
     def matrix(self) -> np.ndarray:
-        if isinstance(self.gate, Primitive):
-            return self.gate.unitary(self.param)
-        return self.gate.mat
+        return self.gate.unitary(self.param)
 
     def inverted(self) -> "Invocation":
         if isinstance(self.gate, Primitive):
@@ -487,17 +488,14 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> l
 def _tree_sectors(order: list[ParamUnitary]) -> list[np.ndarray]:
     """The sectors of the union of the nonzero patterns of the leaves among
     order (a tree's distinct nodes): every node of the tree is exactly
-    block-diagonal on them. A primitive's pattern joins each of its index
-    groups; a frame that mixes sectors merges them."""
+    block-diagonal on them. Each leaf's pattern joins each of its index
+    groups, so a leaf that mixes sectors merges them."""
     dim = order[0].layout.dim
     pattern = np.zeros((dim, dim), dtype=bool)
     for pu in order:
-        match pu.node:
-            case Leaf(Primitive() as gate):
-                for rows in gate.groups:
-                    pattern[rows[:, :, None], rows[:, None, :]] = True
-            case Leaf(gate):
-                pattern |= gate.mat != 0
+        if isinstance(pu.node, Leaf):
+            for rows in pu.node.gate.groups:
+                pattern[rows[:, :, None], rows[:, None, :]] = True
     return _sectors(pattern)
 
 
@@ -527,17 +525,22 @@ def _classes(sectors: list[np.ndarray]) -> list[np.ndarray]:
 
 def _place(groups: list[np.ndarray], classes: list[np.ndarray]) -> list[list[tuple]]:
     """Per class of sectors, (g, (sector, position)) for the rows of a
-    primitive's group g that lie in it: the group's r-th such row holds the
+    gate's group g that lie in it: the group's r-th such row holds the
     positions position[r] of the class's sector sector[r, 0]. Each row lies
-    in one sector, and the rows in a sector cover it."""
+    in one sector, and the rows in a sector cover it; a row spread over
+    several sectors, where the gate is not block-diagonal on them, raises
+    ValueError."""
     owner = np.empty(sum(cls.size for cls in classes), dtype=np.intp)
-    sector, position = np.empty_like(owner), np.empty_like(owner)
+    sector, position, first = (np.empty_like(owner) for _ in range(3))
     for i, cls in enumerate(classes):
         owner[cls] = i
         sector[cls] = np.arange(len(cls))[:, None]
         position[cls] = np.arange(cls.shape[1])
+        first[cls] = cls[:, :1]  # names the sector
     placed: list[list[tuple]] = [[] for _ in classes]
     for g, rows in enumerate(groups):
+        if np.any(first[rows] != first[rows[:, :1]]):
+            raise ValueError(f"a sector holds a row of group {g} only in part")
         own = owner[rows[:, 0]]
         for i in set(own.tolist()):
             mine = rows[own == i]
@@ -640,8 +643,8 @@ def _gathers(sides: tuple, classes: list[np.ndarray]) -> list[tuple]:
 @dataclass(frozen=True)
 class _TreeSectors:
     """What every eval of one tree reads of its sectors: the classes, each
-    primitive's placement in them and the last class each of its groups is
-    placed in (by id of the primitive), and the gathers of each monomial
+    leaf gate's placement in them and the last class each of its groups is
+    placed in (by id of the gate), and the gathers of each monomial
     frame sandwich (by id of the product), and measured, what _measured
     finds per reference."""
 
@@ -665,7 +668,7 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
             places, last, gathers = {}, {}, {}
             for pu in order:
                 match pu.node:
-                    case Leaf(Primitive() as gate):
+                    case Leaf(gate):
                         places[id(gate)] = placed = _place(gate.groups, classes)
                         last[id(gate)] = {g: i for i, pl in enumerate(placed) for g, _ in pl}
                     case Product(factors) if (sides := _sandwich(factors)) is not None:
@@ -706,7 +709,7 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather,
     rows, from the class-i stacks of its children (stacks[key]; a local
     primitive's entry holds its blocks(ts)), each slot reading size rows;
     gather is the node's entry in the tree's gathers, if any. assembled,
-    when given, is the first slot's primitive as (blocks(ts), placement): a leaf
+    when given, is the first slot's leaf as (blocks(ts), placement): a leaf
     read by no other slot, whose rows are assembled straight into this
     node's tiles. Nothing it reads outlives the call.
 
@@ -771,8 +774,8 @@ def _evaluate(root: ParamUnitary, t: float):
     """root at t, one class of its sectors at a time: yields (cls, blocks)
     for each class cls, blocks[j] being root's block on the indices cls[j].
 
-    The tree's classes of sectors, its primitives' placements in them and
-    its frame gathers are found on the first eval and reused (_sectors_of).
+    The tree's classes of sectors, its leaves' placements in them and its
+    frame gathers are found on the first eval and reused (_sectors_of).
     Top-down, every node collects the distinct parameters it is needed at
     (float equality, first occurrence kept) and plans which child rows each
     of its slots reads. Then, class by class, a bottom-up pass builds every
@@ -799,13 +802,14 @@ def _evaluate(root: ParamUnitary, t: float):
     leaves = {id(pu): pu.node.gate for pu in order if isinstance(pu.node, Leaf)}
     nodes = [pu for pu in reversed(order) if id(pu) in plans]
 
-    # A group of a local primitive can lie in several classes: its blocks
-    # are exponentiated once per eval and kept until the last of them.
+    # A group of a leaf can lie in several classes: its blocks are made
+    # (a primitive's exponentiated) once per eval and kept until the last.
     kept: dict = {}
 
-    def blocks(key, gate: Primitive, i: int) -> list[np.ndarray]:
-        """Leaf key's primitive gate on class i: its blocks at key's
-        parameters, one per group placed in the class."""
+    def blocks(key, i: int) -> tuple[list[np.ndarray], list[tuple]]:
+        """Leaf key's gate on class i: its blocks at key's parameters, one
+        per group placed in the class, and their placement."""
+        gate = leaves[key[1] if isinstance(key, tuple) else key]
         ts = np.array(list(need[key]), dtype=float)
         out = []
         for g, _ in places[id(gate)][i]:
@@ -815,20 +819,13 @@ def _evaluate(root: ParamUnitary, t: float):
             if i < sectors.last[id(gate)][g]:
                 kept[(key, g)] = block
             out.append(block)
-        return out
+        return out, places[id(gate)][i]
 
     def leaf(key, i: int):
         """Leaf key's stack on class i; a local primitive's ("block", id)
         entry is its blocks on the class instead, one per placed group."""
-        gate = leaves[key[1] if isinstance(key, tuple) else key]
-        if isinstance(gate, Primitive):
-            exps = blocks(key, gate, i)
-            if isinstance(key, tuple):
-                return exps
-            return _assemble(exps, places[id(gate)][i], *classes[i].shape)
-        cls = classes[i]
-        fixed = gate.mat[cls[:, :, None], cls[:, None, :]]
-        return np.broadcast_to(fixed, (len(need[key]),) + fixed.shape)
+        exps, placed = blocks(key, i)
+        return exps if isinstance(key, tuple) else _assemble(exps, placed, *classes[i].shape)
 
     for i, cls in enumerate(classes):
         # stacks[key] has shape (rows, m, k, k): the node's blocks on the
@@ -840,12 +837,11 @@ def _evaluate(root: ParamUnitary, t: float):
             key, _, adjoint, _ = slots[0]
             assembled = None
             if (
-                isinstance(leaves.get(key), Primitive) and left[key] == 1
+                key in leaves and left[key] == 1
                 and not isinstance(adjoint, np.ndarray) and not adjoint
                 and len(slots) > 1 and gather is None
             ):
-                gate = leaves[key]
-                assembled = blocks(key, gate, i), places[id(gate)][i]
+                assembled = blocks(key, i)
             for key, *_ in slots[0 if assembled is None else 1 :]:
                 if key not in stacks:
                     stacks[key] = leaf(key, i)
@@ -891,19 +887,24 @@ def _measured(pu: ParamUnitary, reference: Primitive) -> tuple[list, list]:
     beside pu's sectors: per class, (c, at), its measured group c and the
     positions of its blocks' indices among the group's sorted indices (None
     for a class of one sector measured alone, already in that order); per
-    group, (indices, its number of classes, the reference's rows in it)."""
+    group, (indices, its number of classes, (g, at) per group g of the
+    reference with rows in it, at[r] the positions of its r-th such row)."""
     sectors = _sectors_of(pu)
     if reference not in sectors.measured:
         classes = sectors.classes
+        together = _measured_together(classes, reference)
+        idxs = [np.sort(np.concatenate([classes[i].ravel() for i in m])) for m in together]
+        # Each measured group holds whole rows of the reference (see
+        # _measured_together), so it is placed in them as a leaf; else _place refuses.
+        placed = _place(reference.groups, [idx[None] for idx in idxs])
         per_class, groups = [None] * len(classes), []
         pos = np.empty(reference.layout.dim, dtype=np.intp)
-        for c, members in enumerate(_measured_together(classes, reference)):
-            idx = np.sort(np.concatenate([classes[i].ravel() for i in members]))
+        for c, (members, idx) in enumerate(zip(together, idxs)):
             pos[idx] = np.arange(len(idx))
             for i in members:
                 alone = len(members) == 1 and len(classes[i]) == 1
                 per_class[i] = c, None if alone else pos[classes[i]]
-            groups.append((idx, len(members), reference._rows_within(idx)))
+            groups.append((idx, len(members), [(g, at) for g, (_, at) in placed[c]]))
         sectors.measured[reference] = per_class, groups
     return sectors.measured[reference]
 
@@ -941,8 +942,7 @@ def measure(
         c, at = per_class[i]
         idx, _, rows = groups[c]
         if at is None:
-            # A frame leaf's blocks are a read-only view of the frame's own.
-            diff = blocks[0] if blocks.flags.writeable else blocks[0].copy()
+            diff = blocks[0]
         else:
             diff = held.pop(c) if c in held else np.zeros((len(idx),) * 2, dtype=np.complex128)
             diff[at[:, :, None], at[:, None, :]] = blocks

@@ -730,6 +730,60 @@ class TestCli:
         assert err.count("\n") == 1
         assert [p.name for p in out.iterdir()] == ["sub"]
 
+    @pytest.mark.parametrize(
+        "command,output,existing",
+        [
+            ("run", {"csv": ".", "json": "x.json"}, True),
+            ("run", {"csv": ".", "json": "x.json"}, False),
+            ("run", {"csv": "a.csv", "json": "sub"}, True),
+            ("sweep", {"csv": ".", "json": "x.json"}, True),
+        ],
+        ids=["csv-is-the-out-dir", "csv-is-the-new-out-dir", "json-is-a-dir", "sweep"],
+    )
+    def test_directory_artifact_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, output, existing
+    ):
+        """An artifact path that is a directory, already there or one that
+        another artifact would be written into, exits 2 and leaves no
+        file, instead of failing at the write after the whole grid."""
+        def refuse(self, t):
+            raise AssertionError("evaluated a gate")
+
+        monkeypatch.setattr(ParamUnitary, "eval", refuse)
+        path = self._write(tmp_path, {"application": "fswap", "cutoff": 2,
+                                      "grid": {"points": 4}, "output": output})
+        out = tmp_path / "out"
+        if existing:
+            (out / "sub").mkdir(parents=True)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli.main([command, path, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: artifact path ") and err.endswith(" is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not existing or [p.name for p in out.iterdir()] == ["sub"]
+
+    @pytest.mark.parametrize("fails", ["write", "rename"])
+    def test_failed_artifact_write_leaves_no_tmp_file(self, tmp_path, monkeypatch, fails):
+        """The `.tmp` file beside an artifact is removed when its write or
+        its rename fails, and the error names the artifact."""
+        write = Path.write_text
+
+        def half_written(self, text):
+            write(self, text[:1])
+            raise OSError("disk full")
+
+        def broken(*args):
+            raise OSError("disk full")
+
+        if fails == "write":
+            monkeypatch.setattr(Path, "write_text", half_written)
+        else:
+            monkeypatch.setattr(bench.os, "replace", broken)
+        target = tmp_path / "r.csv"
+        with pytest.raises(OSError, match="writing .*r.csv: disk full"):
+            bench._atomic_write(target, "x\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_slice_cap_exits_3(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 1,
                                       "grid": {"points": 4}, "physical": {"delta": 1e-12},

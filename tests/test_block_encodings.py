@@ -367,7 +367,7 @@ class TestBlockGenerator:
         lambda a, b: compose("ab", [Factor(a.unitary), Factor(b.unitary)]),
         lambda a, b: trotter(2, [a.unitary, b.unitary]),
         lambda a, b: bch(1, 1, a.unitary, b.unitary),
-        lambda a, b: frame_conjugate(a.unitary, FrameGate("X", b.layout, {0: qubit_gate("X")})),
+        lambda a, b: frame_conjugate(a.unitary, FrameGate("X", b.layout, qubit_gate("X"), (0,))),
         lambda a, b: mult(a, b, 2, 2),
         lambda a, b: ApplicationSpec("ab", a.layout, b.generator, a.unitary),
     ],

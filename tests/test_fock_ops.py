@@ -23,6 +23,7 @@ from bosonsynth.fock_ops import (
 )
 from bosonsynth.tensor_core import (
     HilbertLayout,
+    LayoutMismatchError,
     Operator,
     basis_state,
     commutator,
@@ -152,6 +153,22 @@ class TestEmbed:
     def test_position_outside_layout(self, at):
         with pytest.raises(ValueError, match="not in a layout"):
             embed({at: annihilation(3)}, HilbertLayout.qubit_modes(3))
+
+    @pytest.mark.parametrize("case", ["multi-factor", "outside", "dim"])
+    def test_layout_checks_raise_layout_mismatch(self, case):
+        """A multi-factor operator, a position outside the layout and a
+        dimension that does not fit its factor are layout mismatches, in
+        embed and embed_sum alike."""
+        layout = HilbertLayout.qubit_modes(3)
+        ops = {
+            "multi-factor": {1: embed({1: number(3)}, layout)},
+            "outside": {2: number(3)},
+            "dim": {0: number(3)},
+        }[case]
+        with pytest.raises(LayoutMismatchError):
+            embed(ops, layout)
+        with pytest.raises(LayoutMismatchError):
+            embed_sum([ops], layout, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(_factor_maps())

@@ -15,8 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonsynth import bench, product_formulas
-from bosonsynth.applications import conditional_beam_splitter, nonlinear_hamiltonian
-from bosonsynth.fock_ops import number, pauli, position, qubit_gate, vacuum_parity_flip
+from bosonsynth.applications import (
+    conditional_beam_splitter,
+    nonlinear_hamiltonian,
+    state_prep_T,
+)
+from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate, vacuum_parity_flip
 from bosonsynth.product_formulas import (
     Factor,
     FrameGate,
@@ -65,7 +69,7 @@ pytestmark = pytest.mark.filterwarnings(
 def _qubit_world():
     layout = HilbertLayout.single_qubit()
     prims = [Primitive(name, layout, pauli(name)) for name in ("X", "Y", "Z")]
-    frames = [FrameGate(name, layout, {0: qubit_gate(name)}) for name in ("H", "S")]
+    frames = [FrameGate(name, layout, qubit_gate(name), (0,)) for name in ("H", "S")]
     return prims, frames
 
 
@@ -75,7 +79,7 @@ def _cutoff2_world():
         Primitive("x*sx", layout, kron(pauli("X"), position(2))),
         Primitive("n*sy", layout, kron(pauli("Y"), number(2))),
     ]
-    frames = [FrameGate(name, layout, {0: qubit_gate(name)}) for name in ("H", "S")]
+    frames = [FrameGate(name, layout, qubit_gate(name), (0,)) for name in ("H", "S")]
     return prims, frames
 
 
@@ -88,7 +92,7 @@ def _split_world():
         Primitive("n", layout, number(2), (1,)),
         Primitive("x*sx", layout, kron(pauli("X"), position(2)), (0, 1)),
     ]
-    frames = [FrameGate(name, layout, {0: qubit_gate(name)}) for name in ("H", "S")]
+    frames = [FrameGate(name, layout, qubit_gate(name), (0,)) for name in ("H", "S")]
     return prims, frames
 
 
@@ -103,7 +107,7 @@ def _parity_world():
         Primitive("x1*sx", layout, kron(pauli("X"), position(2)), (0, 1)),
         Primitive("x2*sy", layout, kron(pauli("Y"), position(2)), (0, 2)),
     ]
-    return prims, [FrameGate("S", layout, {0: qubit_gate("S")})]
+    return prims, [FrameGate("S", layout, qubit_gate("S"), (0,))]
 
 
 WORLDS = [_qubit_world(), _cutoff2_world(), _split_world(), _parity_world()]
@@ -216,7 +220,7 @@ def _fold_class(pu, t, classes, i):
     cls = classes[i]
     match pu.node:
         case Leaf(gate):
-            full = gate.unitary(t) if isinstance(gate, Primitive) else gate.mat
+            full = gate.unitary(t)
             return full[cls[:, :, None], cls[:, None, :]][None]
         case Product(factors):
             mat = None
@@ -418,7 +422,7 @@ def test_tree_sectors_are_the_sectors_of_its_leaves(pu, t):
     """The sectors an eval works on are those of the union of the leaves'
     dense nonzero patterns, and the eval is exactly zero between them."""
     leaves = [node.node.gate for node in _topological(pu) if isinstance(node.node, Leaf)]
-    dense = [g.unitary(0.7) if isinstance(g, Primitive) else g.mat for g in leaves]
+    dense = [g.unitary(0.7) for g in leaves]
     want = _sectors(np.logical_or.reduce([m != 0 for m in dense]))
     got = _tree_sectors(_topological(pu))
     assert len(got) == len(want) >= 2
@@ -437,7 +441,7 @@ def test_large_sectors_eval_equals_fold_bitwise():
     layout = HilbertLayout.qubit_modes(5, nmodes=2)
     a = primitive_unitary(Primitive("x1*sx", layout, kron(pauli("X"), position(5)), (0, 1)))
     b = primitive_unitary(Primitive("x2*sy", layout, kron(pauli("Y"), position(5)), (0, 2)))
-    frame = FrameGate("S", layout, {0: qubit_gate("S")})
+    frame = FrameGate("S", layout, qubit_gate("S"), (0,))
     pu = symmetrize(group_commutator(frame_conjugate(a, frame), b))
     sectors = _tree_sectors(_topological(pu))
     assert [len(sec) for sec in sectors] == [36, 36] and len(_classes(sectors)) == 2
@@ -449,12 +453,16 @@ def test_large_sectors_eval_equals_fold_bitwise():
 
 def test_eval_of_constant_tree_returns_an_owned_array():
     """A frame leaf or a product of constant factors evaluates to a fresh,
-    writable matrix, not a view of the frame's own."""
+    writable matrix, not a view of the frame's own blocks, and its class
+    blocks are writable too."""
     _, (_, frame_s) = _split_world()
+    own = [frame_s.block(np.zeros(1), g) for g in range(len(frame_s.groups))]
     fixed = ParamUnitary("S", frame_s.layout, Leaf(frame_s))
     for pu in (fixed, compose("SS", [Factor(fixed, power=0), Factor(fixed, power=0)])):
         mat = pu.eval(0.3).mat
-        assert mat.flags.writeable and not np.shares_memory(mat, frame_s.mat)
+        assert mat.flags.writeable and not any(np.shares_memory(mat, b) for b in own)
+        for _, blocks in pu.eval_classes(0.3):
+            assert blocks.flags.writeable and not any(np.shares_memory(blocks, b) for b in own)
 
 
 @pytest.mark.parametrize("world", [WORLDS[2], WORLDS[3]], ids=["split", "parity"])
@@ -508,11 +516,11 @@ def test_monomial_frame_conjugation_is_an_exact_gather(name, monomial):
     primitive; H and SH keep the products, equal to it up to rounding."""
     layout = HilbertLayout.qubit_modes(3)
     if name == "R0":
-        frame = FrameGate(name, layout, {1: vacuum_parity_flip(3)})
+        frame = FrameGate(name, layout, vacuum_parity_flip(3), (1,))
     elif name == "SH":
-        frame = FrameGate(name, layout, {0: qubit_gate("S") @ qubit_gate("H")})
+        frame = FrameGate(name, layout, qubit_gate("S") @ qubit_gate("H"), (0,))
     else:
-        frame = FrameGate(name, layout, {0: qubit_gate(name)})
+        frame = FrameGate(name, layout, qubit_gate(name), (0,))
     assert frame.monomial == monomial
     full = Primitive("x*sx", layout, kron(pauli("X"), position(3)))
     local = Primitive("n", layout, number(3), (1,))
@@ -521,11 +529,117 @@ def test_monomial_frame_conjugation_is_an_exact_gather(name, monomial):
             pu = frame_conjugate(primitive_unitary(prim), f)
             assert (id(pu) in _sectors_of(pu).gathers) == monomial
             for t in (0.37, -1.2):
-                dense = f.mat @ prim.unitary(t) @ f.mat.conj().T
+                dense = f.unitary() @ prim.unitary(t) @ f.unitary().conj().T
                 if monomial:
                     assert np.array_equal(pu.eval(t).mat, dense)
                 else:
                     assert np.max(np.abs(pu.eval(t).mat - dense)) < 1e-13
+
+
+def _frame_case(name: str, layout: HilbertLayout) -> tuple[Operator, tuple | None]:
+    """(unitary, at) of a frame: a qubit Clifford on factor 0, the vacuum
+    parity flip on the last mode, or a DFT on the whole layout."""
+    if name == "R0":
+        return vacuum_parity_flip(layout.dim_of(2) - 1), (2,)
+    if name == "SH":
+        return qubit_gate("S") @ qubit_gate("H"), (0,)
+    if name == "DFT":
+        return Operator(layout, np.fft.fft(np.eye(layout.dim)) / np.sqrt(layout.dim)), None
+    return qubit_gate(name), (0,)
+
+
+@pytest.mark.parametrize(
+    "name, monomial",
+    [("X", True), ("S", True), ("Sdg", True), ("H", False), ("SH", False), ("R0", True),
+     ("DFT", False)],
+)
+def test_frame_split_equals_its_dense_embedding(name, monomial):
+    """A frame declared on its factors has the sectors, the class blocks
+    and, when monomial, the perm and phase that its dense embedding gives
+    (perm and phase read row by row off the nonzeros), as has its dagger
+    with the conjugate transpose; the full-size frame is the embedding."""
+    layout = HilbertLayout.qubit_modes(3, nmodes=2)
+    unitary, at = _frame_case(name, layout)
+    frame = FrameGate(name, layout, unitary, at)
+    assert frame.support == (at or (0, 1, 2)) and frame.local == (at is not None)
+    dense = unitary.mat if at is None else embed({at[0]: unitary}, layout).mat
+    for gate, want in ((frame, dense), (frame.dagger(), dense.conj().T)):
+        assert gate.monomial == monomial
+        assert np.array_equal(gate.unitary(), want)
+        pu = ParamUnitary(gate.label, layout, Leaf(gate))
+        sectors = _tree_sectors([pu])
+        expected = _sectors(want != 0)
+        assert len(sectors) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(sectors, expected))
+        classes = _sectors_of(pu).classes
+        got = list(pu.eval_classes(0.3))
+        assert len(got) == len(classes)
+        for cls, blocks in got:
+            assert np.array_equal(blocks, want[cls[:, :, None], cls[:, None, :]])
+        if monomial:
+            perm = np.flatnonzero(want) % layout.dim
+            assert np.array_equal(gate.perm, perm)
+            assert np.array_equal(gate.phase, want[np.arange(layout.dim), perm])
+    assert frame.dagger().dagger() is frame
+
+
+def _arrays_within(value, seen: set) -> list[np.ndarray]:
+    """Every ndarray that value holds, through containers, attributes and
+    slots (an Operator's matrix too), each object visited once."""
+    if id(value) in seen or isinstance(value, (str, bytes, int, float, complex)):
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (list, tuple, set)):
+        items = list(value)
+    else:
+        items = list(getattr(value, "__dict__", {}).values())
+        slots = getattr(type(value), "__slots__", ())
+        items += [getattr(value, n) for n in slots if hasattr(value, n)]
+    return [a for item in items for a in _arrays_within(item, seen)]
+
+
+@pytest.mark.parametrize(
+    "case", ["H on one factor", "X on every factor", "parity flip on every factor"]
+)
+def test_frame_holds_no_full_size_matrix(case):
+    """A frame, and its dagger, keep sector indices, sector blocks, index
+    groups and gather vectors, all of O(dim) entries, and no dim x dim array
+    anywhere among their attributes, an Operator's included. A frame on
+    every factor whose pattern splits into many sectors (a qubit gate
+    embedded in the whole layout) keeps only its small blocks too."""
+    layout = HilbertLayout.qubit_modes(15, nmodes=2)
+    if case == "H on one factor":
+        frame = FrameGate("H", layout, qubit_gate("H"), (0,))
+    else:
+        op = qubit_gate("X") if case.startswith("X") else vacuum_parity_flip(15)
+        frame = FrameGate(case, layout, embed({0 if case.startswith("X") else 2: op}, layout))
+    frame.dagger()
+    arrays = _arrays_within(frame, set())
+    assert arrays and max(a.size for a in arrays) <= layout.dim
+
+
+def test_built_spec_holds_no_full_size_frame():
+    """After the build, a spec holds less than half a full-size matrix
+    (nonlinear-hamiltonian at cutoff 255: 10.20 when each of its ten frames
+    kept a full-size matrix; state-prep-T: 4.10 with four frames): its
+    frames keep sector blocks, not full-size matrices."""
+    builds = [
+        lambda cutoff: nonlinear_hamiltonian(1, 1, q=2, cutoff=cutoff),
+        lambda cutoff: state_prep_T(2, p=2, cutoff=cutoff, base="lean"),
+    ]
+    for build in builds:
+        build(2)  # one-time allocations
+        tracemalloc.start()
+        try:
+            spec = build(255)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5 * spec.layout.dim**2 * np.dtype(np.complex128).itemsize
 
 
 def test_phase_frame_off_the_unit_set_is_not_monomial():
@@ -533,7 +647,7 @@ def test_phase_frame_off_the_unit_set_is_not_monomial():
     +-1/+-i monomial, so it keeps the dense products."""
     layout = HilbertLayout.qubit_modes(2)
     t_gate = Operator(HilbertLayout.single_qubit(), np.diag([1.0, np.exp(1j * np.pi / 4)]))
-    frame = FrameGate("T", layout, {0: t_gate})
+    frame = FrameGate("T", layout, t_gate, (0,))
     assert not frame.monomial
     pu = frame_conjugate(primitive_unitary(Primitive("n", layout, number(2), (1,))), frame)
     assert id(pu) not in _sectors_of(pu).gathers
@@ -715,14 +829,33 @@ def test_classes_a_reference_straddles_are_measured_together():
         assert got == _full_size_measurement(pu, 0.37, reference, psi0)
 
 
+def test_measure_refuses_a_reference_row_split_between_groups(monkeypatch):
+    """Were a reference's row split between two measured groups, its exp
+    would not be block-diagonal on them, so measure refuses to place it
+    rather than return a wrong error."""
+    layout = HilbertLayout.qubit_modes(5, nmodes=2)
+    a = primitive_unitary(Primitive("x1*sx", layout, kron(pauli("X"), position(5)), (0, 1)))
+    b = primitive_unitary(Primitive("x2*sy", layout, kron(pauli("Y"), position(5)), (0, 2)))
+    pu = symmetrize(group_commutator(a, b))
+    flip = Primitive("flip", layout, pauli("X"), (0,))
+
+    def alone(classes, _):
+        return [[i] for i in range(len(classes))]
+
+    monkeypatch.setattr(product_formulas, "_measured_together", alone)
+    with pytest.raises(ValueError, match="only in part"):
+        measure(pu, 0.37, flip)
+
+
 def test_frame_leaf_measured_alone_leaves_the_frame_unchanged():
     """A dense unitary frame on a 32-level mode is one sector, a class of its
-    own, measured alone: its block is the difference, except that a frame's
-    blocks are a view of its own matrix, so measure subtracts from a copy."""
+    own, measured alone: its assembled block is the difference, which
+    measure subtracts from in place, and the frame's own block is left
+    unchanged."""
     layout = HilbertLayout((("mode", 32),))
     dft = Operator(layout, np.fft.fft(np.eye(32)) / np.sqrt(32))
-    frame = FrameGate("F", layout, {0: dft})
-    before = frame.mat.copy()
+    frame = FrameGate("F", layout, dft)
+    before = frame.unitary()
     pu = ParamUnitary("F", layout, Leaf(frame))
     assert [cls.shape for cls in _sectors_of(pu).classes] == [(1, 32)]
     reference = Primitive("n", layout, number(31))
@@ -730,7 +863,7 @@ def test_frame_leaf_measured_alone_leaves_the_frame_unchanged():
     psi0[3] = 1.0
     got = _class_measurement(pu, 0.37, reference, psi0)
     assert got == _full_size_measurement(pu, 0.37, reference, psi0)
-    assert np.array_equal(frame.mat, before)
+    assert np.array_equal(frame.unitary(), before)
 
 
 def test_deep_tree_working_set_is_bounded():

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from bosonsynth import product_formulas
-from bosonsynth.fock_ops import annihilation, embed, momentum, pauli, position, qubit_gate
+from bosonsynth.fock_ops import (
+    annihilation,
+    embed,
+    momentum,
+    pauli,
+    position,
+    qubit_gate,
+    vacuum_parity_flip,
+)
 from bosonsynth.product_formulas import (
     FitWindow,
     FrameGate,
@@ -17,6 +25,7 @@ from bosonsynth.product_formulas import (
     ParamUnitary,
     Primitive,
     ResourceExhaustedError,
+    _place,
     bch,
     bch_constants,
     fit_power_law,
@@ -138,20 +147,41 @@ class TestSectorSplitPrimitive:
         with pytest.raises(LayoutMismatchError, match="does not fit"):
             Primitive("bad", self.LAYOUT, gen, at)
 
-    def test_rows_within_refuses_indices_that_hold_a_row_in_part(self):
+    @pytest.mark.parametrize(
+        "case", ["mode-dim", "qubit-on-a-mode", "too-few-factors", "unsorted", "past-the-end"]
+    )
+    def test_frame_rejects_a_unitary_that_does_not_fit(self, case):
+        """A frame gate goes through the primitive's support check: its
+        unitary's layout must be the layout's factors at the strictly
+        increasing, in-range positions at."""
+        unitary, at = {
+            "mode-dim": (vacuum_parity_flip(3), (1,)),
+            "qubit-on-a-mode": (qubit_gate("X"), (1,)),
+            "too-few-factors": (qubit_gate("X"), None),
+            "unsorted": (kron(vacuum_parity_flip(4), qubit_gate("X")), (1, 0)),
+            "past-the-end": (qubit_gate("X"), (3,)),
+        }[case]
+        with pytest.raises(LayoutMismatchError, match="does not fit"):
+            FrameGate("bad", self.LAYOUT, unitary, at)
+
+    def test_placed_in_index_sets_that_hold_whole_rows(self):
         """An X pulse on the first of two qubits keeps the second qubit's
-        state, so its rows are {0, 2} and {1, 3}. Indices holding whole rows
-        give those rows' positions among them; [0, 1, 3] holds row {0, 2}
-        only in part, where the unitary is not block-diagonal, so it is
-        refused."""
+        state, so its rows are {0, 2} and {1, 3}. Placed in index sets that
+        hold whole rows (as measure places a reference), each row gives its
+        positions among its set's indices. Sets {0, 1} and {2, 3} hold each
+        row only in part, where the unitary is not block-diagonal, so they
+        are refused, as classes of their own or as two sectors of one class."""
         layout = HilbertLayout((("qubit", 2), ("qubit", 2)))
         prim = Primitive("x", layout, pauli("x"), (0,))
-        cases = [([0, 2], [[0, 1]]), ([1, 3], [[0, 1]]), ([0, 1, 2, 3], [[0, 2], [1, 3]])]
-        for idx, rows in cases:
-            ((g, at),) = prim._rows_within(np.array(idx))
-            assert g == 0 and at.tolist() == rows
-        with pytest.raises(ValueError, match="only in part"):
-            prim._rows_within(np.array([0, 1, 3]))
+        cases = [([[0, 2], [1, 3]], [[[0, 1]], [[0, 1]]]), ([[0, 1, 2, 3]], [[[0, 2], [1, 3]]])]
+        for sets, rows in cases:
+            placed = _place(prim.groups, [np.array([idx]) for idx in sets])
+            for pl, want in zip(placed, rows, strict=True):
+                ((g, (_, at)),) = pl
+                assert g == 0 and at.tolist() == want
+        for classes in ([np.array([[0, 1]]), np.array([[2, 3]])], [np.array([[0, 1], [2, 3]])]):
+            with pytest.raises(ValueError, match="only in part"):
+                _place(prim.groups, classes)
 
 
 class TestExpansionCap:
@@ -160,7 +190,7 @@ class TestExpansionCap:
         """A Pauli flow under an H frame, sliced: one exponential and two
         frame gates per slice."""
         layout = HilbertLayout.single_qubit()
-        frame = FrameGate("H", layout, {0: qubit_gate("H")})
+        frame = FrameGate("H", layout, qubit_gate("H"))
         return sliced(frame_conjugate(flow(pauli("x")), frame), slices)
 
     def test_frame_gates_count_toward_the_cap(self, monkeypatch):
