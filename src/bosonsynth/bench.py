@@ -55,7 +55,6 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "emit_heatmap",
-    "report_from_json",
 ]
 
 
@@ -335,10 +334,9 @@ _REGISTRY: dict[str, _AppEntry] = {
         detail=(
             "Powers of the seed encoding assembled by repeated squaring.  Driving\n"
             "|1,0> for the exact flip time t = (2n+1)*pi/(2*sqrt(k!)) lands the\n"
-            "full population on |0,k>; the error-protected variant flips at\n"
-            "t = pi/(4*sqrt(k!)).  Runs also emit a <csv-stem>_heatmap.csv with\n"
-            "exact and synthesized matrix moduli at the flip time.  Cost ceiling:\n"
-            "6^(log2 k)*420^(k p/2) for k a power of two."
+            "full population on |0,k>.  Runs also emit a <csv-stem>_heatmap.csv\n"
+            "with exact and synthesized matrix moduli at the flip time.  Cost\n"
+            "ceiling: 6^(log2 k)*420^(k p/2) for k a power of two."
         ),
     ),
     "hom-beam-splitter": _AppEntry(
@@ -703,10 +701,3 @@ def _config_jsonable(cfg: ExperimentConfig) -> dict:
 
 def emit_json(report: SynthesisReport, path: str | Path) -> None:
     _atomic_write(path, _json_value(report, 0) + "\n")
-
-
-def report_from_json(path: str | Path) -> SynthesisReport:
-    with open(path) as fh:
-        data = json.load(fh)
-    config = ExperimentConfig.from_mapping(data.pop("config"))
-    return SynthesisReport(config=config, **data)

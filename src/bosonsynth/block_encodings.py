@@ -11,20 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .fock_ops import (
-    annihilation,
-    creation,
-    interior_projector,
-    mode_identity,
-    number,
-    pauli,
-    qubit_gate,
-)
+from .fock_ops import creation, interior_projector, mode_identity, pauli, qubit_gate
 from .product_formulas import (
     Factor,
     FrameGate,
@@ -38,15 +28,15 @@ from .product_formulas import (
     symmetrize,
     trotter,
 )
-from .tensor_core import HilbertLayout, LayoutMismatchError, Operator, kron, spectral_norm
+from .tensor_core import HilbertLayout, LayoutMismatchError, Operator, spectral_norm
 
 __all__ = [
     "BlockEncoding",
     "SynthesisBudget",
     "block_generator",
+    "mult_generator",
     "s1",
     "identity_encoding",
-    "s1_from_conditional_displacements",
     "conjugate",
     "add",
     "mult",
@@ -65,6 +55,19 @@ def block_generator(target: Operator) -> Operator:
     return Operator(layout, mat)
 
 
+def mult_generator(left: Operator, right: Operator) -> Operator:
+    """The Hermitian generator that mult of encodings of the mode targets
+    left = A and right = B approximates: [[(AB + (AB)^dag)/2, 0],
+    [0, -(BA + (BA)^dag)/2]] on qubit (x) mode."""
+    ab = left @ right
+    ba = right @ left
+    d = ab.dim
+    gen_mat = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+    gen_mat[:d, :d] = 0.5 * (ab.mat + ab.mat.conj().T)
+    gen_mat[d:, d:] = -0.5 * (ba.mat + ba.mat.conj().T)
+    return Operator(HilbertLayout((("qubit", 2),) + ab.layout.factors), gen_mat)
+
+
 @dataclass(frozen=True)
 class SynthesisBudget:
     """Commutator order q and Suzuki index s charged to one ADD/MULT level."""
@@ -80,35 +83,19 @@ class SynthesisBudget:
 
 @dataclass
 class BlockEncoding:
-    """A ParamUnitary together with the operator it encodes.
+    """A compiled gate together with the mode operator it encodes.
 
     kind "off_diagonal": unitary ~ exp(it [[0, A], [A^dag, 0]]), block target
-    A in the upper-right block. kind "upper_left": unitary ~ exp(it G) with
-    block-diagonal Hermitian G whose upper-left block is the target. The full
-    generator is carried so every consumer can build the exact reference
-    unitary without re-deriving signs; it is eigendecomposed once, on the
-    first call to exact.
+    A in the upper-right block; block_generator(A) is its generator. kind
+    "upper_left": unitary ~ exp(it G) with block-diagonal Hermitian G whose
+    upper-left block is the target; mult_generator of the operands' targets
+    is G. The encoding keeps the gate and the d x d target, not G: a builder
+    that needs an exact reference forms it from the targets.
     """
 
     unitary: ParamUnitary
     block_target: Operator
-    generator: Operator
     kind: str = "off_diagonal"
-
-    @cached_property
-    def reference(self) -> Primitive:
-        return Primitive(f"exact[{self.unitary.label}]", self.layout, self.generator)
-
-    def exact(self, t: float) -> Operator:
-        return Operator(self.layout, self.reference.unitary(t))
-
-    def block(self, t: float) -> np.ndarray:
-        """The qubit block that carries the target at first order in t."""
-        d = self.block_target.dim
-        mat = self.unitary.eval(t).mat
-        if self.kind == "off_diagonal":
-            return mat[:d, d:]
-        return mat[:d, :d]
 
     @property
     def layout(self) -> HilbertLayout:
@@ -120,38 +107,14 @@ def s1(cutoff: int) -> BlockEncoding:
     target = creation(cutoff)
     gen = block_generator(target)
     pu = primitive_unitary(Primitive("S1", gen.layout, gen))
-    return BlockEncoding(pu, target, gen)
+    return BlockEncoding(pu, target)
 
 
 def identity_encoding(cutoff: int) -> BlockEncoding:
     """Encodes the mode identity: exp(it X (x) I), a qubit rotation."""
-    ident = mode_identity(cutoff)
-    gen = block_generator(ident)
-    pu = primitive_unitary(Primitive("RX", gen.layout, pauli("X"), (0,)))
-    return BlockEncoding(pu, ident, gen)
-
-
-def s1_from_conditional_displacements(cutoff: int) -> ParamUnitary:
-    """Seed block from hardware-native pieces: two conditional displacements
-    interleaved with fixed quarter-period mode rotations.
-
-    The product evaluated at alpha approximates the seed at effective time
-    t_eff = 2 alpha, with O(alpha^2) error.
-    """
     layout = HilbertLayout.qubit_modes(cutoff)
-    quad = annihilation(cutoff) + creation(cutoff)
-    cd_x = primitive_unitary(Primitive("CD_x", layout, kron(pauli("X"), quad), (0, 1)))
-    cd_y = primitive_unitary(Primitive("CD_y", layout, kron(pauli("Y"), quad), (0, 1)))
-    rot = primitive_unitary(Primitive("Rmode", layout, number(cutoff), (1,)))
-
-    quarter = math.pi / 2
-    factors = [
-        Factor(rot, quarter, power=0),
-        Factor(cd_y),
-        Factor(rot, -quarter, power=0),
-        Factor(cd_x),
-    ]
-    return compose("S1~CD", factors)
+    pu = primitive_unitary(Primitive("RX", layout, pauli("X"), (0,)))
+    return BlockEncoding(pu, mode_identity(cutoff))
 
 
 _CONJ_RULES = {
@@ -172,8 +135,7 @@ def conjugate(enc: BlockEncoding, gate: str) -> BlockEncoding:
     if gate not in _CONJ_RULES:
         raise ValueError(f"unsupported frame {gate!r}")
     pu = frame_conjugate(enc.unitary, FrameGate(gate, enc.layout, qubit_gate(gate), (0,)))
-    target = _CONJ_RULES[gate](enc.block_target)
-    return BlockEncoding(pu, target, block_generator(target))
+    return BlockEncoding(pu, _CONJ_RULES[gate](enc.block_target))
 
 
 def _commutation_check(a: Operator, b: Operator):
@@ -236,9 +198,7 @@ def add(
         frame_x,
     )
 
-    target = left.block_target @ right.block_target
-    gen = block_generator(target)
-    return BlockEncoding(inner, target, gen)
+    return BlockEncoding(inner, left.block_target @ right.block_target)
 
 
 def mult(
@@ -280,14 +240,7 @@ def mult(
         f"mult[{left.unitary.label},{right.unitary.label}]",
         [Factor(inner_lin, 0.5)],
     )
-
-    ba = b_t @ a_t
-    d = ab.dim
-    gen_mat = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    gen_mat[:d, :d] = 0.5 * (ab.mat + ab.mat.conj().T)
-    gen_mat[d:, d:] = -0.5 * (ba.mat + ba.mat.conj().T)
-    gen = Operator(HilbertLayout((("qubit", 2),) + ab.layout.factors), gen_mat)
-    return BlockEncoding(inner, ab, gen, kind="upper_left")
+    return BlockEncoding(inner, ab, kind="upper_left")
 
 
 def power(

@@ -23,12 +23,10 @@ __all__ = [
     "number",
     "position",
     "momentum",
-    "ladder_power_norm",
     "pauli",
     "qubit_gate",
     "embed",
     "embed_sum",
-    "vacuum_parity_flip",
     "interior_projector",
     "mode_identity",
 ]
@@ -60,16 +58,6 @@ def position(cutoff: int) -> Operator:
 def momentum(cutoff: int) -> Operator:
     a = annihilation(cutoff)
     return -0.5j * (a - a.dag())
-
-
-def ladder_power_norm(cutoff: int, k: int) -> float:
-    """Spectral norm of a^k on cutoff L: sqrt(L! / (L-k)!)."""
-    if k > cutoff:
-        return 0.0
-    acc = 1.0
-    for j in range(cutoff, cutoff - k, -1):
-        acc *= j
-    return math.sqrt(acc)
 
 
 _PAULI = {
@@ -165,13 +153,6 @@ def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats:
         mat = np.kron(mat, m)
     return mat
-
-
-def vacuum_parity_flip(cutoff: int) -> Operator:
-    """R = I - 2|0><0| on one mode: flips the sign of the vacuum component."""
-    diag = np.ones(cutoff + 1, dtype=np.complex128)
-    diag[0] = -1.0
-    return Operator(HilbertLayout.single_mode(cutoff), np.diag(diag))
 
 
 def interior_projector(cutoff: int, weight: int) -> Operator:

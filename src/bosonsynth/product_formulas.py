@@ -29,12 +29,11 @@ the next class is built. No matrix is kept between calls.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,8 +79,6 @@ __all__ = [
     "TimesliceResult",
     "fit_power_law",
     "PowerLawFit",
-    "FitWindow",
-    "sweep_errors",
 ]
 
 
@@ -1272,28 +1269,3 @@ def fit_power_law(ts: Sequence[float], errs: Sequence[float]) -> PowerLawFit:
     slope, intercept = np.polyfit(lt, le, 1)
     resid = float(np.sqrt(np.mean((le - (slope * lt + intercept)) ** 2)))
     return PowerLawFit(float(slope), float(10.0**intercept), resid, int(keep.sum()))
-
-
-@dataclass(frozen=True)
-class FitWindow:
-    """Log-spaced sampling window for order fits."""
-
-    lo: float = 1e-3
-    hi: float = 1e-1
-    points: int = 12
-
-    def times(self) -> np.ndarray:
-        return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
-
-
-def sweep_errors(
-    approx: Callable[[float], Operator],
-    target: Callable[[float], Operator],
-    window: FitWindow = FitWindow(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Operator-norm error of approx against target over the window."""
-    ts = window.times()
-    errs = np.array(
-        [spectral_norm(approx(t).mat - target(t).mat) for t in ts]
-    )
-    return ts, errs

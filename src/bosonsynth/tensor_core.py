@@ -36,8 +36,6 @@ __all__ = [
     "expm",
     "spectral_norm",
     "is_unitary",
-    "is_hermitian",
-    "commutator",
 ]
 
 
@@ -220,13 +218,6 @@ def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
     return sectors
 
 
-def is_hermitian(op: Operator | np.ndarray, tol: float | None = None) -> bool:
-    tol = TOL.hermiticity if tol is None else tol
-    mat = op.mat if isinstance(op, Operator) else np.asarray(op)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    return _hermitian_defect(mat) <= tol * scale
-
-
 def is_unitary(op: Operator, tol: float | None = None) -> bool:
     tol = TOL.unitarity if tol is None else tol
     gram = op.mat.conj().T @ op.mat
@@ -263,7 +254,3 @@ def spectral_norm(op: Operator | np.ndarray) -> float:
     return max(
         float(np.linalg.svd(mat[np.ix_(s, s)], compute_uv=False)[0]) for s in sectors
     )
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a

@@ -13,44 +13,35 @@ import numpy as np
 import pytest
 
 from bosonsynth.applications import (
-    autocorrelation_trace,
     conditional_beam_splitter,
     conditional_rotation_phase_space,
-    fermi_hubbard_gates,
-    fswap_product,
-    hom_trace,
     nonlinear_hamiltonian,
-    state_prep_protected,
     state_prep_T,
-    two_mode_span_block,
 )
 from bosonsynth.bench import load_config, run, run_sweep
-from bosonsynth.block_encodings import (
-    add,
-    block_generator,
-    conjugate,
-    mult,
-    power,
-    s1,
-    s1_from_conditional_displacements,
-)
+from bosonsynth.block_encodings import add, block_generator, conjugate, mult, power, s1
 from bosonsynth.fock_ops import annihilation, creation, momentum, pauli, position
 from bosonsynth.product_formulas import (
-    FitWindow,
     Primitive,
     bch,
     fit_power_law,
-    primitive_unitary,
-    sweep_errors,
     timeslice,
     trotter,
 )
-from bosonsynth.tensor_core import (
-    HilbertLayout,
-    Operator,
+from bosonsynth.tensor_core import HilbertLayout, Operator, expm, spectral_norm
+from demos import (
+    FitWindow,
+    autocorrelation_trace,
     commutator,
-    expm,
-    spectral_norm,
+    fermi_hubbard_gates,
+    flow,
+    fswap_product,
+    hom_trace,
+    qubit_mode_op,
+    s1_from_conditional_displacements,
+    state_prep_protected,
+    sweep_errors,
+    two_mode_span_block,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -64,15 +55,6 @@ def report(num, label, ok, detail):
     line = f"criterion {num:02d} {label}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
-
-
-def qm_op(mode_op, axis, cutoff):
-    layout = HilbertLayout.qubit_modes(cutoff)
-    return Operator(layout, np.kron(pauli(axis).mat, mode_op.mat))
-
-
-def flow(gen, label="g"):
-    return primitive_unitary(Primitive(label, gen.layout, gen))
 
 
 def test_criterion_01_ladder_matrices():
@@ -101,8 +83,8 @@ def test_criterion_02_ladder_power_norms():
 
 def test_criterion_03_commutator_block_order():
     cutoff = 15
-    gen_a = qm_op(position(cutoff), "x", cutoff)
-    gen_b = qm_op(position(cutoff), "y", cutoff)
+    gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
+    gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
     comm = commutator(gen_a, gen_b)
     target = lambda s: expm(Operator(gen_a.layout, -s * comm.mat))
     windows = {1: FitWindow(1e-3, 1e-1, 12), 2: FitWindow(1e-2, 1e-1, 10)}
@@ -123,7 +105,7 @@ def test_criterion_04_suzuki_order():
     testbeds = [
         ("paulis", Operator(qubit, pauli("x").mat), Operator(qubit, pauli("z").mat),
          {2: FitWindow(1e-2, 0.5, 10), 4: FitWindow(1e-2, 0.5, 10)}),
-        ("quadratures", qm_op(x2, "x", 8), qm_op(p2, "x", 8),
+        ("quadratures", qubit_mode_op(x2, "x", 8), qubit_mode_op(p2, "x", 8),
          {2: FitWindow(1e-3, 1e-1, 12), 4: FitWindow(1e-2, 1e-1, 10)}),
     ]
     slopes = []
@@ -142,8 +124,8 @@ def test_criterion_04_suzuki_order():
 
 def test_criterion_05_gate_count_ledger():
     checks = []
-    u = flow(qm_op(position(2), "x", 2))
-    v = flow(qm_op(position(2), "y", 2))
+    u = flow(qubit_mode_op(position(2), "x", 2))
+    v = flow(qubit_mode_op(position(2), "y", 2))
     for p in (1, 2, 3):
         checks.append(bch(p, 1, u, v).cost() == 8 * 6 ** (p - 1))
     seed = s1(2)
@@ -266,9 +248,10 @@ def test_criterion_11_displacement_route_order():
     cutoff = 8
     route = s1_from_conditional_displacements(cutoff)
     seed = s1(cutoff)
+    seed_exact = Primitive("S1", seed.layout, block_generator(seed.block_target))
     alphas = np.logspace(-3, -1, 12)
     errs = np.array(
-        [spectral_norm(route.eval(a).mat - seed.exact(2 * a).mat) for a in alphas]
+        [spectral_norm(route.eval(a).mat - seed_exact.unitary(2 * a)) for a in alphas]
     )
     fit = fit_power_law(alphas, errs)
     # The error is quadratic with a negative cubic correction, so any

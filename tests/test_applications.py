@@ -6,45 +6,46 @@ import pytest
 
 from bosonsynth.applications import (
     ApplicationSpec,
-    DynamicsTrace,
-    anharmonicity_gate,
-    autocorrelation_trace,
     conditional_beam_splitter,
-    conditional_rotation_fock,
     conditional_rotation_phase_space,
     cross_kerr_gate,
+    nonlinear_hamiltonian,
+    state_prep_T,
+    state_prep_exact_time,
+)
+from bosonsynth.fock_ops import pauli
+from bosonsynth.product_formulas import (
+    ParamUnitary,
+    Primitive,
+    fit_power_law,
+    sliced,
+    timeslice,
+)
+from bosonsynth.tensor_core import HilbertLayout, Operator, _sectors, basis_state, spectral_norm
+from demos import (
+    DynamicsTrace,
+    FitWindow,
+    anharmonicity_gate,
+    autocorrelation_trace,
+    conditional_rotation_fock,
     effective_pauli_span01,
     evolve,
     fermi_hubbard_gates,
     fswap_product,
     hom_trace,
-    nonlinear_hamiltonian,
     sigma_eff,
     span01_leakage,
-    state_prep_T,
-    state_prep_exact_time,
     state_prep_protected,
     success_probability_bound,
+    sweep_errors,
     two_mode_span_block,
 )
-from bosonsynth.fock_ops import pauli
-from bosonsynth.product_formulas import (
-    FitWindow,
-    ParamUnitary,
-    Primitive,
-    fit_power_law,
-    sliced,
-    sweep_errors,
-    timeslice,
-)
-from bosonsynth.tensor_core import HilbertLayout, Operator, _sectors, basis_state, spectral_norm
 
-WINDOW = FitWindow(1e-3, 1e-1, 12)
 # steep diagonal coefficients (n^3-scale) saturate the default window
 SMALL_WINDOW = FitWindow(1e-5, 1e-3, 10)
 
 
-def fitted(spec, window=WINDOW):
+def fitted(spec, window=FitWindow()):
     ts, errs = sweep_errors(lambda t: spec.synthesized(t), spec.exact, window)
     return fit_power_law(ts, errs).exponent
 
@@ -63,7 +64,7 @@ class TestApplicationSpec:
 
     def test_stored_time_used(self):
         spec = state_prep_T(2, cutoff=2)
-        assert spec.time == state_prep_exact_time(2, 0, 2)
+        assert spec.time == state_prep_exact_time(2)
         assert spec.error() == spec.error(spec.time)
 
 
@@ -146,20 +147,15 @@ class TestStatePrepTimes:
         assert state_prep_exact_time(1) == pytest.approx(math.pi / 2)
 
     def test_protected_time_halves(self):
-        assert state_prep_exact_time(2, protected=True) == pytest.approx(
-            math.pi / (4 * math.sqrt(2))
-        )
-
-    def test_later_periods(self):
-        assert state_prep_exact_time(1, n=2) == pytest.approx(5 * math.pi / 2)
+        t = state_prep_protected(2, cutoff=2).time
+        assert t == pytest.approx(math.pi / (4 * math.sqrt(2)))
+        assert t == pytest.approx(state_prep_exact_time(2) / 2)
 
     def test_guards(self):
         with pytest.raises(ValueError):
             state_prep_exact_time(0)
         with pytest.raises(ValueError):
-            state_prep_exact_time(2, n=-1)
-        with pytest.raises(ValueError):
-            state_prep_exact_time(5, cutoff=4)
+            state_prep_T(5, cutoff=4)
 
 
 class TestStatePrepExact:
@@ -179,7 +175,7 @@ class TestStatePrepExact:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_protected_flip_and_spectators(self, k):
         spec = state_prep_protected(k, cutoff=8)
-        u = spec.exact(state_prep_exact_time(k, protected=True)).mat
+        u = spec.exact().mat
         amp = np.vdot(basis_state(spec.layout, 0, k), u @ basis_state(spec.layout, 1, 0))
         assert abs(abs(amp) - 1.0) < 1e-10
         for b in (1, 2, 3, 4):
@@ -190,7 +186,7 @@ class TestStatePrepExact:
 
     def test_syndrome_qubit_flags_success(self):
         spec = state_prep_protected(2, cutoff=8)
-        u = spec.exact(state_prep_exact_time(2, protected=True)).mat
+        u = spec.exact().mat
         dims = (2, 9)
         hit = (u @ basis_state(spec.layout, 1, 0)).reshape(dims)
         assert np.sum(np.abs(hit[0]) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -200,7 +196,7 @@ class TestStatePrepExact:
     def test_echoed_generator_leaves_spectators_alone(self):
         spec = state_prep_protected(2, cutoff=8)
         pair = [spec.layout.index(1, 0), spec.layout.index(0, 2)]
-        for t in (0.3, state_prep_exact_time(2, protected=True)):
+        for t in (0.3, spec.time):
             moved = spec.exact(t).mat - np.eye(spec.layout.dim)
             # spectators |1, b >= 1> are fixed
             for b in range(1, 9):
@@ -256,10 +252,9 @@ class TestStatePrepSynthesized:
         assert spec.error() < 0.02
 
     def test_protection_costs_accuracy_at_equal_time(self):
-        tp = state_prep_exact_time(2, protected=True)
-        plain = state_prep_T(2, p=2, cutoff=2, base="lean").error(tp)
-        prot = state_prep_protected(2, p=2, cutoff=2, base="lean").error(tp)
-        assert prot > plain
+        prot = state_prep_protected(2, p=2, cutoff=2, base="lean")
+        plain = state_prep_T(2, p=2, cutoff=2, base="lean").error(prot.time)
+        assert prot.error() > plain
 
     def test_non_power_of_two_rejects_overrides(self):
         with pytest.raises(ValueError):

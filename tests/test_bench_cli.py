@@ -20,7 +20,6 @@ from bosonsynth.bench import (
     emit_csv,
     list_applications,
     load_config,
-    report_from_json,
     run,
     run_sweep,
 )
@@ -33,6 +32,7 @@ from bosonsynth.product_formulas import (
     sliced,
 )
 from bosonsynth.tensor_core import TOL
+from demos import report_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"

@@ -14,35 +14,37 @@ from bosonsynth.block_encodings import (
     conjugate,
     identity_encoding,
     mult,
+    mult_generator,
     power,
     s1,
-    s1_from_conditional_displacements,
 )
 from bosonsynth.fock_ops import annihilation, creation, number, qubit_gate
 from bosonsynth.product_formulas import (
     Factor,
-    FitWindow,
     FrameGate,
     Primitive,
     bch,
     compose,
     fit_power_law,
     frame_conjugate,
-    sweep_errors,
     trotter,
 )
 from bosonsynth.tensor_core import LayoutMismatchError, is_unitary, spectral_norm
-
-WINDOW = FitWindow(1e-3, 1e-1, 12)
+from demos import flow, s1_from_conditional_displacements, sweep_errors
 
 
 def fd_deviation(enc, t):
-    """Distance of block(t)/t from i*target, the first-order consistency probe."""
-    return np.linalg.norm(enc.block(t) / t - 1j * enc.block_target.mat, 2)
+    """Distance of the upper-right block of an off-diagonal encoding, over
+    t, from i*target: the first-order consistency probe."""
+    d = enc.block_target.dim
+    return np.linalg.norm(enc.unitary.eval(t).mat[:d, d:] / t - 1j * enc.block_target.mat, 2)
 
 
-def fitted_slope(enc):
-    ts, errs = sweep_errors(lambda t: enc.unitary.eval(t), enc.exact, WINDOW)
+def fitted_slope(enc, generator=None):
+    """Error exponent against exp(i t G), G by default the off-diagonal
+    block_generator of the encoding's target."""
+    exact = flow(block_generator(enc.block_target) if generator is None else generator)
+    ts, errs = sweep_errors(lambda t: enc.unitary.eval(t), exact.eval)
     return fit_power_law(ts, errs).exponent
 
 
@@ -63,7 +65,7 @@ class TestSeed:
 
     def test_generator_blocks(self):
         enc = s1(3)
-        gen = enc.generator.mat
+        gen = block_generator(enc.block_target).mat
         assert np.array_equal(gen[:4, 4:], creation(3).mat)
         assert np.array_equal(gen[4:, :4], annihilation(3).mat)
 
@@ -83,9 +85,9 @@ class TestSeed:
 class TestConditionalDisplacementRoute:
     def test_quadratic_convergence_to_seed(self):
         cd = s1_from_conditional_displacements(8)
-        ref = s1(8)
+        ref = flow(block_generator(s1(8).block_target))
         alphas = np.geomspace(1e-3, 1e-1, 12)
-        errs = [spectral_norm(cd.eval(a).mat - ref.exact(2 * a).mat) for a in alphas]
+        errs = [spectral_norm(cd.eval(a).mat - ref.eval(2 * a).mat) for a in alphas]
         fit = fit_power_law(list(alphas), errs)
         assert fit.exponent >= 1.9
 
@@ -141,7 +143,7 @@ class TestAdd:
         enc = add(s1(5), s1(5), 2, 2)
         sq = creation(5).mat @ creation(5).mat
         assert np.abs(enc.block_target.mat - sq).max() < 1e-14
-        gen = enc.generator.mat
+        gen = block_generator(enc.block_target).mat
         assert np.abs(gen[:6, 6:] - sq).max() < 1e-14
         assert np.abs(gen[6:, :6] - sq.conj().T).max() < 1e-14
 
@@ -193,15 +195,17 @@ class TestMult:
     def _number_encoding(self, cutoff, p):
         return mult(s1(cutoff), conjugate(s1(cutoff), "X"), p, p)
 
+    def _number_generator(self, cutoff):
+        return mult_generator(creation(cutoff), annihilation(cutoff))
+
     def test_number_target(self):
         enc = self._number_encoding(15, 2)
         assert enc.kind == "upper_left"
         assert np.abs(enc.block_target.mat - number(15).mat).max() < 1e-14
 
     def test_exact_action_phases_number_states(self):
-        enc = self._number_encoding(6, 2)
         t = 0.7
-        u = enc.exact(t).mat
+        u = flow(self._number_generator(6)).eval(t).mat
         diag = np.diag(u)
         assert np.abs(diag[:7] - np.exp(1j * t * np.arange(7))).max() < 1e-12
         # lower block carries -(n+1) on the interior, 0 at the top level
@@ -211,7 +215,7 @@ class TestMult:
     @pytest.mark.parametrize("p,floor", [(2, 0.7), (4, 1.7)])
     def test_error_slope(self, p, floor):
         enc = self._number_encoding(15, p)
-        assert fitted_slope(enc) >= floor
+        assert fitted_slope(enc, self._number_generator(15)) >= floor
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_exponential_count(self, p):
@@ -328,13 +332,6 @@ class TestBudget:
 
 
 class TestExactReference:
-    def test_built_on_first_exact_only(self):
-        enc = s1(3)
-        assert "reference" not in vars(enc)
-        first = enc.exact(0.4).mat
-        assert enc.reference is vars(enc)["reference"]
-        assert np.array_equal(enc.exact(0.4).mat, first)
-
     def test_kerr_spec_builds_three_primitives(self, monkeypatch):
         """The Kerr spec at commutator order 3 (the kerr-deep benchmark) makes
         its two seed leaves and its own exact reference, and no encoding
@@ -369,7 +366,7 @@ class TestBlockGenerator:
         lambda a, b: bch(1, 1, a.unitary, b.unitary),
         lambda a, b: frame_conjugate(a.unitary, FrameGate("X", b.layout, qubit_gate("X"), (0,))),
         lambda a, b: mult(a, b, 2, 2),
-        lambda a, b: ApplicationSpec("ab", a.layout, b.generator, a.unitary),
+        lambda a, b: ApplicationSpec("ab", a.layout, block_generator(b.block_target), a.unitary),
     ],
     ids=["compose", "trotter", "bch", "frame_conjugate", "mult", "spec"],
 )

@@ -13,22 +13,20 @@ from bosonsynth.fock_ops import (
     embed,
     embed_sum,
     interior_projector,
-    ladder_power_norm,
     momentum,
     number,
     pauli,
     position,
     qubit_gate,
-    vacuum_parity_flip,
 )
 from bosonsynth.tensor_core import (
     HilbertLayout,
     LayoutMismatchError,
     Operator,
     basis_state,
-    commutator,
     spectral_norm,
 )
+from demos import commutator, ladder_power_norm, vacuum_parity_flip
 
 
 class TestLadder:

@@ -16,10 +16,8 @@ from bosonsynth.fock_ops import (
     pauli,
     position,
     qubit_gate,
-    vacuum_parity_flip,
 )
 from bosonsynth.product_formulas import (
-    FitWindow,
     FrameGate,
     GateSequence,
     ParamUnitary,
@@ -31,10 +29,8 @@ from bosonsynth.product_formulas import (
     fit_power_law,
     frame_conjugate,
     group_commutator,
-    primitive_unitary,
     sliced,
     suzuki_coefficient,
-    sweep_errors,
     symmetrize,
     timeslice,
     trotter,
@@ -45,26 +41,15 @@ from bosonsynth.tensor_core import (
     LayoutMismatchError,
     Operator,
     _sectors,
-    commutator,
     expm,
     identity,
     is_unitary,
     kron,
     spectral_norm,
 )
+from demos import FitWindow, commutator, flow, qubit_mode_op, sweep_errors, vacuum_parity_flip
 
 QM = HilbertLayout.qubit_modes
-WINDOW = FitWindow(1e-3, 1e-1, 12)
-
-
-def qubit_mode_op(mode_op, axis, cutoff):
-    """mode_op (x) pauli_axis on [qubit, mode], or identity axis for None."""
-    qubit = pauli(axis) if axis else identity(HilbertLayout.single_qubit())
-    return Operator(QM(cutoff), np.kron(qubit.mat, mode_op.mat))
-
-
-def flow(generator, label="g"):
-    return primitive_unitary(Primitive(label, generator.layout, generator))
 
 
 def commutator_target(gen_a, gen_b):
@@ -218,7 +203,7 @@ class TestGroupCommutator:
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         q = group_commutator(flow(gen_a), flow(gen_b))
         target = commutator_target(gen_a, gen_b)
-        ts, errs = sweep_errors(lambda t: q.eval(t), lambda t: target(t * t), WINDOW)
+        ts, errs = sweep_errors(lambda t: q.eval(t), lambda t: target(t * t))
         fit = fit_power_law(ts, errs)
         assert 2.7 <= fit.exponent <= 3.3
 
@@ -253,7 +238,7 @@ class TestBch:
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         u = bch(p, 1, flow(gen_a), flow(gen_b))
         target = commutator_target(gen_a, gen_b)
-        ts, errs = sweep_errors(lambda t: u.eval(t), lambda t: target(t * t), WINDOW)
+        ts, errs = sweep_errors(lambda t: u.eval(t), lambda t: target(t * t))
         fit = fit_power_law(ts, errs)
         assert 2 * p + 0.7 <= fit.exponent <= 2 * p + 1.3
 
@@ -389,9 +374,9 @@ class TestSymmetrize:
         block = bch(1, 1, flow(gen_a), flow(gen_b))
         target = commutator_target(gen_a, gen_b)
         oracle = lambda t: target(t * t)
-        ts, errs = sweep_errors(lambda t: block.eval(t), oracle, WINDOW)
+        ts, errs = sweep_errors(lambda t: block.eval(t), oracle)
         plain = fit_power_law(ts, errs).exponent
-        ts, errs = sweep_errors(lambda t: symmetrize(block).eval(t), oracle, WINDOW)
+        ts, errs = sweep_errors(lambda t: symmetrize(block).eval(t), oracle)
         assert fit_power_law(ts, errs).exponent >= plain + 1.0
 
 

@@ -16,15 +16,14 @@ from bosonsynth.tensor_core import (
     ResourceExhaustedError,
     _sectors,
     basis_state,
-    commutator,
     expm,
     identity,
-    is_hermitian,
     is_unitary,
     kron,
     spectral_norm,
 )
 from bosonsynth.fock_ops import annihilation, momentum, pauli, position
+from demos import commutator, is_hermitian
 
 QUBIT = HilbertLayout.single_qubit()
 
