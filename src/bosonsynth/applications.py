@@ -39,7 +39,6 @@ from .product_formulas import (
     as_linear_term,
     bch,
     compose,
-    measure,
     primitive_unitary,
     rescale,
     suzuki_index,
@@ -77,9 +76,8 @@ class ApplicationSpec:
     exact(t) = exp(i t G) from the eigendecompositions of the sectors of G,
     made when the spec is built, so exact(t) is zero between sectors. The
     spec keeps that reference, not the full-size generator G
-    (exact_generator). synthesized(t) evaluates the compiled product. time
-    is the default evaluation point: the flip time of a preparation, None
-    for the others.
+    (exact_generator); the runner measures synthesis against it. time is
+    the flip time of a preparation, None for the others.
     """
 
     name: str
@@ -94,20 +92,8 @@ class ApplicationSpec:
         # Primitive rejects a generator on another layout or a non-Hermitian one.
         object.__setattr__(self, "reference", Primitive(self.name, self.layout, exact_generator))
 
-    def _at(self, t: float | None) -> float:
-        t = self.time if t is None else t
-        if t is None:
-            raise ValueError(f"{self.name}: no evaluation time set")
-        return float(t)
-
-    def exact(self, t: float | None = None) -> Operator:
-        return Operator(self.layout, self.reference.unitary(self._at(t)))
-
-    def synthesized(self, t: float | None = None) -> Operator:
-        return self.synthesis.eval(self._at(t))
-
-    def error(self, t: float | None = None) -> float:
-        return measure(self.synthesis, self._at(t), self.reference).error
+    def exact(self, t: float) -> Operator:
+        return Operator(self.layout, self.reference.unitary(float(t)))
 
 
 # The commutator of sigma^y with sigma^x lands +i sigma^z after the
@@ -125,7 +111,7 @@ def _conditional_square(mode_op: Operator, tag: str, layout: HilbertLayout,
         )
         for s in _AXIS_PAIR
     )
-    return bch(p, 1, u_a, u_b, base=base)
+    return bch(p, u_a, u_b, base=base)
 
 
 def conditional_rotation_phase_space(
@@ -245,7 +231,7 @@ def conditional_beam_splitter(
     def pair_block(m: Operator, tag: str) -> ParamUnitary:
         u_a = primitive_unitary(Primitive(f"{tag}1*sx", layout, kron(sx, m), (0, 1)))
         u_b = primitive_unitary(Primitive(f"{tag}2*sy", layout, kron(sy, m), (0, 2)))
-        return bch(p, 1, u_a, u_b, base=base or "lean")
+        return bch(p, u_a, u_b, base=base or "lean")
 
     u_xx = pair_block(position(cutoff), "x")
     u_pp = pair_block(momentum(cutoff), "p")
@@ -291,7 +277,7 @@ def cross_kerr_gate(
     u_b = primitive_unitary(
         Primitive(f"n2*s{second}", layout, scale * kron(pauli(second), n_op), (0, 2))
     )
-    block = bch(p, 1, u_a, u_b, base=base or "lean")
+    block = bch(p, u_a, u_b, base=base or "lean")
     pu = as_linear_term(block, label="cross-kerr")
     gen = embed({0: pauli("z"), 1: n_op, 2: n_op}, layout)
     return ApplicationSpec(
@@ -325,11 +311,11 @@ def nonlinear_hamiltonian(
         raise ValueError("q must be >= 1")
     base = base or "lean"
     seed = s1(cutoff)
-    seed_x = conjugate(seed, "X")
-    term1 = mult(seed, seed_x, 2 * q, 2 * q, base=base)
+    seed_x = conjugate(seed)
+    term1 = mult(seed, seed_x, 2 * q, base=base)
     sq = power(2, 2 * q, cutoff, budget=SynthesisBudget(2 * q, q), base=base)
-    sq_x = conjugate(sq, "X")
-    term2 = mult(sq, sq_x, 2 * q, 2 * q, base=base)
+    sq_x = conjugate(sq)
+    term2 = mult(sq, sq_x, 2 * q, base=base)
 
     pu = trotter(
         2 * suzuki_index(q),

@@ -76,8 +76,9 @@ class SynthesisBudget:
     trotter_index: int
 
     @staticmethod
-    def from_orders(p_left: int, p_right: int) -> "SynthesisBudget":
-        q = max(math.ceil((min(p_left, p_right) - 1) / 2), 1)
+    def from_order(p: int) -> "SynthesisBudget":
+        """The budget of a level whose operands are accurate to order p."""
+        q = max(math.ceil((p - 1) / 2), 1)
         return SynthesisBudget(q, q)
 
 
@@ -117,25 +118,13 @@ def identity_encoding(cutoff: int) -> BlockEncoding:
     return BlockEncoding(pu, mode_identity(cutoff))
 
 
-_CONJ_RULES = {
-    "X": lambda a: a.dag(),
-    "S": lambda a: -1j * a,
-    "Sdg": lambda a: 1j * a,
-}
-
-
-def conjugate(enc: BlockEncoding, gate: str) -> BlockEncoding:
-    """Free one-block transformations by qubit Clifford frames.
-
-    X swaps the blocks (target -> target^dag); S and Sdg rotate the encoded
-    phase by -i and +i.
-    """
+def conjugate(enc: BlockEncoding) -> BlockEncoding:
+    """The block swap: X U X on the qubit encodes the target's adjoint, at
+    no exponential. add and mult build their other frames themselves."""
     if enc.kind != "off_diagonal":
         raise ValueError("frame conjugation applies to off-diagonal encodings")
-    if gate not in _CONJ_RULES:
-        raise ValueError(f"unsupported frame {gate!r}")
-    pu = frame_conjugate(enc.unitary, FrameGate(gate, enc.layout, qubit_gate(gate), (0,)))
-    return BlockEncoding(pu, _CONJ_RULES[gate](enc.block_target))
+    pu = frame_conjugate(enc.unitary, FrameGate("X", enc.layout, qubit_gate("X"), (0,)))
+    return BlockEncoding(pu, enc.block_target.dag())
 
 
 def _commutation_check(a: Operator, b: Operator):
@@ -155,8 +144,7 @@ def _commutation_check(a: Operator, b: Operator):
 def add(
     left: BlockEncoding,
     right: BlockEncoding,
-    p_left: int,
-    p_right: int,
+    p: int,
     budget: SynthesisBudget | None = None,
     base: str | None = None,
     symmetrized: bool = False,
@@ -165,7 +153,8 @@ def add(
     off-diagonal block, assuming [A, B] = 0 on the interior span.
 
     Two frame-steered commutator blocks produce the anti-Hermitian and
-    Hermitian halves of A B; a Suzuki splitting recombines them. budget,
+    Hermitian halves of A B; a Suzuki splitting recombines them. p is the
+    order both operands are accurate to (SynthesisBudget.from_order); budget,
     base and symmetrized override the defaults for cost/accuracy studies.
     """
     if left.layout != right.layout:
@@ -174,7 +163,7 @@ def add(
         raise ValueError("add expects off-diagonal encodings")
     _commutation_check(left.block_target, right.block_target)
     if budget is None:
-        budget = SynthesisBudget.from_orders(p_left, p_right)
+        budget = SynthesisBudget.from_order(p)
     q, s = budget.bch_order, budget.trotter_index
     layout = left.layout
 
@@ -184,8 +173,8 @@ def add(
     b_right_x = frame_conjugate(right.unitary, frame_x)
     b_left_s = frame_conjugate(left.unitary, frame_s)
 
-    block_l = bch(q, 1, b_right_x, left.unitary, base=base)
-    block_r = bch(q, 1, b_left_s, b_right_x, base=base)
+    block_l = bch(q, b_right_x, left.unitary, base=base)
+    block_r = bch(q, b_left_s, b_right_x, base=base)
     if symmetrized:
         block_l = symmetrize(block_l)
         block_r = symmetrize(block_r)
@@ -204,14 +193,14 @@ def add(
 def mult(
     left: BlockEncoding,
     right: BlockEncoding,
-    p_left: int,
-    p_right: int,
+    p: int,
     base: str | None = None,
 ) -> BlockEncoding:
     """Encode a Hermitian product A B in the upper-left block.
 
     A single commutator block of the frame-steered operands lands
-    exp(it [[A B, 0], [0, -(B A + (B A)^dag)/2]]) when A B is Hermitian.
+    exp(it [[A B, 0], [0, -(B A + (B A)^dag)/2]]) when A B is Hermitian. p
+    is the order both operands are accurate to (SynthesisBudget.from_order).
     """
     if left.layout != right.layout:
         raise LayoutMismatchError("operand layouts differ")
@@ -228,13 +217,13 @@ def mult(
             RuntimeWarning,
             stacklevel=2,
         )
-    q = SynthesisBudget.from_orders(p_left, p_right).bch_order
+    q = SynthesisBudget.from_order(p).bch_order
     layout = left.layout
     frame_x, frame_s = (FrameGate(g, layout, qubit_gate(g), (0,)) for g in "XS")
 
     b_left_s = frame_conjugate(left.unitary, frame_s)
     b_right_x = frame_conjugate(right.unitary, frame_x)
-    block = bch(q, 1, b_left_s, b_right_x, base=base)
+    block = bch(q, b_left_s, b_right_x, base=base)
     inner_lin = as_linear_term(block)
     inner = compose(
         f"mult[{left.unitary.label},{right.unitary.label}]",
@@ -264,7 +253,7 @@ def power(
     if k == 1:
         return s1(cutoff)
     half = power(k // 2, 2 * p, cutoff, budget, base, symmetrized)
-    return add(half, half, 2 * p, 2 * p, budget, base, symmetrized)
+    return add(half, half, 2 * p, budget, base, symmetrized)
 
 
 def arb_power(k: int, p: int, cutoff: int) -> BlockEncoding:
@@ -292,7 +281,7 @@ def arb_power(k: int, p: int, cutoff: int) -> BlockEncoding:
         mid = lo + (hi - lo) // 2
         lower = build(lo, mid, 2 * order)
         upper = build(mid + 1, hi, 2 * order)
-        return add(lower, upper, 2 * order, 2 * order)
+        return add(lower, upper, 2 * order)
 
     if sum(bits) == 1:
         return power(k, p, cutoff)

@@ -85,8 +85,6 @@ def qubit_gate(name: str) -> Operator:
         return Operator(layout, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     if name == "S":
         return Operator(layout, np.diag([1.0, 1.0j]))
-    if name == "Sdg":
-        return Operator(layout, np.diag([1.0, -1.0j]))
     raise ValueError(f"unknown gate {name!r}")
 
 

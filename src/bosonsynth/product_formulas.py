@@ -6,8 +6,8 @@ Repeat nodes, which the combinators below only build. A leaf is a counted
 primitive or a fixed, uncounted frame gate, each declared on the factors it
 acts on and kept as index groups and sector blocks, never at full size; a
 frame conjugation is a three-factor product whose outer factors are that
-frame at power 0. One interpreter evaluates, expands and reverses trees;
-the exponential ledger is summed once per node at build time. The first
+frame at power 0. One interpreter evaluates and expands trees; the
+exponential ledger is summed once per node at build time. The first
 eval of a tree finds its sectors (the connected components of the union of
 its leaves' index groups, on which every node is exactly block-diagonal),
 each leaf's placement in them and the gathers of its monomial frame
@@ -28,7 +28,6 @@ the next class is built. No matrix is kept between calls.
 """
 from __future__ import annotations
 
-import dataclasses
 import warnings
 import weakref
 from collections import Counter
@@ -63,7 +62,6 @@ __all__ = [
     "primitive_unitary",
     "frame_conjugate",
     "rescale",
-    "reverse_pu",
     "as_linear_term",
     "group_commutator",
     "bch",
@@ -177,8 +175,8 @@ class FrameGate:
     matrix.
 
     The frame is monomial when every block has one nonzero per row and per
-    column, each exactly +-1 or +-i (X, S, Sdg and the vacuum parity flip,
-    not H). Then so has the frame on the whole layout: the nonzero of row a
+    column, each exactly +-1 or +-i (X, S and the vacuum parity flip, not
+    H). Then so has the frame on the whole layout: the nonzero of row a
     sits in column perm[a] and equals phase[a], and a conjugation by it is
     an exact gather.
     """
@@ -319,8 +317,8 @@ class ParamUnitary:
     """A parametrized unitary family t -> U(t); equality ignores labels.
 
     target_power records the leading power of t in the generator the family
-    approximates (1 for flows, k+1 for commutator targets); symmetrization
-    dispatches on its parity. cost_counter is the per-label exponential ledger.
+    approximates (1 for flows, 2 for commutator targets); symmetrization
+    takes only even powers. cost_counter is the per-label exponential ledger.
     """
 
     label: str = field(compare=False)
@@ -585,55 +583,43 @@ def _apply_groups(
     return out
 
 
-def _sandwich(factors: tuple[Factor, ...]) -> tuple | None:
-    """((F, invert), (G, invert)) when factors are F, any factor and G, with
-    F and G leaves of monomial frames whose adjoint does not follow the
-    parameter's sign; else None."""
+def _sandwich(factors: tuple[Factor, ...]) -> FrameGate | None:
+    """F when factors are F, any factor and F^dag, for F one leaf of a
+    monomial frame whose adjoint does not follow the parameter's sign (the
+    product frame_conjugate builds); else None."""
     if len(factors) != 3:
         return None
-    sides = []
-    for f in (factors[0], factors[2]):
-        gate = f.pu.node.gate if isinstance(f.pu.node, Leaf) else None
-        if not isinstance(gate, FrameGate) or not gate.monomial or f.adjoint_if_negative:
-            return None
-        sides.append((gate, f.invert))
-    return tuple(sides)
+    first, _, third = factors
+    gate = first.pu.node.gate if isinstance(first.pu.node, Leaf) else None
+    if (
+        not isinstance(gate, FrameGate) or not gate.monomial
+        or third.pu is not first.pu or first.invert or not third.invert
+        or first.adjoint_if_negative or third.adjoint_if_negative
+    ):
+        return None
+    return gate
 
 
-def _monomial_side(gate: FrameGate, invert: bool, left: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) of gate, or of its adjoint when invert is set, as a
-    factor on the left (F @ U reads row perm[a] of U into row a, times
-    phase[a]) or on the right (U @ G reads column perm[b] into column b)."""
-    # Row a of the gate holds phase[a] at column perm[a]; column b holds
-    # phase[inv[b]] at row inv[b]. The adjoint swaps the two and conjugates.
-    if left != invert:
-        perm, phase = gate.perm, gate.phase
-    else:
-        perm = np.argsort(gate.perm)
-        phase = gate.phase[perm]
-    return perm, phase.conj() if invert else phase
-
-
-def _gathers(sides: tuple, classes: list[np.ndarray]) -> list[tuple]:
-    """F @ U @ G on each class for the monomial frames sides = ((F, invert),
-    (G, invert)), as (first, second, phases): entry (a, b) of sector j is
-    U's entry (perm_F[a], perm_G[b]) of that sector times phase_F[a] *
-    phase_G[b]. first[j, a, 0] + second[j, 0, b] is that entry's flat index
-    in a class block, split so that no k x k index array is kept; phases is
-    None when every phase is 1. Each entry has one nonzero term, so this is
-    exact."""
-    (lperm, lphase), (rperm, rphase) = (
-        _monomial_side(gate, invert, left) for (gate, invert), left in zip(sides, (True, False))
-    )
-    position = np.empty(len(lperm), dtype=np.intp)
+def _gathers(frame: FrameGate, classes: list[np.ndarray]) -> list[tuple]:
+    """F @ U @ F^dag on each class for the monomial frame F, as (first,
+    second, phases): entry (a, b) of sector j is U's entry (perm[a],
+    perm[b]) of that sector times phase[a] * conj(phase[b]), since F @ U
+    reads row perm[a] of U into row a and U @ F^dag reads column perm[b]
+    into column b. first[j, a, 0] + second[j, 0, b] is that entry's flat
+    index in a class block, split so that no k x k index array is kept;
+    phases is None when every phase is 1. Each entry has one nonzero term,
+    so this is exact."""
+    perm, lphase, rphase = frame.perm, frame.phase, frame.phase.conj()
+    position = np.empty(len(perm), dtype=np.intp)
     out = []
     for cls in classes:
         m, k = cls.shape
         position[cls] = np.arange(k)
-        first = (np.arange(m)[:, None] * k + position[lperm[cls]]) * k
+        at = position[perm[cls]]
+        first = (np.arange(m)[:, None] * k + at) * k
         lph, rph = lphase[cls][:, :, None], rphase[cls][:, None, :]
         phases = None if np.all(lph == 1) and np.all(rph == 1) else (lph, rph)
-        out.append((first[:, :, None], position[rperm[cls]][:, None, :], phases))
+        out.append((first[:, :, None], at[:, None, :], phases))
     return out
 
 
@@ -668,8 +654,8 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
                     case Leaf(gate):
                         places[id(gate)] = placed = _place(gate.groups, classes)
                         last[id(gate)] = {g: i for i, pl in enumerate(placed) for g, _ in pl}
-                    case Product(factors) if (sides := _sandwich(factors)) is not None:
-                        gathers[id(pu)] = _gathers(sides, classes)
+                    case Product(factors) if (frame := _sandwich(factors)) is not None:
+                        gathers[id(pu)] = _gathers(frame, classes)
             cached = _TreeSectors(classes, places, last, gathers)
         object.__setattr__(root, "_sector_cache", cached)
     return cached
@@ -782,7 +768,7 @@ def _evaluate(root: ParamUnitary, t: float):
     its only read, as the reader's first factor. A stack is dropped as soon
     as its last reader has built its own, so nothing of one class is alive
     while the next is built, and the caller can use and drop a class's root
-    blocks before the next class starts. A product F·U·G of monomial frames
+    blocks before the next class starts. A product F·U·F† of a monomial frame
     gathers U's entries and multiplies them by a fixed phase mask instead
     of two products.
     """
@@ -978,21 +964,6 @@ def _expand(pu: ParamUnitary, t: float) -> list[Invocation]:
             return _expand(child, t / count) * count
 
 
-def _reverse(pu: ParamUnitary, done: dict) -> ParamUnitary:
-    if id(pu) in done:
-        return done[id(pu)]
-    match pu.node:
-        case Leaf():
-            return pu
-        case Product(factors):
-            backwards = [dataclasses.replace(f, pu=_reverse(f.pu, done)) for f in factors[::-1]]
-            node = dataclasses.replace(pu.node, factors=tuple(backwards))
-        case Repeat(child):
-            node = dataclasses.replace(pu.node, child=_reverse(child, done))
-    done[id(pu)] = out = ParamUnitary(f"rev[{pu.label}]", pu.layout, node, pu.target_power)
-    return out
-
-
 def primitive_unitary(prim: Primitive) -> ParamUnitary:
     return ParamUnitary(prim.label, prim.layout, Leaf(prim))
 
@@ -1016,8 +987,8 @@ def compose(
 
 def frame_conjugate(pu: ParamUnitary, frame: FrameGate) -> ParamUnitary:
     """F U(t) F^dag: a product whose outer factors are the frame leaf at
-    power 0, so reversal and inversion follow the product rules and the
-    frame is recorded but not counted."""
+    power 0, so inversion follows the product rules and the frame is
+    recorded but not counted."""
     if frame.layout != pu.layout:
         raise LayoutMismatchError("frame and unitary layouts differ")
     leaf = ParamUnitary(frame.label, frame.layout, Leaf(frame))
@@ -1028,13 +999,6 @@ def frame_conjugate(pu: ParamUnitary, frame: FrameGate) -> ParamUnitary:
 def rescale(pu: ParamUnitary, c: float, label: str | None = None) -> ParamUnitary:
     """U(c t): a pure reparametrization, same budget."""
     return compose(label or f"{pu.label}@{c:g}t", [Factor(pu, c)], pu.target_power)
-
-
-def reverse_pu(pu: ParamUnitary) -> ParamUnitary:
-    """Same invocations in reversed order, built by reversing the tree: each
-    product lists its factors backwards, so a frame conjugation swaps F and
-    F^dag."""
-    return _reverse(pu, {})
 
 
 def as_linear_term(pu: ParamUnitary, label: str | None = None) -> ParamUnitary:
@@ -1050,66 +1014,59 @@ def as_linear_term(pu: ParamUnitary, label: str | None = None) -> ParamUnitary:
     return compose(label or f"lin[{pu.label}]", [factor])
 
 
-def group_commutator(u_a: ParamUnitary, u_b: ParamUnitary, k: int = 1) -> ParamUnitary:
-    """Q(t) = A(t) B(t^k) A(-t) B(-t^k), the bare four-exponential block.
+def group_commutator(u_a: ParamUnitary, u_b: ParamUnitary) -> ParamUnitary:
+    """Q(t) = A(t) B(t) A(-t) B(-t), the bare four-exponential block.
 
-    Approximates exp([K_A, K_B] t^(k+1)) to leading order, where K are the
+    Approximates exp([K_A, K_B] t^2) to leading order, where K are the
     anti-Hermitian generators of the operands near t = 0.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError("inner power k must be odd and positive")
-    factors = [Factor(u_a), Factor(u_b, power=k), Factor(u_a, -1.0), Factor(u_b, -1.0, k)]
-    return compose(
-        f"Q[{u_a.label},{u_b.label}]", factors, target_power=k + 1
-    )
+    factors = [Factor(u_a), Factor(u_b), Factor(u_a, -1.0), Factor(u_b, -1.0)]
+    return compose(f"Q[{u_a.label},{u_b.label}]", factors, target_power=2)
 
 
-def bch_constants(p: int, k: int) -> tuple[float, float, float]:
+def bch_constants(p: int) -> tuple[float, float, float]:
     """(r, beta, gamma) for lifting a level-p commutator block by two orders."""
-    e = (k + 1) / (2 * p + k + 1)
+    e = 2 / (2 * p + 2)
     rp = 2.0**e / (4.0 * (2.0 - 2.0**e))
-    beta = (2.0 * rp) ** (1.0 / (k + 1))
-    gamma = (0.25 + rp) ** (1.0 / (k + 1))
+    beta = (2.0 * rp) ** (1.0 / 2)
+    gamma = (0.25 + rp) ** (1.0 / 2)
     return rp, beta, gamma
 
 
 def bch(
     p: int,
-    k: int,
     u_a: ParamUnitary,
     u_b: ParamUnitary,
     base: str | None = None,
 ) -> ParamUnitary:
-    """Order-p commutator block: approximates exp([K_A, K_B] t^(k+1)) with
-    error O(t^(2p+k)).
+    """Order-p commutator block: approximates exp([K_A, K_B] t^2) with error
+    O(t^(2p+1)), by the recursion of Childs and Wiebe (J. Math. Phys. 54,
+    062202, 2013) at inner power 1.
 
-    base selects the level-1 block. "split" squares the bare block at
-    t / 2^(1/(k+1)) (8 exponentials for k = 1, first-order accurate in the
-    block sense); "lean" is the bare four-exponential block. The default is
-    "split" for k = 1 and "lean" otherwise.
+    base selects the level-1 block: "split" (the default) squares the bare
+    block at t / sqrt(2), 8 exponentials; "lean" is the bare
+    four-exponential block. Each further level is six copies of the one
+    below at +-gamma t, +-beta t and +-gamma t (bch_constants), the middle
+    pair inverted.
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    if k < 1 or k % 2 == 0:
-        raise ValueError("inner power k must be odd and positive")
     if u_a.layout != u_b.layout:
         raise LayoutMismatchError("operand layouts differ")
     if base is None:
-        base = "split" if k == 1 else "lean"
+        base = "split"
     if base not in ("split", "lean"):
         raise ValueError(f"unknown base {base!r}")
 
-    q = group_commutator(u_a, u_b, k)
+    q = group_commutator(u_a, u_b)
     if base == "split":
-        half = 2.0 ** (-1.0 / (k + 1))
-        level = compose(
-            f"Q2[{u_a.label},{u_b.label}]", [Factor(q, half)] * 2, target_power=k + 1
-        )
+        half = 2.0 ** (-1.0 / 2)
+        level = compose(f"Q2[{u_a.label},{u_b.label}]", [Factor(q, half)] * 2, target_power=2)
     else:
         level = q
 
     for pp in range(1, p):
-        _, beta, gamma = bch_constants(pp, k)
+        _, beta, gamma = bch_constants(pp)
         factors = [
             Factor(level, gamma),
             Factor(level, -gamma),
@@ -1118,9 +1075,7 @@ def bch(
             Factor(level, gamma),
             Factor(level, -gamma),
         ]
-        level = compose(
-            f"bch{pp + 1}[{u_a.label},{u_b.label}]", factors, target_power=k + 1
-        )
+        level = compose(f"bch{pp + 1}[{u_a.label},{u_b.label}]", factors, target_power=2)
     return level
 
 
@@ -1163,19 +1118,18 @@ def trotter(order: int, terms: Sequence[ParamUnitary]) -> ParamUnitary:
 
 
 def symmetrize(pu: ParamUnitary) -> ParamUnitary:
-    """Order-raising two-copy product, dispatching on the target parity.
+    """Order-raising echo of a commutator block: U(tau) U(-tau) with
+    tau = t 2^(-1/m), for U of even target power m.
 
-    Flows and odd-power targets take U(t/2) * reverse(U)(t/2); even-power
-    (commutator) targets take U(tau) U(-tau) with tau = t 2^(-1/m), since
-    literal reversal would flip the commutator's sign instead of echoing it.
+    The two copies share the leading t^m term of the block's generator,
+    2 tau^m = t^m, and their next, odd-power terms cancel to leading order.
+    An odd target power (a flow) raises ValueError.
     """
     m = pu.target_power
     if m % 2 == 1:
-        factors = [Factor(pu, 0.5), Factor(reverse_pu(pu), 0.5)]
-    else:
-        tau = 2.0 ** (-1.0 / m)
-        factors = [Factor(pu, tau), Factor(pu, -tau)]
-    return compose(f"sym[{pu.label}]", factors, target_power=m)
+        raise ValueError("symmetrize expects an even target_power")
+    tau = 2.0 ** (-1.0 / m)
+    return compose(f"sym[{pu.label}]", [Factor(pu, tau), Factor(pu, -tau)], target_power=m)
 
 
 def sliced(pu: ParamUnitary, r: int) -> ParamUnitary:

@@ -54,10 +54,8 @@ from bosonsynth.product_formulas import (
     timeslice,
 )
 from bosonsynth.tensor_core import (
-    TOL,
     HilbertLayout,
     Operator,
-    _hermitian_defect,
     basis_state,
     expm,
     identity,
@@ -77,25 +75,8 @@ def qubit_mode_op(mode_op: Operator, axis: str | None, cutoff: int) -> Operator:
     return Operator(HilbertLayout.qubit_modes(cutoff), np.kron(qubit.mat, mode_op.mat))
 
 
-def is_hermitian(op: Operator | np.ndarray, tol: float | None = None) -> bool:
-    tol = TOL.hermiticity if tol is None else tol
-    mat = op.mat if isinstance(op, Operator) else np.asarray(op)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    return _hermitian_defect(mat) <= tol * scale
-
-
 def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
-
-
-def ladder_power_norm(cutoff: int, k: int) -> float:
-    """Spectral norm of a^k on cutoff L: sqrt(L! / (L-k)!)."""
-    if k > cutoff:
-        return 0.0
-    acc = 1.0
-    for j in range(cutoff, cutoff - k, -1):
-        acc *= j
-    return math.sqrt(acc)
 
 
 def vacuum_parity_flip(cutoff: int) -> Operator:
@@ -205,8 +186,8 @@ def conditional_rotation_fock(p: int = 1, cutoff: int = 14) -> ApplicationSpec:
     qubit-0 sector; one extra native phase fixes the qubit-1 sector so the
     two sectors rotate oppositely below the cutoff edge.
     """
-    left, right = s1(cutoff), conjugate(s1(cutoff), "X")
-    enc = mult(left, right, 2 * p, 2 * p)
+    left, right = s1(cutoff), conjugate(s1(cutoff))
+    enc = mult(left, right, 2 * p)
     layout = enc.layout
     lower = Operator(HilbertLayout.single_qubit(), np.diag([0.0, 1.0]).astype(complex))
     corr = primitive_unitary(Primitive("qubit1-phase", layout, lower, (0,)))
@@ -302,7 +283,7 @@ def hom_trace(nsteps: int = 200, cutoff: int = 14, synthesized: bool = True) -> 
     eight-pulse step leaks at the 1e-3 level."""
     spec = conditional_beam_splitter(cutoff=cutoff, symmetrized=True)
     dtheta = (math.pi / 2) / nsteps
-    step = spec.synthesized(dtheta) if synthesized else spec.exact(dtheta)
+    step = spec.synthesis.eval(dtheta) if synthesized else spec.exact(dtheta)
     states = evolve(step, spec.initial_state, nsteps)
     times = dtheta * np.arange(nsteps + 1)
     dims = tuple(d for _, d in spec.layout.factors)
@@ -394,7 +375,7 @@ def effective_pauli_span01(
 def span01_leakage(spec: ApplicationSpec, lam: float) -> float:
     """Worst leakage probability out of the two lowest levels, starting from
     them, after one pulse of amplitude lam."""
-    u = spec.synthesized(lam * lam)
+    u = spec.synthesis.eval(lam * lam)
     dims = tuple(d for _, d in spec.layout.factors)
     worst = 0.0
     for level in (0, 1):

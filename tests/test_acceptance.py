@@ -90,7 +90,7 @@ def test_criterion_03_commutator_block_order():
     windows = {1: FitWindow(1e-3, 1e-1, 12), 2: FitWindow(1e-2, 1e-1, 10)}
     slopes = {}
     for p in (1, 2):
-        u = bch(p, 1, flow(gen_a), flow(gen_b))
+        u = bch(p, flow(gen_a), flow(gen_b))
         ts, errs = sweep_errors(lambda t: u.eval(t), lambda t: target(t * t), windows[p])
         slopes[p] = fit_power_law(ts, errs).exponent
     ok = all(abs(slopes[p] - (2 * p + 1)) <= 0.3 for p in (1, 2))
@@ -127,12 +127,12 @@ def test_criterion_05_gate_count_ledger():
     u = flow(qubit_mode_op(position(2), "x", 2))
     v = flow(qubit_mode_op(position(2), "y", 2))
     for p in (1, 2, 3):
-        checks.append(bch(p, 1, u, v).cost() == 8 * 6 ** (p - 1))
+        checks.append(bch(p, u, v).cost() == 8 * 6 ** (p - 1))
     seed = s1(2)
     for orders, q in ((2, 1), (4, 2)):
-        checks.append(add(seed, seed, orders, orders).unitary.cost() <= 1.07 * 30**q)
+        checks.append(add(seed, seed, orders).unitary.cost() <= 1.07 * 30**q)
         checks.append(
-            mult(seed, conjugate(seed, "X"), orders, orders).unitary.cost() <= 8 * 6 ** (q - 1)
+            mult(seed, conjugate(seed), orders).unitary.cost() <= 8 * 6 ** (q - 1)
         )
     power_costs = {}
     for k in (2, 4):
@@ -148,13 +148,13 @@ def test_criterion_06_exact_state_prep():
     worst_fix = 0.0
     for k in (1, 2, 3):
         spec = state_prep_T(k, cutoff=8)
-        mat = spec.exact().mat
+        mat = spec.exact(spec.time).mat
         src = spec.layout.index(1, 0)
         dst = spec.layout.index(0, k)
         worst_flip = max(worst_flip, abs(abs(mat[dst, src]) - 1.0))
 
         prot = state_prep_protected(k, cutoff=8)
-        pm = prot.exact().mat
+        pm = prot.exact(prot.time).mat
         worst_flip = max(worst_flip, abs(abs(pm[dst, src]) - 1.0))
         for b in (1, 2, 3, 4):
             spect = prot.layout.index(1, b)
@@ -195,7 +195,7 @@ def test_criterion_08_two_photon_interference():
     leak = float(np.max(synth.leakage))
 
     spec = conditional_beam_splitter(cutoff=14, symmetrized=True)
-    ts, errs = sweep_errors(spec.synthesized, spec.exact, FitWindow(1e-3, 1e-1, 10))
+    ts, errs = sweep_errors(spec.synthesis.eval, spec.exact, FitWindow(1e-3, 1e-1, 10))
     fit = fit_power_law(ts, errs)
 
     ok = dip < 1e-10 and leak < 1e-4 and fit.residual < 0.1
@@ -212,7 +212,7 @@ def test_criterion_09_conditional_rotation_dynamics():
     slopes = {}
     for p in (1, 2):
         stepped = conditional_rotation_phase_space(p=p, cutoff=15)
-        ts, errs = sweep_errors(stepped.synthesized, stepped.exact,
+        ts, errs = sweep_errors(stepped.synthesis.eval, stepped.exact,
                                 FitWindow(1e-3, 1e-1, 12))
         slopes[p] = fit_power_law(ts, errs).exponent
     ok = dev <= 1e-10 and all(abs(slopes[p] - (p + 0.5)) <= 0.3 for p in (1, 2))

@@ -26,7 +26,7 @@ from bosonsynth.tensor_core import (
     basis_state,
     spectral_norm,
 )
-from demos import commutator, ladder_power_norm, vacuum_parity_flip
+from demos import commutator, vacuum_parity_flip
 
 
 class TestLadder:
@@ -60,7 +60,6 @@ class TestLadder:
         a_k = np.linalg.matrix_power(annihilation(cutoff).mat, k)
         want = math.sqrt(math.factorial(cutoff) / math.factorial(cutoff - k))
         assert spectral_norm(a_k) == pytest.approx(want, abs=1e-9)
-        assert ladder_power_norm(cutoff, k) == pytest.approx(want, rel=1e-14)
         assert want <= cutoff ** (k / 2) + 1e-12
 
 
@@ -93,12 +92,12 @@ class TestQubitGates:
         assert np.max(np.abs(h @ pauli("z").mat @ h - pauli("x").mat)) < 1e-15
 
     def test_shzhs_dag_is_y(self):
-        h, s, sdg = (qubit_gate(n).mat for n in ("H", "S", "Sdg"))
-        assert np.max(np.abs(s @ h @ pauli("z").mat @ h @ sdg - pauli("y").mat)) < 1e-15
+        h, s = qubit_gate("H").mat, qubit_gate("S").mat
+        assert np.max(np.abs(s @ h @ pauli("z").mat @ h @ s.conj().T - pauli("y").mat)) < 1e-15
 
     def test_s_unitary(self):
-        s, sdg = qubit_gate("S").mat, qubit_gate("Sdg").mat
-        assert np.array_equal(s @ sdg, np.eye(2))
+        s = qubit_gate("S").mat
+        assert np.array_equal(s @ s.conj().T, np.eye(2))
 
     def test_unknown_gate(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""Golden artifacts: the five fast shipped configs rerun against the files
-stored in tests/golden/. The gate-count ledger must match exactly; errors,
+"""Golden artifacts: the five fast shipped configs, and three inline configs
+for runner paths no shipped config reaches, rerun against the files stored
+in tests/golden/. The gate-count ledger must match exactly; errors,
 times and matrix moduli must agree within 1e-12 absolute, so the check holds
 on BLAS builds that differ in the last bits. Regenerate a file only when a
 change to its numbers is intended, with `bosonsynth run`/`sweep` on the
-config into tests/golden/."""
+config into tests/golden/ (an inline config written out as YAML first)."""
 import csv
 import json
 import math
@@ -41,6 +42,42 @@ CONFIGS = {
     "state-prep-ladder": (
         run_sweep,
         ["state-prep-ladder.csv", "state-prep-ladder.json"],
+    ),
+}
+
+# Runner paths no shipped config reaches: a ladder power that is no power of
+# two (arb_power), the symmetrized split base (the symmetrize inside add), and
+# the cross-Kerr gate at a second commutator order. The CI smoke step runs
+# the same three.
+INLINE = {
+    "state-prep-t3": (
+        "application: state-prep-T\n"
+        "cutoff: 6\n"
+        "physical: {k: 3}\n"
+        "grid: {min: 1.0e-3, max: 1.0e-1, points: 4}\n"
+        "output: {csv: state-prep-t3.csv, json: state-prep-t3.json}\n",
+        ["state-prep-t3.csv", "state-prep-t3.json", "state-prep-t3_heatmap.csv"],
+    ),
+    "state-prep-t4-symmetrized": (
+        "application: state-prep-T\n"
+        "cutoff: 6\n"
+        "physical: {k: 4}\n"
+        "grid: {min: 1.0e-3, max: 1.0e-1, points: 4}\n"
+        "orders: {base: lean, symmetrized: true}\n"
+        "output: {csv: state-prep-t4-symmetrized.csv, json: state-prep-t4-symmetrized.json}\n",
+        [
+            "state-prep-t4-symmetrized.csv",
+            "state-prep-t4-symmetrized.json",
+            "state-prep-t4-symmetrized_heatmap.csv",
+        ],
+    ),
+    "fswap-bch2": (
+        "application: fswap\n"
+        "cutoff: 3\n"
+        "grid: {min: 1.0e-3, max: 1.0e-1, points: 4}\n"
+        "orders: {bch: 2}\n"
+        "output: {csv: fswap-bch2.csv, json: fswap-bch2.json}\n",
+        ["fswap-bch2.csv", "fswap-bch2.json"],
     ),
 }
 
@@ -90,16 +127,31 @@ def _compare_json(got, want, key: str = "") -> None:
         assert got == want, where
 
 
+def _compare_dir(out: Path, names: list) -> None:
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        if name.endswith(".csv"):
+            _compare_csv(out / name, GOLDEN / name)
+        else:
+            _compare_json(
+                json.loads((out / name).read_text()),
+                json.loads((GOLDEN / name).read_text()),
+            )
+
+
 @pytest.mark.parametrize("stem", sorted(CONFIGS))
 def test_rerun_matches_golden(stem, tmp_path):
     runner, names = CONFIGS[stem]
     runner(load_config(ROOT / "configs" / f"{stem}.yaml"), out_dir=tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
-    for name in names:
-        if name.endswith(".csv"):
-            _compare_csv(tmp_path / name, GOLDEN / name)
-        else:
-            _compare_json(
-                json.loads((tmp_path / name).read_text()),
-                json.loads((GOLDEN / name).read_text()),
-            )
+    _compare_dir(tmp_path, names)
+
+
+@pytest.mark.parametrize("stem", sorted(INLINE))
+def test_inline_config_matches_golden(stem, tmp_path):
+    text, names = INLINE[stem]
+    config = tmp_path / f"{stem}.yaml"
+    config.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    run(load_config(config), out_dir=out)
+    _compare_dir(out, names)

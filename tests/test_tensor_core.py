@@ -23,7 +23,7 @@ from bosonsynth.tensor_core import (
     spectral_norm,
 )
 from bosonsynth.fock_ops import annihilation, momentum, pauli, position
-from demos import commutator, is_hermitian
+from demos import commutator
 
 QUBIT = HilbertLayout.single_qubit()
 
@@ -228,10 +228,6 @@ class TestPredicates:
     def test_unitary_cases(self):
         assert is_unitary(identity(QUBIT))
         assert not is_unitary(op2(2 * np.eye(2)))
-
-    def test_hermitian_cases(self):
-        assert is_hermitian(pauli("y"))
-        assert not is_hermitian(op2([[0, 1], [0, 0]]))
 
 
 class TestCommutators:
