@@ -22,10 +22,9 @@ from .tensor_core import (
     kron,
 )
 from .fock_ops import (
+    KronSum,
     annihilation,
     creation,
-    embed,
-    embed_sum,
     mode_identity,
     momentum,
     number,
@@ -75,20 +74,21 @@ class ApplicationSpec:
 
     exact(t) = exp(i t G) from the eigendecompositions of the sectors of G,
     made when the spec is built, so exact(t) is zero between sectors. The
-    spec keeps that reference, not the full-size generator G
-    (exact_generator); the runner measures synthesis against it. time is
-    the flip time of a preparation, None for the others.
+    builders give G (exact_generator) as a Kronecker sum, read entry by
+    entry, and the spec keeps that reference, never a full-size G; the
+    runner measures synthesis against it. time is the flip time of a
+    preparation, None for the others.
     """
 
     name: str
     layout: HilbertLayout
-    exact_generator: InitVar[Operator]
+    exact_generator: InitVar[Operator | KronSum]
     synthesis: ParamUnitary
     initial_state: Optional[np.ndarray] = None
     time: Optional[float] = None
     reference: Primitive = field(init=False, repr=False)
 
-    def __post_init__(self, exact_generator: Operator):
+    def __post_init__(self, exact_generator: Operator | KronSum):
         # Primitive rejects a generator on another layout or a non-Hermitian one.
         object.__setattr__(self, "reference", Primitive(self.name, self.layout, exact_generator))
 
@@ -137,11 +137,10 @@ def conditional_rotation_phase_space(
     )
 
     quad = x_op @ x_op + p_op @ p_op - 0.5 * mode_identity(cutoff)
-    gen = embed({0: pauli("z"), 1: quad}, layout)
     return ApplicationSpec(
         name="conditional-rotation",
         layout=layout,
-        exact_generator=gen,
+        exact_generator=[(1.0, {0: pauli("z"), 1: quad})],
         synthesis=pu,
         initial_state=basis_state(layout, 0, 2),
     )
@@ -248,12 +247,10 @@ def conditional_beam_splitter(
         pu = trotter(2 * suzuki_index(p), [as_linear_term(u_xx), as_linear_term(u_pp)])
 
     sz, a = pauli("z"), annihilation(cutoff)
-    # -(sz a1^dag a2 + sz a1 a2^dag), built in place: one full-size array.
-    gen = embed_sum([{0: sz, 1: a.dag(), 2: a}, {0: sz, 1: a, 2: a.dag()}], layout, -1.0)
     return ApplicationSpec(
         name="hom-beam-splitter",
         layout=layout,
-        exact_generator=gen,
+        exact_generator=[(-1.0, {0: sz, 1: a.dag(), 2: a}), (-1.0, {0: sz, 1: a, 2: a.dag()})],
         synthesis=pu,
         initial_state=basis_state(layout, 0, 1, 1),
     )
@@ -279,14 +276,21 @@ def cross_kerr_gate(
     )
     block = bch(p, u_a, u_b, base=base or "lean")
     pu = as_linear_term(block, label="cross-kerr")
-    gen = embed({0: pauli("z"), 1: n_op, 2: n_op}, layout)
     return ApplicationSpec(
         name="cross-kerr",
         layout=layout,
-        exact_generator=gen,
+        exact_generator=[(1.0, {0: pauli("z"), 1: n_op, 2: n_op})],
         synthesis=pu,
         initial_state=basis_state(layout, 0, 1, 1),
     )
+
+
+def _mult_by_conjugate(enc: BlockEncoding, q: int, base: str) -> tuple[ParamUnitary, KronSum]:
+    """MULT of enc with its block swap, and the generator it approximates.
+    The encodings, and their d x d targets, are dropped on return."""
+    enc_x = conjugate(enc)
+    pu = mult(enc, enc_x, 2 * q, base=base).unitary
+    return pu, mult_generator(enc.block_target, enc_x.block_target)
 
 
 def nonlinear_hamiltonian(
@@ -310,25 +314,21 @@ def nonlinear_hamiltonian(
     if q < 1:
         raise ValueError("q must be >= 1")
     base = base or "lean"
-    seed = s1(cutoff)
-    seed_x = conjugate(seed)
-    term1 = mult(seed, seed_x, 2 * q, base=base)
-    sq = power(2, 2 * q, cutoff, budget=SynthesisBudget(2 * q, q), base=base)
-    sq_x = conjugate(sq)
-    term2 = mult(sq, sq_x, 2 * q, base=base)
+    number_flow, number_gen = _mult_by_conjugate(s1(cutoff), q, base)
+    quartic_flow, quartic_gen = _mult_by_conjugate(
+        power(2, 2 * q, cutoff, budget=SynthesisBudget(2 * q, q), base=base), q, base
+    )
 
     pu = trotter(
         2 * suzuki_index(q),
         [
-            rescale(term1.unitary, omega, label="number-flow"),
-            rescale(term2.unitary, 0.5 * kappa, label="quartic-flow"),
+            rescale(number_flow, omega, label="number-flow"),
+            rescale(quartic_flow, 0.5 * kappa, label="quartic-flow"),
         ],
     )
-    gen = (
-        omega * mult_generator(seed.block_target, seed_x.block_target)
-        + (0.5 * kappa) * mult_generator(sq.block_target, sq_x.block_target)
-    )
-    layout = term1.layout
+    gen = [(omega * c, ops) for c, ops in number_gen]
+    gen += [(0.5 * kappa * c, ops) for c, ops in quartic_gen]
+    layout = pu.layout
     return ApplicationSpec(
         name="nonlinear-hamiltonian",
         layout=layout,

@@ -3,15 +3,16 @@
 A mode with cutoff L lives on the span of |0>..|L> (dimension L+1). The
 annihilation matrix keeps the entries a[n, n+1] = sqrt(n+1); everything else
 is built from it, so truncation artifacts are confined to the top state and
-show up only where a commutator or product reaches |L>. `embed` places
-operators on the factors of a larger layout: a product of operators on
-distinct factors, such as sigma (x) x, is one Kronecker chain, and
-`embed_sum` adds such chains, holding one full-size array.
+show up only where a commutator or product reaches |L>. A generator on a
+larger layout is a Kronecker sum: a list of terms, each a coefficient times
+operators on distinct factors (such as sigma (x) x), the identity elsewhere.
+`kron_sum_entries` lists its nonzero entries from the factors' nonzeros,
+so no generator is ever formed as a full-size array.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -25,9 +26,8 @@ __all__ = [
     "momentum",
     "pauli",
     "qubit_gate",
-    "embed",
-    "embed_sum",
-    "interior_projector",
+    "KronSum",
+    "kron_sum_entries",
     "mode_identity",
 ]
 
@@ -88,46 +88,37 @@ def qubit_gate(name: str) -> Operator:
     raise ValueError(f"unknown gate {name!r}")
 
 
-def embed(ops: Mapping[int, Operator], layout: HilbertLayout) -> Operator:
-    """Place single-factor operators on a layout, the identity elsewhere.
+# A Kronecker sum: sum_k coeff_k * (ops_k on their factors, the identity
+# elsewhere), each ops_k mapping a factor position to a single-factor Operator.
+KronSum = list[tuple[complex, Mapping[int, Operator]]]
 
-    `ops` maps a factor position to the operator acting there, and its
-    matrix must match that factor's dimension. The result is one np.kron
-    chain over the layout's factors, so a product of operators on distinct
-    factors costs no dense matrix product, and each of its entries is a
-    product of one entry per factor.
+
+def kron_sum_entries(terms: KronSum, layout: HilbertLayout) -> tuple[np.ndarray, ...]:
+    """The nonzero entries (rows, cols, values) of the Kronecker sum terms on
+    layout, row-major, listed from the factors' nonzeros. A term's entry is
+    its coefficient times the left-to-right chain of one entry per factor
+    (1 on a factor it leaves alone) that an np.kron chain forms. Entries at
+    one position are summed in term order, and a sum of exactly 0 is
+    dropped, as a dense sum's zeros are.
     """
-    return Operator(layout, _kron_chain(_factor_mats(ops, layout)))
-
-
-def embed_sum(
-    terms: Sequence[Mapping[int, Operator]], layout: HilbertLayout, scale: float
-) -> Operator:
-    """scale * (embed(terms[0], layout) + embed(terms[1], layout) + ...),
-    holding one full-size array.
-
-    Each term's Kronecker chain is formed one block at a time: entry (i, j)
-    of the chain over its leading factors times its last factor, which is
-    how np.kron forms those entries. A block is written straight into the
-    result, or added to it for a later term, so no temporary is larger
-    than a block (a broadcast np.kron of a row block would also allocate
-    ufunc buffers). The terms are summed in order and the scale is one
-    complex multiply in place, so the result equals the sum and product of
-    whole embeddings to the bit.
-    """
-    out = np.empty((layout.dim,) * 2, dtype=np.complex128)
-    for n, ops in enumerate(terms):
-        mats = _factor_mats(ops, layout)
-        lead, last = _kron_chain(mats[:-1]), mats[-1]
-        d = len(last)
-        for (i, j), x in np.ndenumerate(lead):
-            block = out[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            if n:
-                block += x * last
-            else:
-                np.multiply(x, last, out=block)
-    out *= complex(scale)
-    return Operator(layout, out)
+    dim = layout.dim
+    keys, values = [], []
+    for coeff, ops in terms:
+        rows = cols = np.zeros(1, dtype=np.intp)
+        vals = np.ones(1, dtype=np.complex128)
+        for mat in _factor_mats(ops, layout):
+            r, c = np.nonzero(mat)
+            rows = (rows[:, None] * len(mat) + r).ravel()
+            cols = (cols[:, None] * len(mat) + c).ravel()
+            vals = (vals[:, None] * mat[r, c]).ravel()
+        keys.append(rows * dim + cols)
+        values.append(complex(coeff) * vals)
+    found, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros(len(found), dtype=np.complex128)
+    np.add.at(total, slot, np.concatenate(values))  # in order: a fold per position
+    nonzero = total != 0
+    rows, cols = np.divmod(found[nonzero], dim)
+    return rows, cols, total[nonzero]
 
 
 def _factor_mats(ops: Mapping[int, Operator], layout: HilbertLayout) -> list[np.ndarray]:
@@ -135,7 +126,7 @@ def _factor_mats(ops: Mapping[int, Operator], layout: HilbertLayout) -> list[np.
     against the factor (LayoutMismatchError), and the identity elsewhere."""
     for at, op in ops.items():
         if op.layout.nfactors != 1:
-            raise LayoutMismatchError("embed expects single-factor operators")
+            raise LayoutMismatchError("a Kronecker term takes single-factor operators")
         if at not in range(layout.nfactors):
             raise LayoutMismatchError(f"factor {at} is not in a layout of {layout.nfactors}")
         if layout.dim_of(at) != op.dim:
@@ -143,24 +134,6 @@ def _factor_mats(ops: Mapping[int, Operator], layout: HilbertLayout) -> list[np.
                 f"factor {at} has dim {layout.dim_of(at)}, operator has dim {op.dim}"
             )
     return [ops[pos].mat if pos in ops else np.eye(d) for pos, (_, d) in enumerate(layout.factors)]
-
-
-def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """((1 (x) mats[0]) (x) mats[1]) (x) ..., left to right."""
-    mat = np.eye(1, dtype=np.complex128)
-    for m in mats:
-        mat = np.kron(mat, m)
-    return mat
-
-
-def interior_projector(cutoff: int, weight: int) -> Operator:
-    """Projector onto photon numbers <= cutoff - weight.
-
-    States that a degree-`weight` ladder monomial cannot push past the cutoff.
-    """
-    diag = np.zeros(cutoff + 1, dtype=np.complex128)
-    diag[: max(cutoff + 1 - weight, 0)] = 1.0
-    return Operator(HilbertLayout.single_mode(cutoff), np.diag(diag))
 
 
 def mode_identity(cutoff: int) -> Operator:

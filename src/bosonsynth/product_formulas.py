@@ -28,6 +28,7 @@ the next class is built. No matrix is kept between calls.
 """
 from __future__ import annotations
 
+import math
 import warnings
 import weakref
 from collections import Counter
@@ -36,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fock_ops import KronSum, kron_sum_entries
 from .tensor_core import (
     TOL,
     HilbertLayout,
@@ -80,36 +82,54 @@ __all__ = [
 ]
 
 
-def _declare(gate, label: str, layout: HilbertLayout, op: Operator,
+def _declare(gate, label: str, layout: HilbertLayout, op: Operator | KronSum,
              at: Sequence[int] | None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Set gate's label, layout, support, local and groups for op on the
     factors of layout at the strictly increasing positions at (None: every
     factor), the identity elsewhere, and return the sectors of op's nonzero
-    pattern and op's block on each. local: op leaves a factor alone. Group k holds
-    the full-size basis indices of sector k's support states, one row per
-    state of the other factors, each row carrying block k. A layout of op
-    that is not those factors' raises LayoutMismatchError."""
+    entries and op's block on each, filled from those entries: op is a
+    dense Operator on those factors or a Kronecker sum on them, never a
+    full-size array. local: op leaves a factor alone. Group k holds the
+    full-size basis indices of sector k's support states, one row per state
+    of the other factors, each row carrying block k. An op that does not
+    fit those factors raises LayoutMismatchError."""
     support = tuple(range(layout.nfactors)) if at is None else tuple(at)
-    if not (
-        list(support) == sorted(set(support))
-        and set(support) <= set(range(layout.nfactors))
-        and op.layout.factors == tuple(layout.factors[j] for j in support)
-    ):
+    on = ()
+    if list(support) == sorted(set(support)) and set(support) <= set(range(layout.nfactors)):
+        on = tuple(layout.factors[j] for j in support)
+    dense = isinstance(op, Operator)
+    if not (op.layout.factors == on if dense else on):
+        what = f"an operator on {op.layout.factors}" if dense else "a Kronecker sum"
         raise LayoutMismatchError(
-            f"{type(gate).__name__} {label!r}: an operator on {op.layout.factors} "
+            f"{type(gate).__name__} {label!r}: {what} "
             f"does not fit factors {support} of {layout.factors}"
         )
-    mat = op.mat
-    sectors = _sectors(mat != 0)
+    if dense:
+        rows, cols = np.nonzero(op.mat)
+        vals = op.mat[rows, cols]
+    else:
+        rows, cols, vals = kron_sum_entries(op, HilbertLayout(on))
+    n = math.prod(d for _, d in on)
+    sectors = _sectors(n, rows, cols)
+    # Each index's sector and its position there; the blocks are views of
+    # one buffer that the entries are scattered into.
+    owner, pos = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for k, sec in enumerate(sectors):
+        owner[sec], pos[sec] = k, np.arange(len(sec))
+    sizes = np.array([len(sec) for sec in sectors])
+    start = np.concatenate(([0], np.cumsum(sizes**2)))
+    flat = np.zeros(start[-1], dtype=np.complex128)
+    k = owner[rows]
+    flat[start[k] + pos[rows] * sizes[k] + pos[cols]] = vals
     dims = [d for _, d in layout.factors]
     rest = [j for j in range(len(dims)) if j not in support]
     # index[u, r]: the basis index of support state u and spectator state r.
     index = np.arange(layout.dim).reshape(dims).transpose(list(support) + rest)
-    index = index.reshape(len(mat), -1)
+    index = index.reshape(n, -1)
     gate.label, gate.layout, gate.support = label, layout, support
     gate.local = len(support) < layout.nfactors
     gate.groups = [index[sec].T for sec in sectors]
-    return sectors, [mat[np.ix_(sec, sec)] for sec in sectors]
+    return sectors, [flat[a:b].reshape(m, m) for a, b, m in zip(start, start[1:], sizes)]
 
 
 def _full_size(gate: Primitive | FrameGate, ts: np.ndarray) -> np.ndarray:
@@ -124,16 +144,16 @@ def _full_size(gate: Primitive | FrameGate, ts: np.ndarray) -> np.ndarray:
 class Primitive:
     """One directly exponentiable Hermitian generator.
 
-    The generator is declared on the factors it acts on (`at`, the identity
-    elsewhere; see _declare), so nothing is searched for: `support` is `at`.
-    It splits into the sectors of its nonzero pattern (the quantum numbers
-    it conserves), each eigendecomposed on its own. So exp(i t H) is unitary
-    to rounding and exactly block-diagonal on the index groups. The
-    primitive keeps the groups and the sectors' eigendecompositions, not a
-    full-size generator.
+    The generator, a dense Operator or a Kronecker sum, is declared on the
+    factors it acts on (`at`, the identity elsewhere; see _declare), so
+    nothing is searched for: `support` is `at`. It splits into the sectors
+    of its nonzero entries (the quantum numbers it conserves), each
+    eigendecomposed on its own. So exp(i t H) is unitary to rounding and
+    exactly block-diagonal on the index groups. The primitive keeps the
+    groups and the sectors' eigendecompositions, not a full-size generator.
     """
 
-    def __init__(self, label: str, layout: HilbertLayout, generator: Operator,
+    def __init__(self, label: str, layout: HilbertLayout, generator: Operator | KronSum,
                  at: Sequence[int] | None = None):
         _, subs = _declare(self, label, layout, generator, at)
         # Entries between sectors are zero both ways, so this gives the same
@@ -480,18 +500,19 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> l
             return slots
 
 
+def _joined(n: int, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """The sectors of range(n) in which each row of each group is joined."""
+    firsts = [np.broadcast_to(g[:, :1], g.shape).ravel() for g in groups]
+    return _sectors(n, np.concatenate(firsts), np.concatenate([g.ravel() for g in groups]))
+
+
 def _tree_sectors(order: list[ParamUnitary]) -> list[np.ndarray]:
     """The sectors of the union of the nonzero patterns of the leaves among
     order (a tree's distinct nodes): every node of the tree is exactly
-    block-diagonal on them. Each leaf's pattern joins each of its index
-    groups, so a leaf that mixes sectors merges them."""
-    dim = order[0].layout.dim
-    pattern = np.zeros((dim, dim), dtype=bool)
-    for pu in order:
-        if isinstance(pu.node, Leaf):
-            for rows in pu.node.gate.groups:
-                pattern[rows[:, :, None], rows[:, None, :]] = True
-    return _sectors(pattern)
+    block-diagonal on them. Each row of a leaf's index groups is joined, so
+    a leaf that mixes sectors merges them."""
+    leaves = [pu.node.gate for pu in order if isinstance(pu.node, Leaf)]
+    return _joined(order[0].layout.dim, [g for gate in leaves for g in gate.groups])
 
 
 # Sectors smaller than this are stacked by size, so a tree with many small
@@ -858,11 +879,7 @@ def _measured_together(classes: list[np.ndarray], reference: Primitive) -> list[
     owner = np.empty(reference.layout.dim, dtype=np.intp)
     for i, cls in enumerate(classes):
         owner[cls] = i
-    linked = np.eye(len(classes), dtype=bool)
-    for rows in reference.groups:
-        own = owner[rows]
-        linked[own[:, :1], own] = True
-    return [sec.tolist() for sec in _sectors(linked)]
+    return [sec.tolist() for sec in _joined(len(classes), [owner[g] for g in reference.groups])]
 
 
 def _measured(pu: ParamUnitary, reference: Primitive) -> tuple[list, list]:

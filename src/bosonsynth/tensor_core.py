@@ -12,9 +12,9 @@ is the only numeric dependency.
 
 Generators that conserve a quantum number are exactly block-diagonal up to
 a permutation of the basis, and so are their exponentials and the products
-of those. `_sectors` finds those blocks (the connected components of a
-nonzero pattern); primitives eigendecompose, and `spectral_norm` measures,
-one block at a time.
+of those. `_sectors` finds those blocks (the connected components of the
+graph whose edges are the nonzero entries); primitives eigendecompose, and
+`spectral_norm` measures, one block at a time.
 """
 from __future__ import annotations
 
@@ -191,31 +191,30 @@ def _hermitian_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
-    """The connected components of a square boolean pattern, read as an
-    undirected graph with an edge wherever pattern[i, j] or pattern[j, i].
+def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the undirected graph on range(n) with an
+    edge between rows[k] and cols[k] for every k, in any order, repeats
+    allowed.
 
     Each component is a sorted index array, and the list is ordered by
-    smallest index. No True entry links two components, so a matrix with
-    this pattern is exactly block-diagonal on them.
+    smallest index. No edge links two components, so a matrix whose
+    nonzeros sit at the edges is exactly block-diagonal on them. Found by
+    hooking and pointer jumping: each edge between two roots points the
+    larger root at the smaller, and every label then jumps to its root, so
+    each component ends labelled by its smallest index.
     """
-    placed = np.zeros(len(pattern), dtype=bool)
-    sectors = []
-    for start in range(len(pattern)):
-        if placed[start]:
-            continue
-        member = np.zeros(len(pattern), dtype=bool)
-        member[start] = True
-        frontier = np.array([start])
-        while frontier.size:
-            # Edges both ways, from the frontier's rows and columns, with no
-            # symmetrized copy of the pattern.
-            reach = (pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)) & ~member
-            member |= reach
-            frontier = np.flatnonzero(reach)
-        placed |= member
-        sectors.append(np.flatnonzero(member))
-    return sectors
+    label = np.arange(n)
+    while True:
+        a, b = label[rows], label[cols]
+        differ = a != b
+        if not differ.any():
+            break
+        a, b = a[differ], b[differ]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := label[label], label):
+            label = up
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def is_unitary(op: Operator, tol: float | None = None) -> bool:
@@ -248,9 +247,11 @@ def spectral_norm(op: Operator | np.ndarray) -> float:
     connected pattern takes one SVD of the whole matrix.
     """
     mat = op.mat if isinstance(op, Operator) else np.asarray(op)
-    sectors = _sectors(mat != 0)
-    if len(sectors) == 1:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    return max(
-        float(np.linalg.svd(mat[np.ix_(s, s)], compute_uv=False)[0]) for s in sectors
-    )
+    # A matrix with no zero entry is one sector, found without listing its entries.
+    if not mat.all():
+        sectors = _sectors(len(mat), *np.nonzero(mat))
+        if len(sectors) > 1:
+            return max(
+                float(np.linalg.svd(mat[np.ix_(s, s)], compute_uv=False)[0]) for s in sectors
+            )
+    return float(np.linalg.svd(mat, compute_uv=False)[0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -30,9 +30,10 @@ from bosonsynth.applications import (
 from bosonsynth.bench import ExperimentConfig, SynthesisReport
 from bosonsynth.block_encodings import block_generator, conjugate, mult, mult_generator, s1
 from bosonsynth.fock_ops import (
+    KronSum,
+    _factor_mats,
     annihilation,
     creation,
-    embed,
     mode_identity,
     momentum,
     number,
@@ -64,9 +65,79 @@ from bosonsynth.tensor_core import (
 )
 
 
-def flow(generator: Operator, label: str = "g") -> ParamUnitary:
-    """The one-primitive family t -> exp(i t G) on G's whole layout."""
-    return primitive_unitary(Primitive(label, generator.layout, generator))
+def flow(generator: Operator | KronSum, layout: HilbertLayout | None = None,
+         label: str = "g") -> ParamUnitary:
+    """The one-primitive family t -> exp(i t G) on G's whole layout: an
+    Operator's own, or layout for a Kronecker sum."""
+    return primitive_unitary(Primitive(label, layout or generator.layout, generator))
+
+
+def embed(ops: Mapping[int, Operator], layout: HilbertLayout) -> Operator:
+    """Place single-factor operators on a layout, the identity elsewhere.
+
+    `ops` maps a factor position to the operator acting there, and its
+    matrix must match that factor's dimension. The result is one np.kron
+    chain over the layout's factors, so a product of operators on distinct
+    factors costs no dense matrix product, and each of its entries is a
+    product of one entry per factor.
+    """
+    return Operator(layout, _kron_chain(_factor_mats(ops, layout)))
+
+
+def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """((1 (x) mats[0]) (x) mats[1]) (x) ..., left to right."""
+    mat = np.eye(1, dtype=np.complex128)
+    for m in mats:
+        mat = np.kron(mat, m)
+    return mat
+
+
+def dense(terms: KronSum, layout: HilbertLayout) -> Operator:
+    """A Kronecker sum on layout as one full-size Operator: each term's
+    coefficient times its embed, summed in term order."""
+    out = np.zeros((layout.dim,) * 2, dtype=np.complex128)
+    for coeff, ops in terms:
+        out += complex(coeff) * embed(ops, layout).mat
+    return Operator(layout, out)
+
+
+def interior_projector(cutoff: int, weight: int) -> Operator:
+    """Projector onto photon numbers <= cutoff - weight.
+
+    States that a degree-`weight` ladder monomial cannot push past the cutoff.
+    """
+    diag = np.zeros(cutoff + 1, dtype=np.complex128)
+    diag[: max(cutoff + 1 - weight, 0)] = 1.0
+    return Operator(HilbertLayout.single_mode(cutoff), np.diag(diag))
+
+
+def pattern_sectors(pattern: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a square boolean pattern, read as an
+    undirected graph with an edge wherever pattern[i, j] or pattern[j, i],
+    found by a breadth-first search over the dense pattern: the reference
+    that tensor_core._sectors, which takes the edges as index lists, is
+    checked against.
+
+    Each component is a sorted index array, and the list is ordered by
+    smallest index.
+    """
+    placed = np.zeros(len(pattern), dtype=bool)
+    sectors = []
+    for start in range(len(pattern)):
+        if placed[start]:
+            continue
+        member = np.zeros(len(pattern), dtype=bool)
+        member[start] = True
+        frontier = np.array([start])
+        while frontier.size:
+            # Edges both ways, from the frontier's rows and columns, with no
+            # symmetrized copy of the pattern.
+            reach = (pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)) & ~member
+            member |= reach
+            frontier = np.flatnonzero(reach)
+        placed |= member
+        sectors.append(np.flatnonzero(member))
+    return sectors
 
 
 def qubit_mode_op(mode_op: Operator, axis: str | None, cutoff: int) -> Operator:
@@ -195,7 +266,7 @@ def conditional_rotation_fock(p: int = 1, cutoff: int = 14) -> ApplicationSpec:
         "cond-rot-fock",
         [Factor(enc.unitary), Factor(corr)],
     )
-    gen = mult_generator(left.block_target, right.block_target) + embed({0: lower}, layout)
+    gen = mult_generator(left.block_target, right.block_target) + [(1.0, {0: lower})]
     return ApplicationSpec(
         name="conditional-rotation-fock",
         layout=layout,

@@ -33,6 +33,7 @@ from demos import (
     FitWindow,
     autocorrelation_trace,
     commutator,
+    dense,
     fermi_hubbard_gates,
     flow,
     fswap_product,
@@ -73,7 +74,7 @@ def test_criterion_02_ladder_power_norms():
         a = annihilation(cutoff)
         for k in (1, 2, 3):
             target = Operator(a.layout, np.linalg.matrix_power(a.mat, k))
-            norm = spectral_norm(block_generator(target))
+            norm = spectral_norm(dense(block_generator(target), HilbertLayout.qubit_modes(cutoff)))
             want = math.sqrt(math.factorial(cutoff) / math.factorial(cutoff - k))
             worst = max(worst, abs(norm - want))
             capped = capped and norm <= cutoff ** (k / 2) + 1e-12

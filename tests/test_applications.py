@@ -6,6 +6,7 @@ import pytest
 
 from bosonsynth.applications import (
     ApplicationSpec,
+    _ladder_power,
     conditional_beam_splitter,
     conditional_rotation_phase_space,
     cross_kerr_gate,
@@ -13,7 +14,9 @@ from bosonsynth.applications import (
     state_prep_T,
     state_prep_exact_time,
 )
-from bosonsynth.fock_ops import pauli
+from bosonsynth import product_formulas
+from bosonsynth.block_encodings import s1
+from bosonsynth.fock_ops import annihilation, creation, momentum, number, pauli, position
 from bosonsynth.product_formulas import (
     ParamUnitary,
     Primitive,
@@ -30,10 +33,12 @@ from demos import (
     autocorrelation_trace,
     conditional_rotation_fock,
     effective_pauli_span01,
+    embed,
     evolve,
     fermi_hubbard_gates,
     fswap_product,
     hom_trace,
+    pattern_sectors,
     sigma_eff,
     span01_leakage,
     state_prep_protected,
@@ -41,6 +46,130 @@ from demos import (
     sweep_errors,
     two_mode_span_block,
 )
+
+def _qubit(mat) -> Operator:
+    return Operator(HilbertLayout.single_qubit(), np.array(mat, dtype=complex))
+
+
+def _old_block(target: Operator) -> np.ndarray:
+    """[[0, A], [A^dag, 0]] as the dense builders formed it."""
+    layout = HilbertLayout.qubit_modes(target.dim - 1)
+    up, down = _qubit([[0, 1], [0, 0]]), _qubit([[0, 0], [1, 0]])
+    return embed({0: up, 1: target}, layout).mat + embed({0: down, 1: target.dag()}, layout).mat
+
+
+def _old_mult(a: Operator, b: Operator) -> np.ndarray:
+    """[[(AB + (AB)^dag)/2, 0], [0, -(BA + (BA)^dag)/2]], as the dense
+    builders formed it."""
+    layout = HilbertLayout.qubit_modes(a.dim - 1)
+    ab, ba = (a @ b).mat, (b @ a).mat
+    upper = Operator(a.layout, 0.5 * (ab + ab.conj().T))
+    lower = Operator(a.layout, -0.5 * (ba + ba.conj().T))
+    return (embed({0: _qubit([[1, 0], [0, 0]]), 1: upper}, layout).mat
+            + embed({0: _qubit([[0, 0], [0, 1]]), 1: lower}, layout).mat)
+
+
+def _old_hom(cutoff: int) -> np.ndarray:
+    layout, sz, a = HilbertLayout.qubit_modes(cutoff, 2), pauli("z"), annihilation(cutoff)
+    hop = embed({0: sz, 1: a.dag(), 2: a}, layout).mat
+    hop += embed({0: sz, 1: a, 2: a.dag()}, layout).mat
+    return hop * complex(-1.0)
+
+
+def _old_rotation(cutoff: int) -> np.ndarray:
+    x_op, p_op = position(cutoff), momentum(cutoff)
+    quad = x_op @ x_op + p_op @ p_op - 0.5 * Operator(x_op.layout, np.eye(cutoff + 1))
+    return embed({0: pauli("z"), 1: quad}, HilbertLayout.qubit_modes(cutoff)).mat
+
+
+def _old_kerr(omega: float, kappa: float, cutoff: int) -> np.ndarray:
+    a_dag = creation(cutoff)
+    sq = a_dag @ a_dag
+    layout = HilbertLayout.qubit_modes(cutoff)
+    number_gen = Operator(layout, _old_mult(a_dag, a_dag.dag()))
+    quartic_gen = Operator(layout, _old_mult(sq, sq.dag()))
+    return (omega * number_gen + (0.5 * kappa) * quartic_gen).mat
+
+
+# (build, the label its full-layout generator is declared under, that
+# generator as the dense builders formed it), each at a small cutoff.
+FULL_LAYOUT_GENERATORS = {
+    "seed": (lambda: s1(6), "S1", lambda: _old_block(creation(6))),
+    "hom": (lambda: conditional_beam_splitter(cutoff=4), "hom-beam-splitter", lambda: _old_hom(4)),
+    "cross-kerr": (
+        lambda: cross_kerr_gate(cutoff=4),
+        "cross-kerr",
+        lambda: embed({0: pauli("z"), 1: number(4), 2: number(4)},
+                      HilbertLayout.qubit_modes(4, 2)).mat,
+    ),
+    "rotation": (
+        lambda: conditional_rotation_phase_space(cutoff=6),
+        "conditional-rotation",
+        lambda: _old_rotation(6),
+    ),
+    "state-prep-2": (
+        lambda: state_prep_T(2, cutoff=5), "state-prep-T2", lambda: _old_block(_ladder_power(5, 2))
+    ),
+    "state-prep-3": (
+        lambda: state_prep_T(3, cutoff=5), "state-prep-T3", lambda: _old_block(_ladder_power(5, 3))
+    ),
+    "kerr-1": (
+        lambda: nonlinear_hamiltonian(0.7, 1.3, q=1, cutoff=5),
+        "nonlinear-hamiltonian",
+        lambda: _old_kerr(0.7, 1.3, 5),
+    ),
+    "kerr-2": (
+        lambda: nonlinear_hamiltonian(0.7, 1.3, q=2, cutoff=5),
+        "nonlinear-hamiltonian",
+        lambda: _old_kerr(0.7, 1.3, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LAYOUT_GENERATORS))
+def test_full_layout_generator_blocks_equal_the_dense_ones(monkeypatch, case):
+    """Every full-layout generator the package builds is declared from the
+    entries of a Kronecker sum, and gets the sectors and the sector blocks,
+    entry for entry, of the dense generator the builders formed before:
+    the sectors of its nonzero pattern and its blocks on them. Zeros are
+    compared by value; a dense block's -0.0 is a +0.0 here."""
+    build, label, old = FULL_LAYOUT_GENERATORS[case]
+    declared = []
+    original = product_formulas._declare
+
+    def spy(gate, name, layout, op, at):
+        found = original(gate, name, layout, op, at)
+        if name == label:
+            declared.append((at, found))
+        return found
+
+    monkeypatch.setattr(product_formulas, "_declare", spy)
+    build()
+    assert declared
+    for at, (sectors, blocks) in declared:
+        want = old()
+        expected = pattern_sectors(want != 0)
+        assert at is None and len(sectors) == len(expected) > 1
+        for sec, block, exp in zip(sectors, blocks, expected):
+            assert np.array_equal(sec, exp)
+            assert np.array_equal(block, want[np.ix_(exp, exp)])
+
+
+def test_terms_that_cancel_leave_no_entry():
+    """Two terms that cancel exactly leave zeros, which join no sector: the
+    sectors are those of the dense sum's nonzero pattern (here the
+    diagonal's singletons, where the cancelled hopping would have joined
+    each parity into one sector)."""
+    layout = HilbertLayout.qubit_modes(4)
+    hop = {0: pauli("x"), 1: position(4)}
+    terms = [(1.0, {0: pauli("z"), 1: number(4)}), (1.0, hop), (-1.0, hop)]
+    want = sum(complex(c) * embed(ops, layout).mat for c, ops in terms)
+    gate = Primitive("cancelled", layout, terms)
+    expected = pattern_sectors(want != 0)
+    assert len(gate.groups) == len(expected) == layout.dim
+    for rows, exp in zip(gate.groups, expected):
+        assert np.array_equal(rows[0], exp)
+
 
 # steep diagonal coefficients (n^3-scale) saturate the default window
 SMALL_WINDOW = FitWindow(1e-5, 1e-3, 10)
@@ -329,7 +458,7 @@ class TestBeamSplitter:
         spec = conditional_beam_splitter(cutoff=4, symmetrized=True)
         err = spec.synthesis.eval(0.05).mat - spec.exact(0.05).mat
         parity = np.indices((2, 5, 5)).reshape(3, -1).sum(axis=0) % 2
-        sectors = _sectors(err != 0)
+        sectors = _sectors(len(err), *np.nonzero(err))
         assert len(sectors) == 2
         assert np.array_equal(sectors[0], np.flatnonzero(parity == 0))
         assert np.array_equal(sectors[1], np.flatnonzero(parity == 1))

@@ -30,8 +30,8 @@ from bosonsynth.product_formulas import (
     frame_conjugate,
     trotter,
 )
-from bosonsynth.tensor_core import LayoutMismatchError, is_unitary, spectral_norm
-from demos import flow, s1_from_conditional_displacements, sweep_errors
+from bosonsynth.tensor_core import HilbertLayout, LayoutMismatchError, is_unitary, spectral_norm
+from demos import dense, flow, s1_from_conditional_displacements, sweep_errors
 
 
 def fd_deviation(enc, t):
@@ -44,7 +44,8 @@ def fd_deviation(enc, t):
 def fitted_slope(enc, generator=None):
     """Error exponent against exp(i t G), G by default the off-diagonal
     block_generator of the encoding's target."""
-    exact = flow(block_generator(enc.block_target) if generator is None else generator)
+    gen = block_generator(enc.block_target) if generator is None else generator
+    exact = flow(gen, enc.layout)
     ts, errs = sweep_errors(lambda t: enc.unitary.eval(t), exact.eval)
     return fit_power_law(ts, errs).exponent
 
@@ -66,7 +67,7 @@ class TestSeed:
 
     def test_generator_blocks(self):
         enc = s1(3)
-        gen = block_generator(enc.block_target).mat
+        gen = dense(block_generator(enc.block_target), enc.layout).mat
         assert np.array_equal(gen[:4, 4:], creation(3).mat)
         assert np.array_equal(gen[4:, :4], annihilation(3).mat)
 
@@ -86,7 +87,7 @@ class TestSeed:
 class TestConditionalDisplacementRoute:
     def test_quadratic_convergence_to_seed(self):
         cd = s1_from_conditional_displacements(8)
-        ref = flow(block_generator(s1(8).block_target))
+        ref = flow(block_generator(s1(8).block_target), s1(8).layout)
         alphas = np.geomspace(1e-3, 1e-1, 12)
         errs = [spectral_norm(cd.eval(a).mat - ref.eval(2 * a).mat) for a in alphas]
         fit = fit_power_law(list(alphas), errs)
@@ -143,7 +144,7 @@ class TestAdd:
         enc = add(s1(5), s1(5), 2)
         sq = creation(5).mat @ creation(5).mat
         assert np.abs(enc.block_target.mat - sq).max() < 1e-14
-        gen = block_generator(enc.block_target).mat
+        gen = dense(block_generator(enc.block_target), enc.layout).mat
         assert np.abs(gen[:6, 6:] - sq).max() < 1e-14
         assert np.abs(gen[6:, :6] - sq.conj().T).max() < 1e-14
 
@@ -205,7 +206,7 @@ class TestMult:
 
     def test_exact_action_phases_number_states(self):
         t = 0.7
-        u = flow(self._number_generator(6)).eval(t).mat
+        u = flow(self._number_generator(6), HilbertLayout.qubit_modes(6)).eval(t).mat
         diag = np.diag(u)
         assert np.abs(diag[:7] - np.exp(1j * t * np.arange(7))).max() < 1e-12
         # lower block carries -(n+1) on the interior, 0 at the top level
@@ -348,9 +349,11 @@ class TestExactReference:
 
 class TestBlockGenerator:
     def test_prepends_qubit_factor(self):
-        gen = block_generator(number(3))
-        assert gen.layout.factors[0] == ("qubit", 2)
-        assert gen.dim == 8
+        """The target goes on factor 1, behind a qubit factor 0."""
+        terms = block_generator(number(3))
+        assert all(sorted(ops) == [0, 1] and ops[0].layout.factors == (("qubit", 2),)
+                   for _, ops in terms)
+        gen = dense(terms, HilbertLayout.qubit_modes(3))
         assert np.array_equal(gen.mat[:4, 4:], number(3).mat)
         assert np.array_equal(gen.mat[4:, :4], number(3).mat)
         assert np.count_nonzero(gen.mat[:4, :4]) == 0

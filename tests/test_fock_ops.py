@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from bosonsynth.fock_ops import (
     annihilation,
     creation,
-    embed,
-    embed_sum,
-    interior_projector,
+    kron_sum_entries,
     momentum,
     number,
     pauli,
@@ -26,7 +24,7 @@ from bosonsynth.tensor_core import (
     basis_state,
     spectral_norm,
 )
-from demos import commutator, vacuum_parity_flip
+from demos import commutator, dense, embed, interior_projector, vacuum_parity_flip
 
 
 class TestLadder:
@@ -155,7 +153,7 @@ class TestEmbed:
     def test_layout_checks_raise_layout_mismatch(self, case):
         """A multi-factor operator, a position outside the layout and a
         dimension that does not fit its factor are layout mismatches, in
-        embed and embed_sum alike."""
+        embed and kron_sum_entries alike."""
         layout = HilbertLayout.qubit_modes(3)
         ops = {
             "multi-factor": {1: embed({1: number(3)}, layout)},
@@ -165,7 +163,7 @@ class TestEmbed:
         with pytest.raises(LayoutMismatchError):
             embed(ops, layout)
         with pytest.raises(LayoutMismatchError):
-            embed_sum([ops], layout, 1.0)
+            kron_sum_entries([(1.0, ops)], layout)
 
     @settings(max_examples=60, deadline=None)
     @given(_factor_maps())
@@ -180,22 +178,29 @@ class TestEmbed:
             dense = dense @ np.kron(np.kron(np.eye(before), op.mat), np.eye(after))
         assert np.array_equal(embed(ops, layout).mat, dense)
 
-    @pytest.mark.parametrize("scale", [-1.0, 0.5])
-    def test_sum_equals_scaled_sum_of_embeds_bitwise(self, scale):
-        """embed_sum equals the sum of whole embeddings times the scale, bit
-        for bit, including the signs of zeros."""
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_entries_are_the_nonzeros_of_the_dense_sum(self, cancel):
+        """kron_sum_entries lists, row-major, the nonzero entries of the sum
+        of each coefficient times its embed, with equal values. A term that
+        cancels another exactly leaves no entry, as it leaves a zero."""
         layout = HilbertLayout.qubit_modes(3, nmodes=2)
         rng = np.random.default_rng(5)
         terms = []
-        for support in ({0: 2, 1: 4, 2: 4}, {1: 4, 2: 4}, {0: 2, 2: 4}):
-            terms.append({
+        supports = {0.5: {0: 2, 1: 4, 2: 4}, -1.0: {1: 4, 2: 4}, 1j: {0: 2, 2: 4}}
+        for coeff, support in supports.items():
+            terms.append((coeff, {
                 at: Operator(HilbertLayout((("mode", d),)), rng.normal(size=(d, d)) + 0j)
                 for at, d in support.items()
-            })
-        first, second, third = (embed(ops, layout).mat for ops in terms)
-        want = (first + second + third) * complex(scale)
-        got = embed_sum(terms, layout, scale).mat
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            }))
+        if cancel:
+            terms.insert(1, (-0.5, terms[0][1]))
+        want = dense(terms, layout).mat
+        rows, cols, vals = kron_sum_entries(terms, layout)
+        assert [r.tolist() for r in np.nonzero(want)] == [rows.tolist(), cols.tolist()]
+        assert np.array_equal(vals, want[rows, cols])
+        if cancel:
+            kept = kron_sum_entries(terms[2:], layout)
+            assert all(np.array_equal(got, k) for got, k in zip((rows, cols, vals), kept))
 
 
 class TestVacuumFlip:

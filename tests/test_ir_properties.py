@@ -20,7 +20,7 @@ from bosonsynth.applications import (
     nonlinear_hamiltonian,
     state_prep_T,
 )
-from bosonsynth.fock_ops import embed, number, pauli, position, qubit_gate
+from bosonsynth.fock_ops import number, pauli, position, qubit_gate
 from bosonsynth.product_formulas import (
     Factor,
     FrameGate,
@@ -54,12 +54,11 @@ from bosonsynth.tensor_core import (
     TOL,
     HilbertLayout,
     Operator,
-    _sectors,
     is_unitary,
     kron,
     spectral_norm,
 )
-from demos import vacuum_parity_flip
+from demos import embed, pattern_sectors, vacuum_parity_flip
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*well-conditioned range.*:RuntimeWarning"
@@ -413,7 +412,7 @@ def test_tree_sectors_are_the_sectors_of_its_leaves(pu, t):
     dense nonzero patterns, and the eval is exactly zero between them."""
     leaves = [node.node.gate for node in _topological(pu) if isinstance(node.node, Leaf)]
     dense = [g.unitary(0.7) for g in leaves]
-    want = _sectors(np.logical_or.reduce([m != 0 for m in dense]))
+    want = pattern_sectors(np.logical_or.reduce([m != 0 for m in dense]))
     got = _tree_sectors(_topological(pu))
     assert len(got) == len(want) >= 2
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -564,7 +563,7 @@ def test_frame_split_equals_its_dense_embedding(name, monomial):
         assert np.array_equal(gate.unitary(), want)
         pu = ParamUnitary(gate.label, layout, Leaf(gate))
         sectors = _tree_sectors([pu])
-        expected = _sectors(want != 0)
+        expected = pattern_sectors(want != 0)
         assert len(sectors) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(sectors, expected))
         classes = _sectors_of(pu).classes
@@ -762,26 +761,30 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_hom_build_holds_one_full_size_matrix():
-    """Building HOM at cutoff 16 (dim 578) peaks at 1.1 full-size matrices
-    (1.085 measured; 3.08 when the reference generator was the sum and the
-    negation of whole embeddings): the reference is summed and scaled in
-    one array, and the generator is the only full-size array alive."""
+def test_hom_build_peak_is_a_small_fraction_of_a_full_size_matrix():
+    """Building HOM at cutoff 16 (dim 578) peaks below 0.075 full-size
+    matrices (0.071 measured; 1.085 when the reference generator was summed
+    into one full-size array, 3.08 when it was the sum and the negation of
+    whole embeddings): the reference is read as the entries of a Kronecker
+    sum straight into its sector blocks, and no array of the build is
+    full-size."""
     conditional_beam_splitter(cutoff=2, symmetrized=True)  # one-time allocations
     full = 578**2 * np.dtype(np.complex128).itemsize
     peak = _traced_peak(lambda: conditional_beam_splitter(cutoff=16, symmetrized=True))
-    assert peak <= 1.1 * full
+    assert peak < 0.075 * full
 
 
 def test_kerr_build_peak_is_bounded():
-    """Building the Kerr spec at cutoff 255 (dim 512) peaks below 5.0
-    full-size matrices (4.69 measured; 8.19 when every block encoding kept
-    a dense full-size generator): the encodings keep only their d x d
-    targets, and the reference generator is formed from them once."""
+    """Building the Kerr spec at cutoff 255 (dim 512) peaks below 2.0
+    full-size matrices (1.94 measured; 4.69 with a dense reference
+    generator, 8.19 when every block encoding also kept one): the reference
+    is a Kronecker sum of the encodings' d x d targets' Hermitian products,
+    each d x d a quarter of a full-size matrix, and each encoding's targets
+    are dropped once its product and reference terms are made."""
     nonlinear_hamiltonian(1, 1, q=2, cutoff=2)  # one-time allocations
     full = 512**2 * np.dtype(np.complex128).itemsize
     peak = _traced_peak(lambda: nonlinear_hamiltonian(1, 1, q=2, cutoff=255))
-    assert peak < 5.0 * full
+    assert peak < 2.0 * full
 
 
 def test_grid_point_working_set_is_bounded():

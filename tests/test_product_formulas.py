@@ -11,7 +11,6 @@ import pytest
 from bosonsynth import product_formulas
 from bosonsynth.fock_ops import (
     annihilation,
-    embed,
     momentum,
     pauli,
     position,
@@ -47,7 +46,15 @@ from bosonsynth.tensor_core import (
     kron,
     spectral_norm,
 )
-from demos import FitWindow, commutator, flow, qubit_mode_op, sweep_errors, vacuum_parity_flip
+from demos import (
+    FitWindow,
+    commutator,
+    embed,
+    flow,
+    qubit_mode_op,
+    sweep_errors,
+    vacuum_parity_flip,
+)
 
 QM = HilbertLayout.qubit_modes
 
@@ -96,7 +103,7 @@ class TestSectorSplitPrimitive:
         assert prim.local == (at is not None)
         u = prim.unitary(0.7)
         label = np.empty(gen.dim, dtype=int)
-        sectors = _sectors(gen.mat != 0)
+        sectors = _sectors(gen.dim, *np.nonzero(gen.mat))
         assert len(sectors) == count
         for k, sector in enumerate(sectors):
             label[sector] = k

@@ -23,7 +23,7 @@ from bosonsynth.tensor_core import (
     spectral_norm,
 )
 from bosonsynth.fock_ops import annihilation, momentum, pauli, position
-from demos import commutator
+from demos import commutator, pattern_sectors
 
 QUBIT = HilbertLayout.single_qubit()
 
@@ -175,7 +175,7 @@ class TestSpectralNorm:
             m[np.ix_(members, members)] = rng.normal(size=(size, size)) + 1j * rng.normal(
                 size=(size, size)
             )
-        assert len(_sectors(m != 0)) == 5
+        assert len(_sectors(n, *np.nonzero(m))) == 5
         want = np.linalg.svd(m, compute_uv=False)[0]
         assert abs(spectral_norm(m) - want) <= 8 * np.spacing(want)
 
@@ -184,7 +184,7 @@ class TestSpectralNorm:
         dense = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
         tridiagonal = np.triu(np.tril(dense, 1), -1)
         for m in (dense, tridiagonal):
-            assert len(_sectors(m != 0)) == 1
+            assert len(_sectors(len(m), *np.nonzero(m))) == 1
             assert spectral_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
 
 
@@ -213,7 +213,7 @@ def _permuted_block_pattern(draw):
 @given(_permuted_block_pattern())
 def test_sectors_are_the_permuted_blocks(case):
     pattern, blocks = case
-    sectors = _sectors(pattern)
+    sectors = _sectors(len(pattern), *np.nonzero(pattern))
     assert len(sectors) == len(blocks)
     for got, want in zip(sectors, blocks):
         assert np.array_equal(got, want)
@@ -246,3 +246,37 @@ class TestCommutators:
     def test_layout_mismatch(self):
         with pytest.raises(LayoutMismatchError):
             commutator(pauli("x"), annihilation(2))
+
+
+@st.composite
+def _edge_pattern(draw):
+    """A random square pattern: sparse or dense entries in any direction,
+    some indices left isolated, and possibly one block with every entry
+    set."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.02, 0.08, 0.3]))
+    isolated = rng.random(n) < 0.2
+    pattern[isolated] = pattern[:, isolated] = False
+    if draw(st.booleans()):
+        members = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        pattern[np.ix_(members, members)] = True
+    return pattern
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_pattern(), st.booleans())
+def test_sectors_of_edges_equal_the_dense_search(pattern, shuffled):
+    """The edge routine finds the components that a breadth-first search
+    over the dense pattern finds, each sorted, in the same order: from the
+    row-sorted nonzeros, or from every edge listed both ways in a shuffled
+    order."""
+    rows, cols = np.nonzero(pattern)
+    if shuffled:
+        order = np.random.default_rng(len(rows)).permutation(2 * len(rows))
+        rows, cols = np.concatenate([rows, cols])[order], np.concatenate([cols, rows])[order]
+    got = _sectors(len(pattern), rows, cols)
+    want = pattern_sectors(pattern)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
