@@ -10,7 +10,6 @@ from .tensor_core import (
     ResourceExhaustedError,
     Tolerances,
     expm,
-    kron,
     spectral_norm,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "ResourceExhaustedError",
     "Tolerances",
     "expm",
-    "kron",
     "spectral_norm",
     "__version__",
 ]

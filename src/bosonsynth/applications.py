@@ -15,12 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor_core import (
-    HilbertLayout,
-    Operator,
-    basis_state,
-    kron,
-)
+from .tensor_core import HilbertLayout, Operator, basis_state
 from .fock_ops import (
     KronSum,
     annihilation,
@@ -51,7 +46,6 @@ from .block_encodings import (
     block_generator,
     conjugate,
     mult,
-    mult_generator,
     power,
     s1,
 )
@@ -74,22 +68,22 @@ class ApplicationSpec:
 
     exact(t) = exp(i t G) from the eigendecompositions of the sectors of G,
     made when the spec is built, so exact(t) is zero between sectors. The
-    builders give G (exact_generator) as a Kronecker sum, read entry by
-    entry, and the spec keeps that reference, never a full-size G; the
-    runner measures synthesis against it. time is the flip time of a
-    preparation, None for the others.
+    builders give G (exact_generator) as a Kronecker sum on the whole
+    layout, read entry by entry, and the spec keeps that reference, never a
+    full-size G; the runner measures synthesis against it. time is the flip
+    time of a preparation, None for the others.
     """
 
     name: str
     layout: HilbertLayout
-    exact_generator: InitVar[Operator | KronSum]
+    exact_generator: InitVar[KronSum]
     synthesis: ParamUnitary
     initial_state: Optional[np.ndarray] = None
     time: Optional[float] = None
     reference: Primitive = field(init=False, repr=False)
 
-    def __post_init__(self, exact_generator: Operator | KronSum):
-        # Primitive rejects a generator on another layout or a non-Hermitian one.
+    def __post_init__(self, exact_generator: KronSum):
+        # Primitive rejects a sum that does not fit the layout or a non-Hermitian one.
         object.__setattr__(self, "reference", Primitive(self.name, self.layout, exact_generator))
 
     def exact(self, t: float) -> Operator:
@@ -107,7 +101,7 @@ def _conditional_square(mode_op: Operator, tag: str, layout: HilbertLayout,
     scale = 1.0 / math.sqrt(2.0)
     u_a, u_b = (
         primitive_unitary(
-            Primitive(f"{tag}*s{s}", layout, scale * kron(pauli(s), mode_op), (0, at))
+            Primitive(f"{tag}*s{s}", layout, [(scale, {0: pauli(s), at: mode_op})])
         )
         for s in _AXIS_PAIR
     )
@@ -131,7 +125,7 @@ def conditional_rotation_phase_space(
 
     u_x2 = _conditional_square(x_op, "x", layout, 1, p, base)
     u_p2 = _conditional_square(p_op, "p", layout, 1, p, base)
-    half_phase = primitive_unitary(Primitive("half-phase", layout, -0.5 * pauli("z"), (0,)))
+    half_phase = primitive_unitary(Primitive("half-phase", layout, [(-0.5, {0: pauli("z")})]))
     pu = trotter(
         2 * suzuki_index(p), [as_linear_term(u_x2), as_linear_term(u_p2), half_phase]
     )
@@ -228,8 +222,8 @@ def conditional_beam_splitter(
     sx, sy = pauli("x"), pauli("y")
 
     def pair_block(m: Operator, tag: str) -> ParamUnitary:
-        u_a = primitive_unitary(Primitive(f"{tag}1*sx", layout, kron(sx, m), (0, 1)))
-        u_b = primitive_unitary(Primitive(f"{tag}2*sy", layout, kron(sy, m), (0, 2)))
+        u_a = primitive_unitary(Primitive(f"{tag}1*sx", layout, [(1.0, {0: sx, 1: m})]))
+        u_b = primitive_unitary(Primitive(f"{tag}2*sy", layout, [(1.0, {0: sy, 2: m})]))
         return bch(p, u_a, u_b, base=base or "lean")
 
     u_xx = pair_block(position(cutoff), "x")
@@ -265,14 +259,11 @@ def cross_kerr_gate(
     block. Family parameter: squared amplitude. base None is the lean
     block."""
     layout = HilbertLayout.qubit_modes(cutoff, nmodes=2)
-    first, second = _AXIS_PAIR
     n_op = number(cutoff)
     scale = 1.0 / math.sqrt(2.0)
-    u_a = primitive_unitary(
-        Primitive(f"n1*s{first}", layout, scale * kron(pauli(first), n_op), (0, 1))
-    )
-    u_b = primitive_unitary(
-        Primitive(f"n2*s{second}", layout, scale * kron(pauli(second), n_op), (0, 2))
+    u_a, u_b = (
+        primitive_unitary(Primitive(f"n{m}*s{s}", layout, [(scale, {0: pauli(s), m: n_op})]))
+        for m, s in zip((1, 2), _AXIS_PAIR)
     )
     block = bch(p, u_a, u_b, base=base or "lean")
     pu = as_linear_term(block, label="cross-kerr")
@@ -286,11 +277,10 @@ def cross_kerr_gate(
 
 
 def _mult_by_conjugate(enc: BlockEncoding, q: int, base: str) -> tuple[ParamUnitary, KronSum]:
-    """MULT of enc with its block swap, and the generator it approximates.
-    The encodings, and their d x d targets, are dropped on return."""
-    enc_x = conjugate(enc)
-    pu = mult(enc, enc_x, 2 * q, base=base).unitary
-    return pu, mult_generator(enc.block_target, enc_x.block_target)
+    """MULT of enc with its block swap: its gate and the generator it
+    approximates. The encodings, and their d x d targets, are dropped on
+    return."""
+    return mult(enc, conjugate(enc), 2 * q, base=base)
 
 
 def nonlinear_hamiltonian(

@@ -586,6 +586,12 @@ def run_sweep(
     """Order-by-timestep matrix: orders 1..bch with both commutator bases."""
     entry = _REGISTRY[config.application]
     _check_limits(entry, config, threads, dim_cap)
+    k = int(config.physical.get("k", 2))
+    if "k" in entry.physical and k & (k - 1):
+        raise UsageError(
+            f"sweep compares orders.base, which physical.k {k} does not take: "
+            "it needs a power-of-two k"
+        )
     csv_path, json_path = _artifact_paths(config, out_dir, f"{config.application}-sweep")
     cells = []
     for order in range(1, config.bch_order + 1):

@@ -34,7 +34,6 @@ __all__ = [
     "BlockEncoding",
     "SynthesisBudget",
     "block_generator",
-    "mult_generator",
     "s1",
     "identity_encoding",
     "conjugate",
@@ -56,22 +55,12 @@ def block_generator(target: Operator) -> KronSum:
     return [(1.0, {0: _qubit(0, 1), 1: target}), (1.0, {0: _qubit(1, 0), 1: target.dag()})]
 
 
-def mult_generator(left: Operator, right: Operator) -> KronSum:
-    """The Hermitian generator that mult of encodings of the mode targets
-    left = A and right = B approximates, [[herm(AB), 0], [0, -herm(BA)]]
-    on qubit (x) mode with herm(X) = (X + X^dag)/2, as the Kronecker sum
-    |0><0| (x) herm(AB) - |1><1| (x) herm(BA)."""
-
-    def herm(x: Operator) -> Operator:
-        # In one array, which keeps the Kerr build below two full-size
-        # matrices: (x^dag + x) * 0.5 is the same floats as 0.5 * (x + x^dag).
-        mat = x.mat.conj().T
-        mat += x.mat
-        mat *= 0.5
-        return Operator(x.layout, mat)
-
-    return [(1.0, {0: _qubit(0, 0), 1: herm(left @ right)}),
-            (-1.0, {0: _qubit(1, 1), 1: herm(right @ left)})]
+def _herm(x: Operator) -> Operator:
+    """(x + x^dag)/2, in one array: (x^dag + x) * 0.5 is the same floats."""
+    mat = x.mat.conj().T
+    mat += x.mat
+    mat *= 0.5
+    return Operator(x.layout, mat)
 
 
 @dataclass(frozen=True)
@@ -90,20 +79,15 @@ class SynthesisBudget:
 
 @dataclass
 class BlockEncoding:
-    """A compiled gate together with the mode operator it encodes.
-
-    kind "off_diagonal": unitary ~ exp(it [[0, A], [A^dag, 0]]), block target
-    A in the upper-right block; block_generator(A) is its generator. kind
-    "upper_left": unitary ~ exp(it G) with block-diagonal Hermitian G whose
-    upper-left block is the target; mult_generator of the operands' targets
-    is G. The encoding keeps the gate and the d x d target, not G: a builder
-    that needs an exact reference forms G from the targets as a Kronecker
-    sum, which its primitive reads entry by entry.
+    """A compiled gate together with the mode operator it encodes:
+    unitary ~ exp(it [[0, A], [A^dag, 0]]), block target A in the
+    upper-right block. The encoding keeps the gate and the d x d target,
+    not the generator: a builder that needs an exact reference forms
+    block_generator(A), a Kronecker sum its primitive reads entry by entry.
     """
 
     unitary: ParamUnitary
     block_target: Operator
-    kind: str = "off_diagonal"
 
     @property
     def layout(self) -> HilbertLayout:
@@ -121,16 +105,14 @@ def s1(cutoff: int) -> BlockEncoding:
 def identity_encoding(cutoff: int) -> BlockEncoding:
     """Encodes the mode identity: exp(it X (x) I), a qubit rotation."""
     layout = HilbertLayout.qubit_modes(cutoff)
-    pu = primitive_unitary(Primitive("RX", layout, pauli("X"), (0,)))
+    pu = primitive_unitary(Primitive("RX", layout, [(1.0, {0: pauli("X")})]))
     return BlockEncoding(pu, mode_identity(cutoff))
 
 
 def conjugate(enc: BlockEncoding) -> BlockEncoding:
     """The block swap: X U X on the qubit encodes the target's adjoint, at
     no exponential. add and mult build their other frames themselves."""
-    if enc.kind != "off_diagonal":
-        raise ValueError("frame conjugation applies to off-diagonal encodings")
-    pu = frame_conjugate(enc.unitary, FrameGate("X", enc.layout, qubit_gate("X"), (0,)))
+    pu = frame_conjugate(enc.unitary, FrameGate("X", enc.layout, [(1.0, {0: qubit_gate("X")})]))
     return BlockEncoding(pu, enc.block_target.dag())
 
 
@@ -165,16 +147,14 @@ def add(
     """
     if left.layout != right.layout:
         raise LayoutMismatchError("operand layouts differ")
-    if left.kind != "off_diagonal" or right.kind != "off_diagonal":
-        raise ValueError("add expects off-diagonal encodings")
     _commutation_check(left.block_target, right.block_target)
     if budget is None:
         budget = SynthesisBudget.from_order(p)
     q, s = budget.bch_order, budget.trotter_index
     layout = left.layout
 
-    frame_x, frame_s, frame_h = (FrameGate(g, layout, qubit_gate(g), (0,)) for g in "XSH")
-    frame_sh = FrameGate("SH", layout, qubit_gate("S") @ qubit_gate("H"), (0,))
+    frame_x, frame_s, frame_h = (FrameGate(g, layout, [(1.0, {0: qubit_gate(g)})]) for g in "XSH")
+    frame_sh = FrameGate("SH", layout, [(1.0, {0: qubit_gate("S") @ qubit_gate("H")})])
 
     b_right_x = frame_conjugate(right.unitary, frame_x)
     b_left_s = frame_conjugate(left.unitary, frame_s)
@@ -201,17 +181,19 @@ def mult(
     right: BlockEncoding,
     p: int,
     base: str | None = None,
-) -> BlockEncoding:
-    """Encode a Hermitian product A B in the upper-left block.
+) -> tuple[ParamUnitary, KronSum]:
+    """Compile a Hermitian product A B into the upper-left block: the gate
+    and the generator it approximates.
 
     A single commutator block of the frame-steered operands lands
-    exp(it [[A B, 0], [0, -(B A + (B A)^dag)/2]]) when A B is Hermitian. p
-    is the order both operands are accurate to (SynthesisBudget.from_order).
+    exp(it G), G = [[herm(AB), 0], [0, -herm(BA)]] with herm(X) = (X +
+    X^dag)/2, so the upper-left block is A B when A B is Hermitian. G is
+    returned as the Kronecker sum |0><0| (x) herm(AB) - |1><1| (x)
+    herm(BA) of two d x d products. p is the order both operands are
+    accurate to (SynthesisBudget.from_order).
     """
     if left.layout != right.layout:
         raise LayoutMismatchError("operand layouts differ")
-    if left.kind != "off_diagonal" or right.kind != "off_diagonal":
-        raise ValueError("mult expects off-diagonal encodings")
     a_t, b_t = left.block_target, right.block_target
     ab = a_t @ b_t
     herm_defect = spectral_norm(ab - ab.dag())
@@ -223,9 +205,12 @@ def mult(
             RuntimeWarning,
             stacklevel=2,
         )
+    upper = _herm(ab)
+    del ab  # before B A is formed, which keeps the Kerr build below two full-size matrices
+    gen = [(1.0, {0: _qubit(0, 0), 1: upper}), (-1.0, {0: _qubit(1, 1), 1: _herm(b_t @ a_t)})]
     q = SynthesisBudget.from_order(p).bch_order
     layout = left.layout
-    frame_x, frame_s = (FrameGate(g, layout, qubit_gate(g), (0,)) for g in "XS")
+    frame_x, frame_s = (FrameGate(g, layout, [(1.0, {0: qubit_gate(g)})]) for g in "XS")
 
     b_left_s = frame_conjugate(left.unitary, frame_s)
     b_right_x = frame_conjugate(right.unitary, frame_x)
@@ -235,7 +220,7 @@ def mult(
         f"mult[{left.unitary.label},{right.unitary.label}]",
         [Factor(inner_lin, 0.5)],
     )
-    return BlockEncoding(inner, ab, kind="upper_left")
+    return inner, gen
 
 
 def power(

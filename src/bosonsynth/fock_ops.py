@@ -122,16 +122,15 @@ def kron_sum_entries(terms: KronSum, layout: HilbertLayout) -> tuple[np.ndarray,
 
 
 def _factor_mats(ops: Mapping[int, Operator], layout: HilbertLayout) -> list[np.ndarray]:
-    """The matrix on each factor of layout: ops' where given, checked
-    against the factor (LayoutMismatchError), and the identity elsewhere."""
+    """The matrix on each factor of layout: ops' where given, and the
+    identity elsewhere. Each op acts on exactly the factor at its position,
+    kind and dimension alike; any other raises LayoutMismatchError."""
     for at, op in ops.items():
-        if op.layout.nfactors != 1:
-            raise LayoutMismatchError("a Kronecker term takes single-factor operators")
         if at not in range(layout.nfactors):
             raise LayoutMismatchError(f"factor {at} is not in a layout of {layout.nfactors}")
-        if layout.dim_of(at) != op.dim:
+        if op.layout.factors != (layout.factors[at],):
             raise LayoutMismatchError(
-                f"factor {at} has dim {layout.dim_of(at)}, operator has dim {op.dim}"
+                f"an operator on {op.layout.factors} does not fit factor {layout.factors[at]}"
             )
     return [ops[pos].mat if pos in ops else np.eye(d) for pos, (_, d) in enumerate(layout.factors)]
 

@@ -28,7 +28,6 @@ the next class is built. No matrix is kept between calls.
 """
 from __future__ import annotations
 
-import math
 import warnings
 import weakref
 from collections import Counter
@@ -46,7 +45,7 @@ from .tensor_core import (
     ResourceExhaustedError,
     _hermitian_defect,
     _sectors,
-    is_unitary,
+    _unitary_defect,
     spectral_norm,
 )
 
@@ -82,34 +81,30 @@ __all__ = [
 ]
 
 
-def _declare(gate, label: str, layout: HilbertLayout, op: Operator | KronSum,
-             at: Sequence[int] | None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Set gate's label, layout, support, local and groups for op on the
-    factors of layout at the strictly increasing positions at (None: every
-    factor), the identity elsewhere, and return the sectors of op's nonzero
-    entries and op's block on each, filled from those entries: op is a
-    dense Operator on those factors or a Kronecker sum on them, never a
-    full-size array. local: op leaves a factor alone. Group k holds the
-    full-size basis indices of sector k's support states, one row per state
-    of the other factors, each row carrying block k. An op that does not
-    fit those factors raises LayoutMismatchError."""
-    support = tuple(range(layout.nfactors)) if at is None else tuple(at)
-    on = ()
-    if list(support) == sorted(set(support)) and set(support) <= set(range(layout.nfactors)):
-        on = tuple(layout.factors[j] for j in support)
-    dense = isinstance(op, Operator)
-    if not (op.layout.factors == on if dense else on):
-        what = f"an operator on {op.layout.factors}" if dense else "a Kronecker sum"
+def _declare(gate, label: str, layout: HilbertLayout, terms: KronSum) -> list[np.ndarray]:
+    """Set gate's label, layout, support, local and groups for the
+    Kronecker sum terms on layout, and return its block on each sector of
+    its nonzero entries. The support is the sorted set of factors the terms
+    name; the sum, renumbered onto them, is read as its nonzero entries
+    (kron_sum_entries), never as a full-size array. local: the sum leaves a
+    factor alone. Group k holds the full-size basis indices of sector k's
+    support states, one row per state of the other factors, each row
+    carrying block k. An empty sum, a term that names no factor or a factor
+    outside layout, and an operator that does not fit its factor raise
+    LayoutMismatchError."""
+    support = tuple(sorted({j for _, ops in terms for j in ops}))
+    named = support and all(ops for _, ops in terms)
+    if not (named and set(support) <= set(range(layout.nfactors))):
         raise LayoutMismatchError(
-            f"{type(gate).__name__} {label!r}: {what} "
-            f"does not fit factors {support} of {layout.factors}"
+            f"{type(gate).__name__} {label!r}: a Kronecker sum on factors {support} "
+            f"does not fit {layout.factors}"
         )
-    if dense:
-        rows, cols = np.nonzero(op.mat)
-        vals = op.mat[rows, cols]
-    else:
-        rows, cols, vals = kron_sum_entries(op, HilbertLayout(on))
-    n = math.prod(d for _, d in on)
+    on = HilbertLayout(tuple(layout.factors[j] for j in support))
+    renumber = {j: k for k, j in enumerate(support)}
+    rows, cols, vals = kron_sum_entries(
+        [(coeff, {renumber[j]: op for j, op in ops.items()}) for coeff, ops in terms], on
+    )
+    n = on.dim
     sectors = _sectors(n, rows, cols)
     # Each index's sector and its position there; the blocks are views of
     # one buffer that the entries are scattered into.
@@ -129,7 +124,7 @@ def _declare(gate, label: str, layout: HilbertLayout, op: Operator | KronSum,
     gate.label, gate.layout, gate.support = label, layout, support
     gate.local = len(support) < layout.nfactors
     gate.groups = [index[sec].T for sec in sectors]
-    return sectors, [flat[a:b].reshape(m, m) for a, b, m in zip(start, start[1:], sizes)]
+    return [flat[a:b].reshape(m, m) for a, b, m in zip(start, start[1:], sizes)]
 
 
 def _full_size(gate: Primitive | FrameGate, ts: np.ndarray) -> np.ndarray:
@@ -144,18 +139,17 @@ def _full_size(gate: Primitive | FrameGate, ts: np.ndarray) -> np.ndarray:
 class Primitive:
     """One directly exponentiable Hermitian generator.
 
-    The generator, a dense Operator or a Kronecker sum, is declared on the
-    factors it acts on (`at`, the identity elsewhere; see _declare), so
-    nothing is searched for: `support` is `at`. It splits into the sectors
+    The generator is a Kronecker sum whose terms name the factors it acts
+    on (the identity elsewhere; see _declare), so nothing is searched for:
+    `support` is those factors. It splits into the sectors
     of its nonzero entries (the quantum numbers it conserves), each
     eigendecomposed on its own. So exp(i t H) is unitary to rounding and
     exactly block-diagonal on the index groups. The primitive keeps the
     groups and the sectors' eigendecompositions, not a full-size generator.
     """
 
-    def __init__(self, label: str, layout: HilbertLayout, generator: Operator | KronSum,
-                 at: Sequence[int] | None = None):
-        _, subs = _declare(self, label, layout, generator, at)
+    def __init__(self, label: str, layout: HilbertLayout, generator: KronSum):
+        subs = _declare(self, label, layout, generator)
         # Entries between sectors are zero both ways, so this gives the same
         # answer as the check on the whole generator, and the largest entry
         # of the sectors is the generator's.
@@ -188,11 +182,11 @@ class FrameGate:
     """Fixed unitary (basis change) that is recorded but not counted as an
     exponential.
 
-    Declared like a Primitive: the unitary acts on the factors of layout at
-    `at` (None: every factor), the identity elsewhere, and splits into the
-    same support and index groups (see _declare). The frame keeps each
-    sector's indices on the support and its constant block, not a full-size
-    matrix.
+    Declared like a Primitive: the unitary is a Kronecker sum whose terms
+    name the factors it acts on, the identity elsewhere, and splits into the
+    same support and index groups (see _declare). It is unitary exactly when
+    each of its sector blocks is. The frame keeps its terms and each
+    sector's constant block, not a full-size matrix.
 
     The frame is monomial when every block has one nonzero per row and per
     column, each exactly +-1 or +-i (X, S and the vacuum parity flip, not
@@ -201,11 +195,11 @@ class FrameGate:
     an exact gather.
     """
 
-    def __init__(self, label: str, layout: HilbertLayout, unitary: Operator,
-                 at: Sequence[int] | None = None):
-        self._sectors, self._blocks = _declare(self, label, layout, unitary, at)
-        if not is_unitary(unitary):
+    def __init__(self, label: str, layout: HilbertLayout, unitary: KronSum):
+        self._blocks = _declare(self, label, layout, unitary)
+        if not all(_unitary_defect(b) <= TOL.unitarity for b in self._blocks):
             raise ValueError(f"frame gate {label!r} must be unitary")
+        self._terms = list(unitary)
         # A unitary block with as many nonzeros as rows has one per row and column.
         self.monomial = all(
             np.count_nonzero(b) == len(b) and np.all(np.isin(b[b != 0], (1, -1, 1j, -1j)))
@@ -233,12 +227,10 @@ class FrameGate:
         reversed and inverted sequences compare equal gate by gate."""
         if self._dagger is None:
             label = self.label[:-1] if self.label.endswith("'") else self.label + "'"
-            # The inverse on the support, from the blocks on their sectors.
-            inverse = np.zeros((sum(map(len, self._sectors)),) * 2, dtype=np.complex128)
-            for sec, block in zip(self._sectors, self._blocks):
-                inverse[np.ix_(sec, sec)] = block.conj().T
-            on = HilbertLayout(tuple(self.layout.factors[j] for j in self.support))
-            self._dagger = FrameGate(label, self.layout, Operator(on, inverse), self.support)
+            # The adjoint term by term: sum of conj(c) times the factors' adjoints.
+            adjoint = [(np.conj(c), {j: op.dag() for j, op in ops.items()})
+                       for c, ops in self._terms]
+            self._dagger = FrameGate(label, self.layout, adjoint)
             self._dagger._dagger = self
         return self._dagger
 

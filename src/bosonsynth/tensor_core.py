@@ -32,10 +32,8 @@ __all__ = [
     "Operator",
     "identity",
     "basis_state",
-    "kron",
     "expm",
     "spectral_norm",
-    "is_unitary",
 ]
 
 
@@ -86,9 +84,6 @@ class HilbertLayout:
     @property
     def nfactors(self) -> int:
         return len(self.factors)
-
-    def dim_of(self, at: int) -> int:
-        return self.factors[at][1]
 
     def index(self, *digits: int) -> int:
         """Mixed-radix basis index of a product state, leftmost digit first."""
@@ -181,14 +176,12 @@ def basis_state(layout: HilbertLayout, *digits: int) -> np.ndarray:
     return vec
 
 
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; the layout is the concatenation of the factor lists."""
-    layout = HilbertLayout(a.layout.factors + b.layout.factors)
-    return Operator(layout, np.kron(a.mat, b.mat))
-
-
 def _hermitian_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
+
+
+def _unitary_defect(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))))
 
 
 def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -215,12 +208,6 @@ def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
             label = up
     order = np.argsort(label, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
-
-def is_unitary(op: Operator, tol: float | None = None) -> bool:
-    tol = TOL.unitarity if tol is None else tol
-    gram = op.mat.conj().T @ op.mat
-    return float(np.max(np.abs(gram - np.eye(op.dim)))) <= tol
 
 
 def expm(op: Operator) -> Operator:

@@ -28,7 +28,7 @@ from bosonsynth.applications import (
     cross_kerr_gate,
 )
 from bosonsynth.bench import ExperimentConfig, SynthesisReport
-from bosonsynth.block_encodings import block_generator, conjugate, mult, mult_generator, s1
+from bosonsynth.block_encodings import block_generator, conjugate, mult, s1
 from bosonsynth.fock_ops import (
     KronSum,
     _factor_mats,
@@ -55,21 +55,62 @@ from bosonsynth.product_formulas import (
     timeslice,
 )
 from bosonsynth.tensor_core import (
+    TOL,
     HilbertLayout,
     Operator,
+    _unitary_defect,
     basis_state,
     expm,
     identity,
-    kron,
     spectral_norm,
 )
+
+
+def kron(a: Operator, b: Operator) -> Operator:
+    """Tensor product; the layout is the concatenation of the factor lists."""
+    layout = HilbertLayout(a.layout.factors + b.layout.factors)
+    return Operator(layout, np.kron(a.mat, b.mat))
+
+
+def is_unitary(op: Operator, tol: float | None = None) -> bool:
+    return _unitary_defect(op.mat) <= (TOL.unitarity if tol is None else tol)
+
+
+def matrix_units(op: Operator, at: Sequence[int] | None = None) -> KronSum:
+    """A dense operator on the factors at (None: every factor of its own
+    layout) as a Kronecker sum of matrix units: one term per nonzero entry,
+    the entry times |r_i><c_i| on each factor at[i], r_i and c_i being the
+    entry's row and column digits there. Each entry of the sum comes out as
+    the entry itself, so a leaf declared from it has op's blocks bit for
+    bit."""
+    at = range(op.layout.nfactors) if at is None else at
+    factors = op.layout.factors
+    units: dict[tuple[int, int, int], Operator] = {}
+
+    def unit(f: int, r: int, c: int) -> Operator:
+        if (f, r, c) not in units:
+            mat = np.zeros((factors[f][1],) * 2)
+            mat[r, c] = 1.0
+            units[f, r, c] = Operator(HilbertLayout((factors[f],)), mat)
+        return units[f, r, c]
+
+    rows, cols = np.nonzero(op.mat)
+    dims = [d for _, d in factors]
+    digits = list(zip(*np.unravel_index(rows, dims), *np.unravel_index(cols, dims)))
+    n = len(factors)
+    return [
+        (op.mat[r, c], {pos: unit(f, d[f], d[n + f]) for f, pos in enumerate(at)})
+        for r, c, d in zip(rows, cols, digits)
+    ]
 
 
 def flow(generator: Operator | KronSum, layout: HilbertLayout | None = None,
          label: str = "g") -> ParamUnitary:
     """The one-primitive family t -> exp(i t G) on G's whole layout: an
-    Operator's own, or layout for a Kronecker sum."""
-    return primitive_unitary(Primitive(label, layout or generator.layout, generator))
+    Operator's own, as its matrix units, or layout for a Kronecker sum."""
+    if isinstance(generator, Operator):
+        generator, layout = matrix_units(generator), generator.layout
+    return primitive_unitary(Primitive(label, layout, generator))
 
 
 def embed(ops: Mapping[int, Operator], layout: HilbertLayout) -> Operator:
@@ -198,9 +239,9 @@ def s1_from_conditional_displacements(cutoff: int) -> ParamUnitary:
     """
     layout = HilbertLayout.qubit_modes(cutoff)
     quad = annihilation(cutoff) + creation(cutoff)
-    cd_x = primitive_unitary(Primitive("CD_x", layout, kron(pauli("X"), quad), (0, 1)))
-    cd_y = primitive_unitary(Primitive("CD_y", layout, kron(pauli("Y"), quad), (0, 1)))
-    rot = primitive_unitary(Primitive("Rmode", layout, number(cutoff), (1,)))
+    cd_x = primitive_unitary(Primitive("CD_x", layout, [(1.0, {0: pauli("X"), 1: quad})]))
+    cd_y = primitive_unitary(Primitive("CD_y", layout, [(1.0, {0: pauli("Y"), 1: quad})]))
+    rot = primitive_unitary(Primitive("Rmode", layout, [(1.0, {1: number(cutoff)})]))
 
     quarter = math.pi / 2
     factors = [
@@ -257,16 +298,12 @@ def conditional_rotation_fock(p: int = 1, cutoff: int = 14) -> ApplicationSpec:
     qubit-0 sector; one extra native phase fixes the qubit-1 sector so the
     two sectors rotate oppositely below the cutoff edge.
     """
-    left, right = s1(cutoff), conjugate(s1(cutoff))
-    enc = mult(left, right, 2 * p)
-    layout = enc.layout
-    lower = Operator(HilbertLayout.single_qubit(), np.diag([0.0, 1.0]).astype(complex))
-    corr = primitive_unitary(Primitive("qubit1-phase", layout, lower, (0,)))
-    pu = compose(
-        "cond-rot-fock",
-        [Factor(enc.unitary), Factor(corr)],
-    )
-    gen = mult_generator(left.block_target, right.block_target) + [(1.0, {0: lower})]
+    number_flow, gen = mult(s1(cutoff), conjugate(s1(cutoff)), 2 * p)
+    layout = number_flow.layout
+    lower = [(1.0, {0: Operator(HilbertLayout.single_qubit(), np.diag([0.0, 1.0]))})]
+    corr = primitive_unitary(Primitive("qubit1-phase", layout, lower))
+    pu = compose("cond-rot-fock", [Factor(number_flow), Factor(corr)])
+    gen += lower
     return ApplicationSpec(
         name="conditional-rotation-fock",
         layout=layout,
@@ -296,7 +333,7 @@ def state_prep_protected(
     if t is None:
         t = math.pi / (4.0 * math.sqrt(math.factorial(k)))  # the echo doubles the coupling
     flip = vacuum_parity_flip(cutoff)
-    frame = FrameGate("R0", layout, flip, (1,))
+    frame = FrameGate("R0", layout, [(1.0, {1: flip})])
     echoed = frame_conjugate(rescale(pulse, -1.0), frame)
     pu = compose(f"protected-prep-T{k}", [Factor(pulse), Factor(echoed)])
     target = _ladder_power(cutoff, k)
@@ -397,26 +434,26 @@ def effective_pauli_span01(
     sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
     xm, pm, nm = position(cutoff), momentum(cutoff), number(cutoff)
 
-    def prim(tag: str, gen: Operator, at: tuple[int, ...]) -> ParamUnitary:
-        return primitive_unitary(Primitive(tag, layout, gen, at))
+    def prim(tag: str, coeff: float, ops: Mapping[int, Operator]) -> ParamUnitary:
+        return primitive_unitary(Primitive(tag, layout, [(coeff, ops)]))
 
     if axis == "x":
-        anti = group_commutator(prim("x*sx", kron(sx, xm), (0, 1)),
-                                prim("n*sy", kron(sy, nm), (0, 1)))
-        comm = group_commutator(prim("p", pm, (1,)), prim("n*sz", kron(sz, nm), (0, 1)))
-        lin = prim("2x*sz", 2.0 * kron(sz, xm), (0, 1))
+        anti = group_commutator(prim("x*sx", 1.0, {0: sx, 1: xm}),
+                                prim("n*sy", 1.0, {0: sy, 1: nm}))
+        comm = group_commutator(prim("p", 1.0, {1: pm}), prim("n*sz", 1.0, {0: sz, 1: nm}))
+        lin = prim("2x*sz", 2.0, {0: sz, 1: xm})
     elif axis == "y":
-        anti = group_commutator(prim("p*sx", kron(sx, pm), (0, 1)),
-                                prim("n*sy", kron(sy, nm), (0, 1)))
-        comm = group_commutator(prim("n*sz", kron(sz, nm), (0, 1)), prim("x", xm, (1,)))
-        lin = prim("2p*sz", 2.0 * kron(sz, pm), (0, 1))
+        anti = group_commutator(prim("p*sx", 1.0, {0: sx, 1: pm}),
+                                prim("n*sy", 1.0, {0: sy, 1: nm}))
+        comm = group_commutator(prim("n*sz", 1.0, {0: sz, 1: nm}), prim("x", 1.0, {1: xm}))
+        lin = prim("2p*sz", 2.0, {0: sz, 1: pm})
     elif axis == "z":
         pu = compose(
             "eff-pauli-z",
-            [Factor(prim("qubit-phase", sz, (0,))),
-             Factor(prim("-2n*sz", -2.0 * kron(sz, nm), (0, 1)))],
+            [Factor(prim("qubit-phase", 1.0, {0: sz})),
+             Factor(prim("-2n*sz", -2.0, {0: sz, 1: nm}))],
         )
-        gen = embed({0: sz, 1: mode_identity(cutoff) - 2.0 * nm}, layout)
+        gen = [(1.0, {0: sz, 1: mode_identity(cutoff) - 2.0 * nm})]
         return ApplicationSpec(
             name="eff-pauli-z",
             layout=layout,
@@ -433,7 +470,7 @@ def effective_pauli_span01(
         f"eff-pauli-{axis}",
         [Factor(as_linear_term(anti)), Factor(as_linear_term(comm)), Factor(lin)],
     )
-    gen = embed({0: sz, 1: sigma_eff(axis, cutoff)}, layout)
+    gen = [(1.0, {0: sz, 1: sigma_eff(axis, cutoff)})]
     return ApplicationSpec(
         name=f"eff-pauli-{axis}",
         layout=layout,
@@ -462,9 +499,9 @@ def anharmonicity_gate(p: int = 1, cutoff: int = 8) -> ApplicationSpec:
     layout = HilbertLayout.qubit_modes(cutoff)
     u_n2 = _conditional_square(number(cutoff), "n", layout, 1, p, "lean")
     n_op, sz = number(cutoff), pauli("z")
-    lin = primitive_unitary(Primitive("-n*sz", layout, -1.0 * kron(sz, n_op), (0, 1)))
+    lin = primitive_unitary(Primitive("-n*sz", layout, [(-1.0, {0: sz, 1: n_op})]))
     pu = compose("anharmonicity", [Factor(as_linear_term(u_n2)), Factor(lin)])
-    gen = embed({0: sz, 1: n_op @ n_op - n_op}, layout)
+    gen = [(1.0, {0: sz, 1: n_op @ n_op - n_op})]
     return ApplicationSpec(
         name="anharmonicity",
         layout=layout,

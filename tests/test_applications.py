@@ -137,21 +137,22 @@ def test_full_layout_generator_blocks_equal_the_dense_ones(monkeypatch, case):
     declared = []
     original = product_formulas._declare
 
-    def spy(gate, name, layout, op, at):
-        found = original(gate, name, layout, op, at)
+    def spy(gate, name, layout, terms):
+        blocks = original(gate, name, layout, terms)
         if name == label:
-            declared.append((at, found))
-        return found
+            declared.append((gate, blocks))
+        return blocks
 
     monkeypatch.setattr(product_formulas, "_declare", spy)
     build()
     assert declared
-    for at, (sectors, blocks) in declared:
+    for gate, blocks in declared:
         want = old()
         expected = pattern_sectors(want != 0)
-        assert at is None and len(sectors) == len(expected) > 1
-        for sec, block, exp in zip(sectors, blocks, expected):
-            assert np.array_equal(sec, exp)
+        # On every factor, group k is sector k as one row.
+        assert not gate.local and len(gate.groups) == len(expected) > 1
+        for rows, block, exp in zip(gate.groups, blocks, expected):
+            assert np.array_equal(rows, exp[None, :])
             assert np.array_equal(block, want[np.ix_(exp, exp)])
 
 
@@ -189,8 +190,8 @@ def fitted(spec, window=FitWindow()):
 class TestApplicationSpec:
     def test_rejects_nonhermitian_generator(self):
         layout = HilbertLayout.single_qubit()
-        bad = Operator(layout, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        with pytest.raises(ValueError):
+        bad = [(1.0, {0: Operator(layout, np.array([[0.0, 1.0], [0.0, 0.0]]))})]
+        with pytest.raises(ValueError, match="Hermitian"):
             ApplicationSpec("bad", layout, bad, None)
 
     def test_stored_time_used(self):

@@ -616,6 +616,26 @@ class TestCli:
         assert "order 1 (lean)" in out and "order 2 (split)" in out
         assert (tmp_path / "s.csv").exists()
 
+    def test_sweep_of_a_ladder_power_that_is_no_power_of_two_exits_2_before_any_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """k = 3 runs (the inline golden config state-prep-t3), but a sweep
+        sets orders.base per cell, which only a power-of-two k takes: the
+        refusal names the sweep, not a key the config never set."""
+        def refuse(cfg):
+            raise AssertionError("built a gate")
+
+        config = {"application": "state-prep-T", "cutoff": 6, "physical": {"k": 3},
+                  "grid": {"points": 4}}
+        path = self._write(tmp_path, config)
+        entry = dataclasses.replace(bench._REGISTRY["state-prep-T"], build=refuse)
+        monkeypatch.setitem(bench._REGISTRY, "state-prep-T", entry)
+        assert cli.main(["sweep", path, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep compares orders.base") and err.count("\n") == 1
+        assert "physical.k 3" in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_rejected(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 3,
                                       "grid": {"points": 4}, "seed": 7})

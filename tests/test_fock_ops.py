@@ -149,17 +149,20 @@ class TestEmbed:
         with pytest.raises(ValueError, match="not in a layout"):
             embed({at: annihilation(3)}, HilbertLayout.qubit_modes(3))
 
-    @pytest.mark.parametrize("case", ["multi-factor", "outside", "dim"])
+    @pytest.mark.parametrize("case", ["multi-factor", "outside", "dim", "kind"])
     def test_layout_checks_raise_layout_mismatch(self, case):
-        """A multi-factor operator, a position outside the layout and a
-        dimension that does not fit its factor are layout mismatches, in
-        embed and kron_sum_entries alike."""
+        """A multi-factor operator, a position outside the layout, and a
+        dimension or kind that does not fit its factor are layout
+        mismatches, in embed and kron_sum_entries alike."""
         layout = HilbertLayout.qubit_modes(3)
         ops = {
             "multi-factor": {1: embed({1: number(3)}, layout)},
             "outside": {2: number(3)},
             "dim": {0: number(3)},
+            "kind": {1: pauli("x")},
         }[case]
+        if case == "kind":
+            layout = HilbertLayout.qubit_modes(1)  # a mode of the qubit's dimension
         with pytest.raises(LayoutMismatchError):
             embed(ops, layout)
         with pytest.raises(LayoutMismatchError):
@@ -189,7 +192,7 @@ class TestEmbed:
         supports = {0.5: {0: 2, 1: 4, 2: 4}, -1.0: {1: 4, 2: 4}, 1j: {0: 2, 2: 4}}
         for coeff, support in supports.items():
             terms.append((coeff, {
-                at: Operator(HilbertLayout((("mode", d),)), rng.normal(size=(d, d)) + 0j)
+                at: Operator(HilbertLayout((layout.factors[at],)), rng.normal(size=(d, d)) + 0j)
                 for at, d in support.items()
             }))
         if cancel:

@@ -50,15 +50,8 @@ from bosonsynth.product_formulas import (
     symmetrize,
     trotter,
 )
-from bosonsynth.tensor_core import (
-    TOL,
-    HilbertLayout,
-    Operator,
-    is_unitary,
-    kron,
-    spectral_norm,
-)
-from demos import embed, pattern_sectors, vacuum_parity_flip
+from bosonsynth.tensor_core import TOL, HilbertLayout, Operator, spectral_norm
+from demos import embed, is_unitary, kron, matrix_units, pattern_sectors, vacuum_parity_flip
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*well-conditioned range.*:RuntimeWarning"
@@ -67,18 +60,18 @@ pytestmark = pytest.mark.filterwarnings(
 
 def _qubit_world():
     layout = HilbertLayout.single_qubit()
-    prims = [Primitive(name, layout, pauli(name)) for name in ("X", "Y", "Z")]
-    frames = [FrameGate(name, layout, qubit_gate(name), (0,)) for name in ("H", "S")]
+    prims = [Primitive(name, layout, matrix_units(pauli(name))) for name in ("X", "Y", "Z")]
+    frames = [FrameGate(name, layout, matrix_units(qubit_gate(name))) for name in ("H", "S")]
     return prims, frames
 
 
 def _cutoff2_world():
     layout = HilbertLayout.qubit_modes(2)
     prims = [
-        Primitive("x*sx", layout, kron(pauli("X"), position(2))),
-        Primitive("n*sy", layout, kron(pauli("Y"), number(2))),
+        Primitive("x*sx", layout, matrix_units(kron(pauli("X"), position(2)))),
+        Primitive("n*sy", layout, matrix_units(kron(pauli("Y"), number(2)))),
     ]
-    frames = [FrameGate(name, layout, qubit_gate(name), (0,)) for name in ("H", "S")]
+    frames = [FrameGate(name, layout, matrix_units(qubit_gate(name), (0,))) for name in ("H", "S")]
     return prims, frames
 
 
@@ -87,11 +80,11 @@ def _split_world():
     on one factor multiplies into a product through its support."""
     layout = HilbertLayout.qubit_modes(2)
     prims = [
-        Primitive("x", layout, pauli("X"), (0,)),
-        Primitive("n", layout, number(2), (1,)),
-        Primitive("x*sx", layout, kron(pauli("X"), position(2)), (0, 1)),
+        Primitive("x", layout, matrix_units(pauli("X"), (0,))),
+        Primitive("n", layout, matrix_units(number(2), (1,))),
+        Primitive("x*sx", layout, matrix_units(kron(pauli("X"), position(2)), (0, 1))),
     ]
-    frames = [FrameGate(name, layout, qubit_gate(name), (0,)) for name in ("H", "S")]
+    frames = [FrameGate(name, layout, matrix_units(qubit_gate(name), (0,))) for name in ("H", "S")]
     return prims, frames
 
 
@@ -103,10 +96,10 @@ def _parity_world():
     unevenly into them."""
     layout = HilbertLayout.qubit_modes(2, nmodes=2)
     prims = [
-        Primitive("x1*sx", layout, kron(pauli("X"), position(2)), (0, 1)),
-        Primitive("x2*sy", layout, kron(pauli("Y"), position(2)), (0, 2)),
+        Primitive("x1*sx", layout, matrix_units(kron(pauli("X"), position(2)), (0, 1))),
+        Primitive("x2*sy", layout, matrix_units(kron(pauli("Y"), position(2)), (0, 2))),
     ]
-    return prims, [FrameGate("S", layout, qubit_gate("S"), (0,))]
+    return prims, [FrameGate("S", layout, matrix_units(qubit_gate("S"), (0,)))]
 
 
 WORLDS = [_qubit_world(), _cutoff2_world(), _split_world(), _parity_world()]
@@ -428,9 +421,13 @@ def test_large_sectors_eval_equals_fold_bitwise():
     stacked; a frame-conjugated local pulse multiplies in through its
     groups in each."""
     layout = HilbertLayout.qubit_modes(5, nmodes=2)
-    a = primitive_unitary(Primitive("x1*sx", layout, kron(pauli("X"), position(5)), (0, 1)))
-    b = primitive_unitary(Primitive("x2*sy", layout, kron(pauli("Y"), position(5)), (0, 2)))
-    frame = FrameGate("S", layout, qubit_gate("S"), (0,))
+    a = primitive_unitary(
+        Primitive("x1*sx", layout, matrix_units(kron(pauli("X"), position(5)), (0, 1)))
+    )
+    b = primitive_unitary(
+        Primitive("x2*sy", layout, matrix_units(kron(pauli("Y"), position(5)), (0, 2)))
+    )
+    frame = FrameGate("S", layout, matrix_units(qubit_gate("S"), (0,)))
     pu = symmetrize(group_commutator(frame_conjugate(a, frame), b))
     sectors = _tree_sectors(_topological(pu))
     assert [len(sec) for sec in sectors] == [36, 36] and len(_classes(sectors)) == 2
@@ -515,12 +512,12 @@ def test_monomial_frame_conjugation_is_an_exact_gather(name, monomial):
     primitive; H and SH keep the products, equal to it up to rounding."""
     layout = HilbertLayout.qubit_modes(3)
     if name == "R0":
-        frame = FrameGate(name, layout, vacuum_parity_flip(3), (1,))
+        frame = FrameGate(name, layout, matrix_units(vacuum_parity_flip(3), (1,)))
     else:
-        frame = FrameGate(name, layout, _qubit_frame(name), (0,))
+        frame = FrameGate(name, layout, matrix_units(_qubit_frame(name), (0,)))
     assert frame.monomial == monomial
-    full = Primitive("x*sx", layout, kron(pauli("X"), position(3)))
-    local = Primitive("n", layout, number(3), (1,))
+    full = Primitive("x*sx", layout, matrix_units(kron(pauli("X"), position(3))))
+    local = Primitive("n", layout, matrix_units(number(3), (1,)))
     for prim in (full, local):
         for f in (frame, frame.dagger()):
             pu = frame_conjugate(primitive_unitary(prim), f)
@@ -537,7 +534,7 @@ def _frame_case(name: str, layout: HilbertLayout) -> tuple[Operator, tuple | Non
     """(unitary, at) of a frame: a qubit Clifford on factor 0, the vacuum
     parity flip on the last mode, or a DFT on the whole layout."""
     if name == "R0":
-        return vacuum_parity_flip(layout.dim_of(2) - 1), (2,)
+        return vacuum_parity_flip(layout.factors[2][1] - 1), (2,)
     if name == "DFT":
         return Operator(layout, np.fft.fft(np.eye(layout.dim)) / np.sqrt(layout.dim)), None
     return _qubit_frame(name), (0,)
@@ -555,7 +552,7 @@ def test_frame_split_equals_its_dense_embedding(name, monomial):
     with the conjugate transpose; the full-size frame is the embedding."""
     layout = HilbertLayout.qubit_modes(3, nmodes=2)
     unitary, at = _frame_case(name, layout)
-    frame = FrameGate(name, layout, unitary, at)
+    frame = FrameGate(name, layout, matrix_units(unitary, at))
     assert frame.support == (at or (0, 1, 2)) and frame.local == (at is not None)
     dense = unitary.mat if at is None else embed({at[0]: unitary}, layout).mat
     for gate, want in ((frame, dense), (frame.dagger(), dense.conj().T)):
@@ -608,10 +605,12 @@ def test_frame_holds_no_full_size_matrix(case):
     embedded in the whole layout) keeps only its small blocks too."""
     layout = HilbertLayout.qubit_modes(15, nmodes=2)
     if case == "H on one factor":
-        frame = FrameGate("H", layout, qubit_gate("H"), (0,))
+        frame = FrameGate("H", layout, matrix_units(qubit_gate("H"), (0,)))
     else:
         op = qubit_gate("X") if case.startswith("X") else vacuum_parity_flip(15)
-        frame = FrameGate(case, layout, embed({0 if case.startswith("X") else 2: op}, layout))
+        frame = FrameGate(
+            case, layout, matrix_units(embed({0 if case.startswith("X") else 2: op}, layout))
+        )
     frame.dagger()
     arrays = _arrays_within(frame, set())
     assert arrays and max(a.size for a in arrays) <= layout.dim
@@ -642,9 +641,10 @@ def test_phase_frame_off_the_unit_set_is_not_monomial():
     +-1/+-i monomial, so it keeps the dense products."""
     layout = HilbertLayout.qubit_modes(2)
     t_gate = Operator(HilbertLayout.single_qubit(), np.diag([1.0, np.exp(1j * np.pi / 4)]))
-    frame = FrameGate("T", layout, t_gate, (0,))
+    frame = FrameGate("T", layout, matrix_units(t_gate, (0,)))
     assert not frame.monomial
-    pu = frame_conjugate(primitive_unitary(Primitive("n", layout, number(2), (1,))), frame)
+    local = Primitive("n", layout, matrix_units(number(2), (1,)))
+    pu = frame_conjugate(primitive_unitary(local), frame)
     assert id(pu) not in _sectors_of(pu).gathers
 
 
@@ -653,9 +653,9 @@ def test_only_a_frame_and_its_inverse_gather():
     frame G, and F U F with no inversion, keep the products and equal the
     dense product up to rounding."""
     layout = HilbertLayout.qubit_modes(2)
-    frame_x, frame_s = (FrameGate(g, layout, qubit_gate(g), (0,)) for g in "XS")
+    frame_x, frame_s = (FrameGate(g, layout, matrix_units(qubit_gate(g), (0,))) for g in "XS")
     leaf_x, leaf_s = (ParamUnitary(f.label, layout, Leaf(f)) for f in (frame_x, frame_s))
-    prim = Primitive("x*sx", layout, kron(pauli("X"), position(2)))
+    prim = Primitive("x*sx", layout, matrix_units(kron(pauli("X"), position(2))))
     u = primitive_unitary(prim)
     cases = [
         (compose("XUS'", [Factor(leaf_x, power=0), Factor(u), Factor(leaf_s, power=0, invert=True)]),
@@ -825,7 +825,7 @@ def _measured(draw):
     a basis state."""
     world = draw(st.sampled_from(WORLDS))
     pu = draw(_trees(world))
-    flip = Primitive("flip", pu.layout, pauli("X"), (0,))
+    flip = Primitive("flip", pu.layout, matrix_units(pauli("X"), (0,)))
     reference = draw(st.sampled_from(world[0] + [flip]))
     psi0 = np.zeros(pu.layout.dim, dtype=complex)
     psi0[draw(st.integers(0, pu.layout.dim - 1))] = 1.0
@@ -848,11 +848,15 @@ def test_classes_a_reference_straddles_are_measured_together():
     reference that flips the qubit straddles them, so they are measured as
     one, and still equal the full-size measurement bit for bit."""
     layout = HilbertLayout.qubit_modes(5, nmodes=2)
-    a = primitive_unitary(Primitive("x1*sx", layout, kron(pauli("X"), position(5)), (0, 1)))
-    b = primitive_unitary(Primitive("x2*sy", layout, kron(pauli("Y"), position(5)), (0, 2)))
+    a = primitive_unitary(
+        Primitive("x1*sx", layout, matrix_units(kron(pauli("X"), position(5)), (0, 1)))
+    )
+    b = primitive_unitary(
+        Primitive("x2*sy", layout, matrix_units(kron(pauli("Y"), position(5)), (0, 2)))
+    )
     pu = symmetrize(group_commutator(a, b))
     classes = _sectors_of(pu).classes
-    flip = Primitive("flip", layout, pauli("X"), (0,))
+    flip = Primitive("flip", layout, matrix_units(pauli("X"), (0,)))
     assert len(classes) == 2 and len(_measured_together(classes, a.node.gate)) == 2
     assert _measured_together(classes, flip) == [[0, 1]]
     psi0 = np.zeros(layout.dim, dtype=complex)
@@ -867,10 +871,14 @@ def test_measure_refuses_a_reference_row_split_between_groups(monkeypatch):
     would not be block-diagonal on them, so measure refuses to place it
     rather than return a wrong error."""
     layout = HilbertLayout.qubit_modes(5, nmodes=2)
-    a = primitive_unitary(Primitive("x1*sx", layout, kron(pauli("X"), position(5)), (0, 1)))
-    b = primitive_unitary(Primitive("x2*sy", layout, kron(pauli("Y"), position(5)), (0, 2)))
+    a = primitive_unitary(
+        Primitive("x1*sx", layout, matrix_units(kron(pauli("X"), position(5)), (0, 1)))
+    )
+    b = primitive_unitary(
+        Primitive("x2*sy", layout, matrix_units(kron(pauli("Y"), position(5)), (0, 2)))
+    )
     pu = symmetrize(group_commutator(a, b))
-    flip = Primitive("flip", layout, pauli("X"), (0,))
+    flip = Primitive("flip", layout, matrix_units(pauli("X"), (0,)))
 
     def alone(classes, _):
         return [[i] for i in range(len(classes))]
@@ -887,11 +895,11 @@ def test_frame_leaf_measured_alone_leaves_the_frame_unchanged():
     unchanged."""
     layout = HilbertLayout((("mode", 32),))
     dft = Operator(layout, np.fft.fft(np.eye(32)) / np.sqrt(32))
-    frame = FrameGate("F", layout, dft)
+    frame = FrameGate("F", layout, matrix_units(dft))
     before = frame.unitary()
     pu = ParamUnitary("F", layout, Leaf(frame))
     assert [cls.shape for cls in _sectors_of(pu).classes] == [(1, 32)]
-    reference = Primitive("n", layout, number(31))
+    reference = Primitive("n", layout, matrix_units(number(31)))
     psi0 = np.zeros(32, dtype=complex)
     psi0[3] = 1.0
     got = _class_measurement(pu, 0.37, reference, psi0)
@@ -937,7 +945,7 @@ def _local_world(draw):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         block = 0.5 * (a + a.conj().T)
         on_support = Operator(HilbertLayout(tuple(layout.factors[j] for j in support)), block)
-        prim = Primitive(f"h{i}", layout, on_support, support)
+        prim = Primitive(f"h{i}", layout, matrix_units(on_support, support))
         prims.append((prim, support, Operator(layout, _embedded(dims, support, block))))
     return layout, prims
 

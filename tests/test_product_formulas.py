@@ -42,8 +42,6 @@ from bosonsynth.tensor_core import (
     _sectors,
     expm,
     identity,
-    is_unitary,
-    kron,
     spectral_norm,
 )
 from demos import (
@@ -51,6 +49,9 @@ from demos import (
     commutator,
     embed,
     flow,
+    is_unitary,
+    kron,
+    matrix_units,
     qubit_mode_op,
     sweep_errors,
     vacuum_parity_flip,
@@ -98,7 +99,7 @@ class TestSectorSplitPrimitive:
     @pytest.mark.parametrize("case", range(2))
     def test_unitary_is_zero_off_its_sectors(self, case):
         name, factor_gen, at, gen, count = self._generators()[case]
-        prim = Primitive(name, self.LAYOUT, factor_gen, at)
+        prim = Primitive(name, self.LAYOUT, matrix_units(factor_gen, at))
         assert prim.support == (at or (0, 1, 2))
         assert prim.local == (at is not None)
         u = prim.unitary(0.7)
@@ -112,49 +113,49 @@ class TestSectorSplitPrimitive:
 
     def test_nonhermitian_local_generator_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            Primitive("a1", self.LAYOUT, annihilation(4), (1,))
+            Primitive("a1", self.LAYOUT, [(1.0, {1: annihilation(4)})])
 
-    @pytest.mark.parametrize(
-        "case",
-        ["mode-dim", "qubit-as-mode", "all-factors", "too-few-factors", "unsorted",
-         "repeated", "past-the-end", "negative", "empty"],
-    )
+    @staticmethod
+    def _misfits(case):
+        """(layout, Kronecker sum) that does not fit: a term on a factor
+        from the end or past it, no term or a term with no factor, a
+        two-factor operator in a term, and operators of another dimension
+        or kind than their factor. Each operator is Hermitian and unitary,
+        so only the fit can refuse it."""
+        x, flip = pauli("x"), vacuum_parity_flip(4)
+        layout = TestSectorSplitPrimitive.LAYOUT
+        terms = {
+            "negative": [(1.0, {-1: flip})],
+            "past-the-end": [(1.0, {0: x, 3: flip})],
+            "empty": [],
+            "no-factor": [(1.0, {0: x}), (1.0, {})],
+            "two-factor": [(1.0, {1: kron(x, flip)})],
+            "mode-dim": [(1.0, {0: x, 1: vacuum_parity_flip(3)})],
+            "qubit-as-mode": [(1.0, {0: Operator(HilbertLayout((("mode", 2),)), x.mat)})],
+            "qubit-on-a-mode": [(1.0, {1: x})],
+        }[case]
+        if case == "qubit-on-a-mode":
+            layout = HilbertLayout.qubit_modes(1)  # a mode of the qubit's dimension
+        return layout, terms
+
+    MISFITS = ["negative", "past-the-end", "empty", "no-factor", "two-factor", "mode-dim",
+               "qubit-as-mode", "qubit-on-a-mode"]
+
+    @pytest.mark.parametrize("case", MISFITS)
     def test_primitive_rejects_a_generator_that_does_not_fit(self, case):
-        """The generator's layout must be the layout's factors at the
-        strictly increasing, in-range positions at; a generator that would
-        fit factors listed out of order, twice or from the end is refused
-        too."""
-        x_sx, m = kron(pauli("x"), position(4)), position(4)
-        gen, at = {
-            "mode-dim": (kron(pauli("x"), position(3)), (0, 1)),
-            "qubit-as-mode": (Operator(HilbertLayout((("mode", 2),)), pauli("x").mat), (0,)),
-            "all-factors": (embed({0: pauli("x"), 1: m}, self.LAYOUT), (0, 1)),
-            "too-few-factors": (x_sx, None),
-            "unsorted": (kron(m, pauli("x")), (1, 0)),
-            "repeated": (kron(m, m), (1, 1)),
-            "past-the-end": (x_sx, (0, 3)),
-            "negative": (m, (-1,)),
-            "empty": (x_sx, ()),
-        }[case]
+        """Every term names factors of the layout, each operator acts on
+        one factor of the kind and dimension it is placed on, and the sum
+        names at least one factor."""
+        layout, gen = self._misfits(case)
         with pytest.raises(LayoutMismatchError, match="does not fit"):
-            Primitive("bad", self.LAYOUT, gen, at)
+            Primitive("bad", layout, gen)
 
-    @pytest.mark.parametrize(
-        "case", ["mode-dim", "qubit-on-a-mode", "too-few-factors", "unsorted", "past-the-end"]
-    )
+    @pytest.mark.parametrize("case", MISFITS)
     def test_frame_rejects_a_unitary_that_does_not_fit(self, case):
-        """A frame gate goes through the primitive's support check: its
-        unitary's layout must be the layout's factors at the strictly
-        increasing, in-range positions at."""
-        unitary, at = {
-            "mode-dim": (vacuum_parity_flip(3), (1,)),
-            "qubit-on-a-mode": (qubit_gate("X"), (1,)),
-            "too-few-factors": (qubit_gate("X"), None),
-            "unsorted": (kron(vacuum_parity_flip(4), qubit_gate("X")), (1, 0)),
-            "past-the-end": (qubit_gate("X"), (3,)),
-        }[case]
+        """A frame gate goes through the primitive's fit check."""
+        layout, unitary = self._misfits(case)
         with pytest.raises(LayoutMismatchError, match="does not fit"):
-            FrameGate("bad", self.LAYOUT, unitary, at)
+            FrameGate("bad", layout, unitary)
 
     def test_placed_in_index_sets_that_hold_whole_rows(self):
         """An X pulse on the first of two qubits keeps the second qubit's
@@ -164,7 +165,7 @@ class TestSectorSplitPrimitive:
         row only in part, where the unitary is not block-diagonal, so they
         are refused, as classes of their own or as two sectors of one class."""
         layout = HilbertLayout((("qubit", 2), ("qubit", 2)))
-        prim = Primitive("x", layout, pauli("x"), (0,))
+        prim = Primitive("x", layout, [(1.0, {0: pauli("x")})])
         cases = [([[0, 2], [1, 3]], [[[0, 1]], [[0, 1]]]), ([[0, 1, 2, 3]], [[[0, 2], [1, 3]]])]
         for sets, rows in cases:
             placed = _place(prim.groups, [np.array([idx]) for idx in sets])
@@ -182,7 +183,7 @@ class TestExpansionCap:
         """A Pauli flow under an H frame, sliced: one exponential and two
         frame gates per slice."""
         layout = HilbertLayout.single_qubit()
-        frame = FrameGate("H", layout, qubit_gate("H"))
+        frame = FrameGate("H", layout, [(1.0, {0: qubit_gate("H")})])
         return sliced(frame_conjugate(flow(pauli("x")), frame), slices)
 
     def test_frame_gates_count_toward_the_cap(self, monkeypatch):
@@ -404,7 +405,7 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(6), "x", 6)
         gen_b = qubit_mode_op(position(6), "y", 6)
         comm = commutator(gen_a, gen_b)
-        return Primitive("[x,y]", comm.layout, Operator(comm.layout, 1j * comm.mat))
+        return Primitive("[x,y]", comm.layout, matrix_units(Operator(comm.layout, 1j * comm.mat)))
 
     def test_loose_tolerance_single_slice(self):
         family, _ = self._setup()
@@ -417,7 +418,7 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
-        exact = Primitive("x+y", gen_a.layout, gen_a + gen_b)
+        exact = Primitive("x+y", gen_a.layout, matrix_units(gen_a + gen_b))
         t = 0.5
         coarse = timeslice(family, exact, t, 1e-3)
         fine = timeslice(family, exact, t, 5e-4)
@@ -430,7 +431,7 @@ class TestTimeslice:
         gen_a = qubit_mode_op(position(cutoff), "x", cutoff)
         gen_b = qubit_mode_op(position(cutoff), "y", cutoff)
         family = trotter(2, [flow(gen_a), flow(gen_b)])
-        reference = Primitive("x+y", gen_a.layout, gen_a + gen_b)
+        reference = Primitive("x+y", gen_a.layout, matrix_units(gen_a + gen_b))
         exact = reference.unitary(0.5)
         psi0 = np.zeros(len(exact), dtype=complex)
         psi0[3] = 1.0
@@ -463,7 +464,7 @@ class TestTimeslice:
         """A target on a layout of another size raises instead of being
         read on the gate's indices."""
         family, _ = self._setup()
-        big = Primitive("x", QM(7), qubit_mode_op(position(7), "x", 7))
+        big = Primitive("x", QM(7), matrix_units(qubit_mode_op(position(7), "x", 7)))
         with pytest.raises(LayoutMismatchError):
             timeslice(family, big, 0.5, 1e-3)
 

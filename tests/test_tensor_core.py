@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernel: kron, expm, norms, predicates."""
+"""Dense linear-algebra kernel: expm, norms, sectors, and the tests' kron and
+unitarity predicate."""
 
 import dataclasses
 
@@ -18,12 +19,10 @@ from bosonsynth.tensor_core import (
     basis_state,
     expm,
     identity,
-    is_unitary,
-    kron,
     spectral_norm,
 )
 from bosonsynth.fock_ops import annihilation, momentum, pauli, position
-from demos import commutator, pattern_sectors
+from demos import commutator, is_unitary, kron, pattern_sectors
 
 QUBIT = HilbertLayout.single_qubit()
 
