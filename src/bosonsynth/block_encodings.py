@@ -8,6 +8,7 @@ frames steering which block combination survives.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,10 +110,17 @@ def identity_encoding(cutoff: int) -> BlockEncoding:
     return BlockEncoding(pu, mode_identity(cutoff))
 
 
+@functools.cache
+def _frame(name: str, layout: HilbertLayout) -> FrameGate:
+    """The qubit frame X, S, H or SH (S times H) on layout, declared once."""
+    gate = qubit_gate("S") @ qubit_gate("H") if name == "SH" else qubit_gate(name)
+    return FrameGate(name, layout, [(1.0, {0: gate})])
+
+
 def conjugate(enc: BlockEncoding) -> BlockEncoding:
     """The block swap: X U X on the qubit encodes the target's adjoint, at
-    no exponential. add and mult build their other frames themselves."""
-    pu = frame_conjugate(enc.unitary, FrameGate("X", enc.layout, [(1.0, {0: qubit_gate("X")})]))
+    no exponential."""
+    pu = frame_conjugate(enc.unitary, _frame("X", enc.layout))
     return BlockEncoding(pu, enc.block_target.dag())
 
 
@@ -153,8 +161,7 @@ def add(
     q, s = budget.bch_order, budget.trotter_index
     layout = left.layout
 
-    frame_x, frame_s, frame_h = (FrameGate(g, layout, [(1.0, {0: qubit_gate(g)})]) for g in "XSH")
-    frame_sh = FrameGate("SH", layout, [(1.0, {0: qubit_gate("S") @ qubit_gate("H")})])
+    frame_x, frame_s, frame_h, frame_sh = (_frame(g, layout) for g in ("X", "S", "H", "SH"))
 
     b_right_x = frame_conjugate(right.unitary, frame_x)
     b_left_s = frame_conjugate(left.unitary, frame_s)
@@ -210,7 +217,7 @@ def mult(
     gen = [(1.0, {0: _qubit(0, 0), 1: upper}), (-1.0, {0: _qubit(1, 1), 1: _herm(b_t @ a_t)})]
     q = SynthesisBudget.from_order(p).bch_order
     layout = left.layout
-    frame_x, frame_s = (FrameGate(g, layout, [(1.0, {0: qubit_gate(g)})]) for g in "XS")
+    frame_x, frame_s = _frame("X", layout), _frame("S", layout)
 
     b_left_s = frame_conjugate(left.unitary, frame_s)
     b_right_x = frame_conjugate(right.unitary, frame_x)

@@ -20,11 +20,12 @@ floats; then, one class of sectors at a time, a bottom-up pass in which
 every node builds all of them as one stack of matrices per sector with
 batched products, a cache-sized tile of rows at a time. A later primitive
 on a strict subset of the factors multiplies in through its index groups in
-each sector, and a conjugation by an X, S or parity-flip frame is a gather
-of entries times fixed phases. The root's blocks come back class by class:
-eval scatters them into one full-size matrix, and measure takes each
-class's error against a reference on the same indices and drops it before
-the next class is built. No matrix is kept between calls.
+each sector. A conjugation by an X, S or parity-flip frame has no stack:
+its readers gather its child's entries times fixed phases. The root's
+blocks come back class by class: eval scatters them into one full-size
+matrix, and measure takes each class's error against a reference on the
+same indices and drops it before the next class is built. No matrix is
+kept between calls.
 """
 from __future__ import annotations
 
@@ -172,10 +173,11 @@ class Primitive:
 
 def _exp_block(eigh: tuple[np.ndarray, np.ndarray], ts: np.ndarray) -> np.ndarray:
     """exp(i t H) on one sector from its eigendecomposition, a block per
-    parameter in ts."""
+    parameter in ts: the blocks' left factors stacked as one tall matrix, so
+    that one product makes them all, with the bits of one product each."""
     evals, evecs = eigh
-    phases = np.exp(1j * ts[:, None] * evals)
-    return (evecs * phases[:, None, :]) @ evecs.conj().T
+    left = evecs * np.exp(1j * ts[:, None] * evals)[:, None, :]
+    return (left.reshape(-1, len(evals)) @ evecs.conj().T).reshape(left.shape)
 
 
 class FrameGate:
@@ -597,17 +599,17 @@ def _apply_groups(
 
 
 def _sandwich(factors: tuple[Factor, ...]) -> FrameGate | None:
-    """F when factors are F, any factor and F^dag, for F one leaf of a
-    monomial frame whose adjoint does not follow the parameter's sign (the
-    product frame_conjugate builds); else None."""
+    """F when factors are F, a factor read as is and F^dag, for F one leaf
+    of a monomial frame, none of whose adjoints follows the parameter's sign
+    (the product frame_conjugate builds); else None."""
     if len(factors) != 3:
         return None
-    first, _, third = factors
+    first, middle, third = factors
     gate = first.pu.node.gate if isinstance(first.pu.node, Leaf) else None
     if (
         not isinstance(gate, FrameGate) or not gate.monomial
-        or third.pu is not first.pu or first.invert or not third.invert
-        or first.adjoint_if_negative or third.adjoint_if_negative
+        or third.pu is not first.pu or first.invert or not third.invert or middle.invert
+        or any(f.adjoint_if_negative for f in factors)
     ):
         return None
     return gate
@@ -640,9 +642,9 @@ def _gathers(frame: FrameGate, classes: list[np.ndarray]) -> list[tuple]:
 class _TreeSectors:
     """What every eval of one tree reads of its sectors: the classes, each
     leaf gate's placement in them and the last class each of its groups is
-    placed in (by id of the gate), and the gathers of each monomial
-    frame sandwich (by id of the product), and measured, what _measured
-    finds per reference."""
+    placed in (by id of the gate), the gathers of each monomial frame
+    sandwich (by id of the product), through which its readers read its
+    child's stack, and measured, what _measured finds per reference."""
 
     classes: list[np.ndarray]
     places: dict[int, list[list[tuple]]]
@@ -674,11 +676,26 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
     return cached
 
 
-def _tile(stack: np.ndarray, rows: slice | np.ndarray, lo: int, step: int) -> np.ndarray:
-    """stack[rows][lo:lo+step], gathering only the tile's rows."""
-    if isinstance(rows, np.ndarray):
-        return stack[rows[lo : lo + step]]
-    return stack[rows][lo : lo + step]
+def _tile(stack, rows: slice | np.ndarray, lo: int, step: int) -> np.ndarray:
+    """stack[rows][lo:lo+step], gathering only the tile's rows. Of a frame
+    sandwich's view (child, child_rows, gather), one C-order take of the
+    child's entries at child_rows[rows][lo:lo+step], times the phases."""
+    if isinstance(stack, np.ndarray):
+        if isinstance(rows, np.ndarray):
+            return stack[rows[lo : lo + step]]
+        return stack[rows][lo : lo + step]
+    child, inner, (first, second, phases) = stack
+    at = _tile(inner, rows, lo, step)
+    if not isinstance(child, np.ndarray):
+        child, at = _tile(child, at, 0, len(at)), np.arange(len(at))
+    m, k = first.shape[:2]
+    if not child.flags.c_contiguous:
+        # Column-major: entry (a, b) of a block is (b, a) of its memory.
+        child, first, second = child.swapaxes(2, 3), first.swapaxes(1, 2), second.swapaxes(1, 2)
+    out = np.take(child.reshape(-1), at[:, None, None, None] * (m * k * k) + first + second)
+    if phases is not None:
+        out *= phases[0] * phases[1]
+    return out
 
 
 def _lands(slots: list[tuple], assembled: bool) -> list:
@@ -699,15 +716,15 @@ def _lands(slots: list[tuple], assembled: bool) -> list:
     return lands
 
 
-def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather, size: int,
+def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, size: int,
                  assembled=None) -> np.ndarray:
     """A Product or Repeat node's stack on class i of shape (m, k), with size
-    rows, from the class-i stacks of its children (stacks[key]; a local
-    primitive's entry holds its blocks(ts)), each slot reading size rows;
-    gather is the node's entry in the tree's gathers, if any. assembled,
-    when given, is the first slot's leaf as (blocks(ts), placement): a leaf
-    read by no other slot, whose rows are assembled straight into this
-    node's tiles. Nothing it reads outlives the call.
+    rows, from the class-i stacks of its children (stacks[key], read by
+    _tile; a local primitive's entry holds its blocks(ts)), each slot
+    reading size rows. assembled, when given, is the first slot's leaf as
+    (blocks(ts), placement): a leaf read by no other slot, whose rows are
+    assembled straight into this node's tiles. Nothing it reads outlives
+    the call.
 
     A product is built a cache-sized tile (_TILE_BYTES) of rows at a time
     into one output stack, none for a lone slot read as is. Along a tile's
@@ -718,9 +735,9 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather,
     else C order, where a matmul gives the bits of a plain product."""
     if isinstance(node, Repeat):
         key, rows, _, _ = slots[0]
-        return np.linalg.matrix_power(stacks[key][rows], node.count)
+        return np.linalg.matrix_power(_tile(stacks[key], rows, 0, size), node.count)
     m, k = shape
-    alone = len(slots) == 1 and gather is None
+    alone = len(slots) == 1
     step = size if alone else max(1, _TILE_BYTES // (16 * m * k * k))
     lands = _lands(slots, assembled is not None)
 
@@ -753,17 +770,9 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, gather,
             elif adjoint:
                 sub = sub.conj().swapaxes(-1, -2)
             mat = sub if mat is None else np.matmul(mat, sub, out=dest)
-        if gather is not None:
-            first, second, phases = gather[i]
-            # mat's entries in C order: a copy when mat is column-major.
-            flat = mat.reshape(len(mat), -1)
-            # Contiguous, unlike fancy indexing; clip mode writes into the tile.
-            mat = np.take(flat, first + second, 1, laid_out(tile, False), "clip")
-            if phases is not None:
-                mat *= phases[0] * phases[1]
     if out is None:
         return mat
-    return laid_out(out, gather is None and slots[-1][3] is not None)
+    return laid_out(out, slots[-1][3] is not None)
 
 
 def _evaluate(root: ParamUnitary, t: float):
@@ -782,8 +791,8 @@ def _evaluate(root: ParamUnitary, t: float):
     as its last reader has built its own, so nothing of one class is alive
     while the next is built, and the caller can use and drop a class's root
     blocks before the next class starts. A product F·U·F† of a monomial frame
-    gathers U's entries and multiplies them by a fixed phase mask instead
-    of two products.
+    has no stack: its readers read U's, which its view holds until they are
+    done, through the gather and a fixed phase mask (_tile).
     """
     sectors = _sectors_of(root)
     classes, places, gathers = sectors.classes, sectors.places, sectors.gathers
@@ -835,16 +844,19 @@ def _evaluate(root: ParamUnitary, t: float):
             if (
                 key in leaves and left[key] == 1
                 and not isinstance(adjoint, np.ndarray) and not adjoint
-                and len(slots) > 1 and gather is None
+                and len(slots) > 1
             ):
                 assembled = blocks(key, i)
             for key, *_ in slots[0 if assembled is None else 1 :]:
                 if key not in stacks:
                     stacks[key] = leaf(key, i)
-            size = len(need[id(pu)])
-            stacks[id(pu)] = _build_class(
-                pu.node, slots, stacks, i, cls.shape, places, gather, size, assembled
-            )
+            if gather is not None:
+                # F U F^dag: a view of U's stack at U's rows, as an array (see _tile).
+                stacks[id(pu)] = (stacks[slots[0][0]], np.r_[slots[0][1]], gather[i])
+            else:
+                stacks[id(pu)] = _build_class(
+                    pu.node, slots, stacks, i, cls.shape, places, len(need[id(pu)]), assembled
+                )
             for key, *_ in slots:
                 left[key] -= 1
                 if not left[key]:
@@ -852,7 +864,7 @@ def _evaluate(root: ParamUnitary, t: float):
         if id(root) not in stacks:
             stacks[id(root)] = leaf(id(root), i)
         # Held by nothing here while the caller uses it.
-        yield cls, stacks.pop(id(root))[0]
+        yield cls, _tile(stacks.pop(id(root)), slice(0, 1), 0, 1)[0]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ from bosonsynth.fock_ops import annihilation, creation, number, qubit_gate
 from bosonsynth.product_formulas import (
     Factor,
     FrameGate,
+    Leaf,
     Primitive,
+    _topological,
     bch,
     compose,
     fit_power_law,
@@ -134,6 +136,21 @@ class TestConjugate:
 
     def test_frames_are_free(self):
         assert conjugate(s1(4)).unitary.cost() == 1
+
+    def test_each_frame_is_declared_once_per_layout(self):
+        """The Kerr tree conjugates by X, S, H and SH at several levels of
+        add, mult and conjugate (ten declarations when each call declared
+        its own); each is one gate, and a second build shares them."""
+        frames = [
+            {
+                id(pu.node.gate): pu.node.gate.label
+                for pu in _topological(nonlinear_hamiltonian(1, 1, q=2, cutoff=3).synthesis)
+                if isinstance(pu.node, Leaf) and isinstance(pu.node.gate, FrameGate)
+            }
+            for _ in range(2)
+        ]
+        assert sorted(frames[0].values()) == ["H", "S", "SH", "X"]
+        assert frames[1] == frames[0]
 
 
 class TestAdd:

@@ -298,6 +298,70 @@ def test_frame_over_local_primitive_at_several_parameters_equals_fold_bitwise():
         assert np.array_equal(outer.eval(t).mat, _fold(outer, t))
 
 
+def _recorded_eval(pu, t) -> tuple[np.ndarray, list]:
+    """pu at t, and the nodes _build_class was called on."""
+    built = []
+    original = product_formulas._build_class
+
+    def recording(node, *args):
+        built.append(node)
+        return original(node, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(product_formulas, "_build_class", recording)
+        return pu.eval(t).mat, built
+
+
+# Each way an eval reads a monomial frame sandwich F U F^dag, from the
+# tree pu, the frames f and g (S or its dagger) and a local leaf.
+SANDWICH_WAYS = {
+    "nested": lambda pu, f, g, loc: group_commutator(
+        frame_conjugate(frame_conjugate(pu, f), g), pu
+    ),
+    "column-major child": lambda pu, f, g, loc: group_commutator(
+        frame_conjugate(compose("c", [Factor(pu), Factor(loc, -0.5)]), f), pu
+    ),
+    "root": lambda pu, f, g, loc: frame_conjugate(pu, f),
+    "sliced": lambda pu, f, g, loc: sliced(frame_conjugate(pu, f), 3),
+    "adjoint slot": lambda pu, f, g, loc: compose(
+        "c", [Factor(pu), Factor(frame_conjugate(pu, f), -0.5, invert=True)]
+    ),
+}
+
+
+@st.composite
+def _sandwich_parts(draw):
+    """A random tree of a world with local primitives and a monomial S
+    frame (split or parity), S or its dagger twice, and a local leaf."""
+    prims, frames = world = draw(st.sampled_from([WORLDS[2], WORLDS[3]]))
+    frame = frames[-1]
+    assert frame.monomial
+    f, g = (draw(st.sampled_from([frame, frame.dagger()])) for _ in range(2))
+    loc = primitive_unitary(draw(st.sampled_from([p for p in prims if p.local])))
+    return draw(_trees(world)), f, g, loc
+
+
+@pytest.mark.parametrize("way", sorted(SANDWICH_WAYS))
+@settings(max_examples=20, deadline=None)
+@given(_sandwich_parts(), PARAMS)
+def test_frame_sandwich_views_equal_fold_bitwise(way, parts, t):
+    """A monomial frame sandwich is never built as a stack: its readers
+    read its child's entries through the gather (a nested one through its
+    child's read, a column-major child in its own layout, at the root, by a
+    Repeat and as an adjoint), and the eval equals the fold bit for bit."""
+    tree = SANDWICH_WAYS[way](*parts)
+    gathers = _sectors_of(tree).gathers
+    sandwiches = [pu for pu in _topological(tree) if id(pu) in gathers]
+    assert sandwiches
+    if way == "nested":
+        assert any(id(pu.node.factors[1].pu) in gathers for pu in sandwiches)
+    if way == "column-major child":
+        assert sandwiches[0].node.factors[1].pu.node.factors[-1].pu.node.gate.local
+    mat, built = _recorded_eval(tree, t)
+    assert not {id(node) for node in built} & {id(pu.node) for pu in sandwiches}
+    assert np.array_equal(mat, _fold(tree, t))
+
+
 def _plan_per_row(pu, params, need, gathers):
     """The plan with one Factor.at call per row: the reference whose rows the
     plan's list expressions must equal bit for bit."""
@@ -750,6 +814,29 @@ def test_eval_working_set_is_bounded():
     pu = conditional_beam_splitter(cutoff=10, symmetrized=True).synthesis
     full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
     assert _eval_peak(pu, 0.05) / full < 2.25
+
+
+def test_kerr_eval_working_set_is_bounded():
+    """One eval of the 4-slice Kerr tree (bch 2) at cutoff 15 peaks below
+    190 full-size matrices (172 measured; 228 when every monomial frame
+    sandwich was a stack of its own): a sandwich is a view of its child's
+    stack, read through the gather."""
+    pu = sliced(nonlinear_hamiltonian(1, 1, q=2, cutoff=15).synthesis, 4)
+    full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
+    assert _eval_peak(pu, 1.0) / full < 190
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_exponential_blocks_equal_their_one_row_calls_bitwise(size, rows, seed):
+    """_exp_block makes all its blocks in one tall product, each with the
+    bits of the block a one-parameter call gives."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    eigh = np.linalg.eigh(a + a.conj().T)
+    ts = rng.uniform(-2.0, 2.0, rows)
+    one = [product_formulas._exp_block(eigh, ts[j : j + 1])[0] for j in range(rows)]
+    assert np.array_equal(product_formulas._exp_block(eigh, ts), np.stack(one))
 
 
 def _traced_peak(fn) -> int:
