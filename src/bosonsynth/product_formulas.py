@@ -7,21 +7,18 @@ primitive or a fixed, uncounted frame gate, each declared on the factors it
 acts on and kept as index groups and sector blocks, never at full size; a
 frame conjugation is a three-factor product whose outer factors are that
 frame at power 0. One interpreter evaluates and expands trees; the
-exponential ledger is summed once per node at build time. The first
-eval of a tree finds its sectors (the connected components of the union of
-its leaves' index groups, on which every node is exactly block-diagonal),
-each leaf's placement in them and the gathers of its monomial frame
-conjugations. They depend only on the immutable tree, so they are kept on
-it, and a sliced tree shares them. Every eval then makes a top-down pass
-over the distinct nodes of its tree, in which every node collects the
-distinct parameters it is needed at (deep recursions revisit a node at the
-same parameter many times), each slot's in one list expression of Python
-floats; then, one class of sectors at a time, a bottom-up pass in which
-every node builds all of them as one stack of matrices per sector with
-batched products, a cache-sized tile of rows at a time. A later primitive
-on a strict subset of the factors multiplies in through its index groups in
-each sector. A conjugation by an X, S or parity-flip frame has no stack:
-its readers gather its child's entries times fixed phases. The root's
+exponential ledger is summed once per node at build time. An eval works on
+the tree's sectors (the connected components of the union of its leaves'
+index groups, on which every node is exactly block-diagonal), found on the
+first eval and kept on the tree, which a sliced tree shares. A top-down pass
+collects the distinct parameters every node is needed at; then, one class
+of sectors at a time, a bottom-up pass builds every product and repeat at
+all of them as one stack with batched products, a cache-sized tile of rows
+at a time. No leaf has a stack: its readers scatter its sector entries into
+their tiles. Nor has a conjugation by an X, S or parity-flip frame: over a
+leaf it moves and phases the leaf's entries, and over a product its readers
+gather the product's entries times fixed phases. A later primitive on a
+strict subset of the factors multiplies in through its index groups. The root's
 blocks come back class by class: eval scatters them into one full-size
 matrix, and measure takes each class's error against a reference on the
 same indices and drops it before the next class is built. No matrix is
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -132,8 +129,8 @@ def _full_size(gate: Primitive | FrameGate, ts: np.ndarray) -> np.ndarray:
     """gate on the whole layout at the one parameter in ts: each group's
     block scattered onto its rows, zero elsewhere."""
     out = np.zeros((gate.layout.dim,) * 2, dtype=np.complex128)
-    for g, rows in enumerate(gate.groups):
-        out[rows[:, :, None], rows[:, None, :]] = gate.block(ts, g)
+    for rows, block in zip(gate.groups, gate.blocks(ts)):
+        out[rows[:, :, None], rows[:, None, :]] = block
     return out
 
 
@@ -157,11 +154,15 @@ class Primitive:
         scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
         if not all(_hermitian_defect(sub) <= TOL.hermiticity * scale for sub in subs):
             raise ValueError(f"primitive {label!r} needs a Hermitian generator")
-        self._eighs = [np.linalg.eigh(sub) for sub in subs]
+        sizes = [len(sub) for sub in subs]
+        # One eigh per sector size, of its sectors stacked: the bits of one each.
+        self._eighs = [(gs, np.linalg.eigh(np.stack([subs[g] for g in gs])))
+                       for gs in ([g for g, n in enumerate(sizes) if n == m] for m in set(sizes))]
 
-    def block(self, ts: np.ndarray, g: int) -> np.ndarray:
-        """exp(i t H) on the sector of group g, a block per parameter in ts."""
-        return _exp_block(self._eighs[g], ts)
+    def blocks(self, ts: np.ndarray) -> list[np.ndarray]:
+        """exp(i t H) on each group's sector, a block per parameter in ts."""
+        made = {g: b for gs, eigh in self._eighs for g, b in zip(gs, _exp_blocks(eigh, ts))}
+        return [made[g] for g in range(len(self.groups))]
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(i t H) on the whole layout."""
@@ -171,13 +172,14 @@ class Primitive:
         return f"Primitive({self.label!r})"
 
 
-def _exp_block(eigh: tuple[np.ndarray, np.ndarray], ts: np.ndarray) -> np.ndarray:
-    """exp(i t H) on one sector from its eigendecomposition, a block per
-    parameter in ts: the blocks' left factors stacked as one tall matrix, so
-    that one product makes them all, with the bits of one product each."""
+def _exp_blocks(eigh: tuple[np.ndarray, np.ndarray], ts: np.ndarray) -> np.ndarray:
+    """exp(i t H) on equal-size sectors from their stacked eigendecompositions,
+    out[g] a block per parameter in ts: one stacked product of each sector's
+    left factors as a tall matrix, with the bits of one product per sector."""
     evals, evecs = eigh
-    left = evecs * np.exp(1j * ts[:, None] * evals)[:, None, :]
-    return (left.reshape(-1, len(evals)) @ evecs.conj().T).reshape(left.shape)
+    left = evecs[:, None] * np.exp(1j * ts[:, None] * evals[:, None, :])[:, :, None, :]
+    tall = left.reshape(len(evals), -1, evals.shape[1])
+    return (tall @ evecs.conj().swapaxes(1, 2)).reshape(left.shape)
 
 
 class FrameGate:
@@ -216,9 +218,9 @@ class FrameGate:
                 self.phase[rows] = block[block != 0]
         self._dagger: FrameGate | None = None
 
-    def block(self, ts: np.ndarray, g: int) -> np.ndarray:
-        """The frame on the sector of group g, on one row per parameter in ts."""
-        return np.broadcast_to(self._blocks[g], (len(ts),) + self._blocks[g].shape)
+    def blocks(self, ts: np.ndarray) -> list[np.ndarray]:
+        """The frame on each group's sector, on one row per parameter in ts."""
+        return [np.broadcast_to(b, (len(ts),) + b.shape) for b in self._blocks]
 
     def unitary(self, t: float | None = None) -> np.ndarray:
         """The frame on the whole layout; it takes no parameter."""
@@ -558,23 +560,11 @@ def _place(groups: list[np.ndarray], classes: list[np.ndarray]) -> list[list[tup
     return placed
 
 
-def _assemble(
-    blocks: list[np.ndarray], placed: list[tuple], m: int, k: int, out=None
-) -> np.ndarray:
-    """A stack of m zero k x k blocks per parameter, with each of blocks on
-    every row of the group placed beside it, written into out (any layout)
-    when given, else new and C order."""
-    if out is None:
-        out = np.zeros((len(blocks[0]), m, k, k), dtype=np.complex128)
-    else:
-        out.fill(0)
-    # Entry (a, b) of a block on a row is columns[:, sector, position[b], position[a]].
-    columns = out.swapaxes(2, 3)
-    for block, (_, (sector, position)) in zip(blocks, placed):
-        columns[:, sector[:, :, None], position[:, :, None], position[:, None, :]] = (
-            block.swapaxes(1, 2)[:, None]
-        )
-    return out
+# A leaf's stack on one class (or a monomial frame sandwich's over one) as
+# its nonzero entries: row r is zero but at the flat C-order positions dest
+# of its (m, k, k) blocks, which hold values[rows[r]] (rows None: r), each
+# group's block once, entry e repeated repeats[e] times, times phases.
+_Entries = namedtuple("_Entries", "values rows repeats dest phases shape")
 
 
 def _apply_groups(
@@ -638,18 +628,37 @@ def _gathers(frame: FrameGate, classes: list[np.ndarray]) -> list[tuple]:
     return out
 
 
+def _framed(child, rows: np.ndarray, gather: tuple):
+    """F @ U @ F^dag from U's stack or entries at U's rows, for F's gather on
+    their class (see _gathers). Of a stack, a view (child, rows, gather) that
+    _tile reads. Of entries, U's, with entry (c, d) of a block moved to
+    (a, b), perm[a] = c and perm[b] = d, times phase[a] * conj(phase[b]), so
+    a reader scatters only them (kerr-deep's wall_s is about 10% lower)."""
+    if not isinstance(child, _Entries):
+        return child, rows, gather
+    _, second, phases = gather
+    k = child.shape[1]
+    back = np.argsort(second[:, 0], axis=1)  # inverts perm's positions per sector
+    sector, c, d = child.dest // (k * k), child.dest // k % k, child.dest % k
+    a, b = back[sector, c], back[sector, d]
+    frame = None if phases is None else phases[0][sector, a, 0] * phases[1][sector, 0, b]
+    if child.phases is not None:
+        frame = child.phases if frame is None else child.phases * frame
+    rows = rows if child.rows is None else child.rows[rows]
+    return child._replace(rows=rows, dest=(sector * k + a) * k + b, phases=frame)
+
+
 @dataclass(frozen=True)
 class _TreeSectors:
     """What every eval of one tree reads of its sectors: the classes, each
-    leaf gate's placement in them and the last class each of its groups is
-    placed in (by id of the gate), the gathers of each monomial frame
-    sandwich (by id of the product), through which its readers read its
-    child's stack, and measured, what _measured finds per reference."""
+    leaf gate's placement in them (by gate id), each monomial frame
+    sandwich's gathers (by product id), and, made on first use, each leaf's
+    entry index (by gate id and class) and what _measured finds per reference."""
 
     classes: list[np.ndarray]
     places: dict[int, list[list[tuple]]]
-    last: dict[int, dict[int, int]]
     gathers: dict[int, list[tuple]]
+    index: dict[tuple[int, int], tuple] = field(default_factory=dict)
     measured: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
 
 
@@ -663,29 +672,41 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
         else:
             order = _topological(root)
             classes = _classes(_tree_sectors(order))
-            places, last, gathers = {}, {}, {}
+            places, gathers = {}, {}
             for pu in order:
                 match pu.node:
                     case Leaf(gate):
-                        places[id(gate)] = placed = _place(gate.groups, classes)
-                        last[id(gate)] = {g: i for i, pl in enumerate(placed) for g, _ in pl}
+                        places[id(gate)] = _place(gate.groups, classes)
                     case Product(factors) if (frame := _sandwich(factors)) is not None:
                         gathers[id(pu)] = _gathers(frame, classes)
-            cached = _TreeSectors(classes, places, last, gathers)
+            cached = _TreeSectors(classes, places, gathers)
         object.__setattr__(root, "_sector_cache", cached)
     return cached
 
 
-def _tile(stack, rows: slice | np.ndarray, lo: int, step: int) -> np.ndarray:
-    """stack[rows][lo:lo+step], gathering only the tile's rows. Of a frame
-    sandwich's view (child, child_rows, gather), one C-order take of the
-    child's entries at child_rows[rows][lo:lo+step], times the phases."""
+def _tile(stack, rows, lo: int, step: int, into=None, column_major=False) -> np.ndarray:
+    """stack[rows][lo:lo+step], gathering only the tile's rows. Of entries,
+    their values repeated, one zero-fill and one scatter into into (raw
+    rows, read column-major when column_major) or a new C-order stack. Of a
+    frame sandwich's view (child, child_rows, gather), one C-order take of
+    the child's entries at child_rows[rows][lo:lo+step], times the phases."""
+    rows = rows[lo : lo + step] if isinstance(rows, np.ndarray) else slice(
+        rows.start + lo, min(rows.start + lo + step, rows.stop))
     if isinstance(stack, np.ndarray):
-        if isinstance(rows, np.ndarray):
-            return stack[rows[lo : lo + step]]
-        return stack[rows][lo : lo + step]
+        return stack[rows]
+    if isinstance(stack, _Entries):
+        values = stack.values[rows if stack.rows is None else stack.rows[rows]]
+        values = np.repeat(values, stack.repeats, axis=1)
+        (m, k), d = stack.shape, stack.dest
+        # Column-major, entry (a, b) of a block sits at (b, a) of its memory.
+        dest = d - d % (k * k) + d % k * k + d // k % k if column_major else d
+        into = np.empty((len(values), m * k * k), complex) if into is None else into
+        into.fill(0)
+        into[:, dest] = values if stack.phases is None else values * stack.phases
+        blocks = into.reshape(len(into), m, k, k)
+        return blocks.swapaxes(2, 3) if column_major else blocks
     child, inner, (first, second, phases) = stack
-    at = _tile(inner, rows, lo, step)
+    at = inner[rows]
     if not isinstance(child, np.ndarray):
         child, at = _tile(child, at, 0, len(at)), np.arange(len(at))
     m, k = first.shape[:2]
@@ -698,40 +719,34 @@ def _tile(stack, rows: slice | np.ndarray, lo: int, step: int) -> np.ndarray:
     return out
 
 
-def _lands(slots: list[tuple], assembled: bool) -> list:
+def _lands(slots: list[tuple], scattered: bool) -> list:
     """Where each slot's product lands along a tile of a product node: 0 in
     the output tile, 1 in the scratch tile. The last lands in the output. A
-    local primitive multiplies in place after another or after the first
-    slot assembled (both column-major), and any other product moves to the
-    other one. The first slot is read as is (None), unless assembled."""
+    local primitive multiplies in place after another or after a scattered
+    first slot (both column-major), and any other product moves to the
+    other one. The first slot is read as is (None), unless scattered."""
     lands = [0]
     for j in range(len(slots) - 1, 0, -1):
         in_place = slots[j][3] is not None and (
-            slots[j - 1][3] is not None or (j == 1 and assembled)
+            slots[j - 1][3] is not None or (j == 1 and scattered)
         )
         lands.append(lands[-1] if in_place else 1 - lands[-1])
-    lands.reverse()
-    if not assembled:
-        lands[0] = None
-    return lands
+    return lands[::-1] if scattered else [None] + lands[-2::-1]
 
 
-def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, size: int,
-                 assembled=None) -> np.ndarray:
+def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, size: int) -> np.ndarray:
     """A Product or Repeat node's stack on class i of shape (m, k), with size
     rows, from the class-i stacks of its children (stacks[key], read by
     _tile; a local primitive's entry holds its blocks(ts)), each slot
-    reading size rows. assembled, when given, is the first slot's leaf as
-    (blocks(ts), placement): a leaf read by no other slot, whose rows are
-    assembled straight into this node's tiles. Nothing it reads outlives
-    the call.
+    reading size rows. Nothing it reads outlives the call.
 
     A product is built a cache-sized tile (_TILE_BYTES) of rows at a time
     into one output stack, none for a lone slot read as is. Along a tile's
     slots, the products alternate between the output tile and one scratch
     tile (see _lands), so that the last lands in the output and no step
-    allocates its own. Tiles are raw rows, laid out per product: column-major
-    for a local primitive's and an assembled first slot (see _apply_groups),
+    allocates its own; a first slot of entries is scattered straight into
+    its tile. Tiles are raw rows, laid out per product: column-major for a
+    local primitive's and the first slot's before one (see _apply_groups),
     else C order, where a matmul gives the bits of a plain product."""
     if isinstance(node, Repeat):
         key, rows, _, _ = slots[0]
@@ -739,7 +754,8 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, size: i
     m, k = shape
     alone = len(slots) == 1
     step = size if alone else max(1, _TILE_BYTES // (16 * m * k * k))
-    lands = _lands(slots, assembled is not None)
+    scattered = not alone and isinstance(stacks[slots[0][0]], _Entries) and not np.any(slots[0][2])
+    lands = _lands(slots, scattered)
 
     def laid_out(raw: np.ndarray, column_major: bool) -> np.ndarray:
         blocks = raw.reshape(len(raw), m, k, k)
@@ -752,13 +768,11 @@ def _build_class(node, slots, stacks: dict, i: int, shape, places: dict, size: i
         ends = (tile, None if spare is None else spare[: len(tile)])
         mat = None
         for j, (key, rows, adjoint, local) in enumerate(slots):
-            # Column-major for a local primitive's product or the assembled slot.
-            column_major = j == 0 or local is not None
-            dest = None if lands[j] is None else laid_out(ends[lands[j]], column_major)
-            if assembled is not None and j == 0:
-                blocks, placed = assembled
-                mat = _assemble([_tile(b, rows, lo, step) for b in blocks], placed, m, k, dest)
+            column_major = local is not None or (j == 0 and scattered and slots[1][3] is not None)
+            if j == 0 and scattered:
+                mat = _tile(stacks[key], rows, lo, step, ends[lands[0]], column_major)
                 continue
+            dest = None if lands[j] is None else laid_out(ends[lands[j]], column_major)
             if local is not None:
                 blocks = [_tile(b, rows, lo, step) for b in stacks[key]]
                 mat = _apply_groups(mat, blocks, places[id(local)][i], dest)
@@ -779,20 +793,19 @@ def _evaluate(root: ParamUnitary, t: float):
     """root at t, one class of its sectors at a time: yields (cls, blocks)
     for each class cls, blocks[j] being root's block on the indices cls[j].
 
-    The tree's classes of sectors, its leaves' placements in them and its
-    frame gathers are found on the first eval and reused (_sectors_of).
     Top-down, every node collects the distinct parameters it is needed at
     (float equality, first occurrence kept) and plans which child rows each
     of its slots reads. Then, class by class, a bottom-up pass builds every
-    node's stack of its blocks on that class, with a row per parameter,
-    from its children's stacks. A leaf's stack is built when the pass first
-    reads it, or assembled straight into its reader's tiles when that is
-    its only read, as the reader's first factor. A stack is dropped as soon
-    as its last reader has built its own, so nothing of one class is alive
-    while the next is built, and the caller can use and drop a class's root
-    blocks before the next class starts. A product F·U·F† of a monomial frame
-    has no stack: its readers read U's, which its view holds until they are
-    done, through the gather and a fixed phase mask (_tile).
+    product's and repeat's stack of its blocks on that class, with a row per
+    parameter, from its children's (_sectors_of keeps what they read of the
+    sectors). A leaf has no stack: its readers scatter its entries, its
+    sector blocks at its rows, through one index pair per class (_Entries).
+    A stack is dropped as soon as its last reader has built its own, so
+    nothing of one class is alive while the next is built, and the caller
+    can use and drop a class's root blocks before the next class starts. A
+    product F·U·F† of a monomial frame has no stack either (_framed): over
+    entries it is U's, moved and phased; over a stack, its readers read
+    U's, which its view holds until they are done, through the gather.
     """
     sectors = _sectors_of(root)
     classes, places, gathers = sectors.classes, sectors.places, sectors.gathers
@@ -807,55 +820,48 @@ def _evaluate(root: ParamUnitary, t: float):
     leaves = {id(pu): pu.node.gate for pu in order if isinstance(pu.node, Leaf)}
     nodes = [pu for pu in reversed(order) if id(pu) in plans]
 
-    # A group of a leaf can lie in several classes: its blocks are made
-    # (a primitive's exponentiated) once per eval and kept until the last.
-    kept: dict = {}
-
-    def blocks(key, i: int) -> tuple[list[np.ndarray], list[tuple]]:
-        """Leaf key's gate on class i: its blocks at key's parameters, one
-        per group placed in the class, and their placement."""
-        gate = leaves[key[1] if isinstance(key, tuple) else key]
-        ts = np.array(list(need[key]), dtype=float)
-        out = []
-        for g, _ in places[id(gate)][i]:
-            block = kept.pop((key, g), None)
-            if block is None:
-                block = gate.block(ts, g)
-            if i < sectors.last[id(gate)][g]:
-                kept[(key, g)] = block
-            out.append(block)
-        return out, places[id(gate)][i]
+    # Each leaf's blocks, made once per eval and kept until the last class
+    # (a primitive's of one size share one array, freed only all at once).
+    exps: dict = {}
 
     def leaf(key, i: int):
-        """Leaf key's stack on class i; a local primitive's ("block", id)
-        entry is its blocks on the class instead, one per placed group."""
-        exps, placed = blocks(key, i)
-        return exps if isinstance(key, tuple) else _assemble(exps, placed, *classes[i].shape)
+        """Leaf key's entries on class i, or its placed blocks for ("block", id)."""
+        gate = leaves[key[1] if isinstance(key, tuple) else key]
+        if key not in exps:
+            exps[key] = gate.blocks(np.array(list(need[key]), dtype=float))
+        every = exps.pop(key) if i == len(classes) - 1 else exps[key]
+        placed = places[id(gate)][i]
+        blocks = [every[g] for g, _ in placed]
+        if isinstance(key, tuple):
+            return blocks
+        if (id(gate), i) not in sectors.index:
+            # Entry (a, b) of each group's block goes to (sector, pos[a], pos[b])
+            # on each of the group's rows in the class: repeated once per row.
+            k = classes[i].shape[1]
+            sectors.index[id(gate), i] = (
+                np.concatenate([np.full(pos.shape[1] ** 2, len(pos)) for _, (_, pos) in placed]),
+                np.concatenate([
+                    ((sector[:, :, None] * k + pos[:, :, None]) * k + pos[:, None, :])
+                    .transpose(1, 2, 0).ravel() for _, (sector, pos) in placed]))
+        values = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+        return _Entries(values, None, *sectors.index[id(gate), i], None, classes[i].shape)
 
     for i, cls in enumerate(classes):
-        # stacks[key] has shape (rows, m, k, k): the node's blocks on the
-        # sectors of cls. readers counts, per key, the slots still to read it.
+        # stacks[key]: the node's blocks on the sectors of cls, one row per
+        # parameter, as a stack of shape (rows, m, k, k) or a view (_tile).
+        # readers counts, per key, the slots still to read it.
         stacks: dict = {}
         left = readers.copy()
         for pu in nodes:
             slots, gather = plans[id(pu)], gathers.get(id(pu))
-            key, _, adjoint, _ = slots[0]
-            assembled = None
-            if (
-                key in leaves and left[key] == 1
-                and not isinstance(adjoint, np.ndarray) and not adjoint
-                and len(slots) > 1
-            ):
-                assembled = blocks(key, i)
-            for key, *_ in slots[0 if assembled is None else 1 :]:
+            for key, *_ in slots:
                 if key not in stacks:
                     stacks[key] = leaf(key, i)
             if gather is not None:
-                # F U F^dag: a view of U's stack at U's rows, as an array (see _tile).
-                stacks[id(pu)] = (stacks[slots[0][0]], np.r_[slots[0][1]], gather[i])
+                stacks[id(pu)] = _framed(stacks[slots[0][0]], np.r_[slots[0][1]], gather[i])
             else:
                 stacks[id(pu)] = _build_class(
-                    pu.node, slots, stacks, i, cls.shape, places, len(need[id(pu)]), assembled
+                    pu.node, slots, stacks, i, cls.shape, places, len(need[id(pu)])
                 )
             for key, *_ in slots:
                 left[key] -= 1
@@ -937,7 +943,7 @@ def measure(
     per_class, groups = _measured(pu, reference)
     waiting = [count for _, count, _ in groups]
     states = None if psi0 is None else (np.zeros(dim, complex), np.zeros(dim, complex))
-    ts = np.array([t], dtype=float)
+    exact = reference.blocks(np.array([t], dtype=float))
     held, errors, i = {}, [], -1
     # Counted by hand: enumerate would keep a class's blocks, in the tuple it
     # reuses, while the next class is built.
@@ -961,10 +967,10 @@ def measure(
         if live:
             states[0][idx] = diff @ psi0[idx]
         for g, row in rows:
-            exact = reference.block(ts, g)[0]
+            block = exact[g][0]
             if live:
-                states[1][idx[row]] = psi0[idx[row]] @ exact.T
-            diff[row[:, :, None], row[:, None, :]] -= exact
+                states[1][idx[row]] = psi0[idx[row]] @ block.T
+            diff[row[:, :, None], row[:, None, :]] -= block
         errors.append(spectral_norm(diff))
         del diff
     return Measurement(max(errors), *(states or ()))

@@ -212,8 +212,8 @@ def _fold_class(pu, t, classes, i):
                 if j > 0 and isinstance(gate, Primitive) and gate.local:
                     placed = _place(gate.groups, classes)[i]
                     ss = np.array([-s if adjoint else s])
-                    blocks = [gate.block(ss, g) for g, _ in placed]
-                    mat = _group_product(mat, blocks, placed)
+                    exps = gate.blocks(ss)
+                    mat = _group_product(mat, [exps[g] for g, _ in placed], placed)
                     continue
                 sub = _fold_class(f.pu, s, classes, i)
                 sub = sub.conj().swapaxes(-1, -2) if adjoint else sub
@@ -362,6 +362,107 @@ def test_frame_sandwich_views_equal_fold_bitwise(way, parts, t):
     assert np.array_equal(mat, _fold(tree, t))
 
 
+def _monomial_frames(layout):
+    """X and S on the qubit (factor 0), then the vacuum parity flip on the
+    last factor when it is a mode: frames that conjugate by a gather."""
+    frames = [FrameGate(g, layout, matrix_units(qubit_gate(g), (0,))) for g in "XS"]
+    if layout.nfactors > 1:
+        last = layout.nfactors - 1
+        flip = vacuum_parity_flip(layout.factors[last][1] - 1)
+        frames.append(FrameGate("R0", layout, matrix_units(flip, (last,))))
+    return frames
+
+
+def _nested(u, frames):
+    for frame in frames:
+        u = frame_conjugate(u, frame)
+    return u
+
+
+# Each way a primitive leaf u is read, by several slots unless it is the
+# root, with a random tree pu of its world, its monomial frames and a local
+# leaf (None in a world without one). A lone slot (rescale) reads u as is
+# even where u is local, which a later slot reads through its groups.
+LEAF_WAYS = {
+    "plain": lambda u, pu, fs, loc: compose(
+        "c", [Factor(u), Factor(pu), Factor(rescale(u, -0.5))]
+    ),
+    "adjoint": lambda u, pu, fs, loc: compose(
+        "c",
+        [Factor(u, invert=True), Factor(pu), Factor(compose("a", [Factor(u, 0.7, invert=True)]))],
+    ),
+    "adjoint mask": lambda u, pu, fs, loc: group_commutator(
+        compose("m", [Factor(u, adjoint_if_negative=True), Factor(pu)]), rescale(u, 0.5)
+    ),
+    "nested sandwiches": lambda u, pu, fs, loc: compose(
+        "c", [Factor(_nested(u, fs)), Factor(pu), Factor(_nested(u, fs[::-1]), invert=True)]
+    ),
+    "first before a local primitive": lambda u, pu, fs, loc: compose(
+        "c", [Factor(u), Factor(loc), Factor(pu), Factor(rescale(u, 0.3)), Factor(loc, -1.0)]
+    ),
+    "sliced": lambda u, pu, fs, loc: compose(
+        "c", [Factor(sliced(u, 2)), Factor(pu), Factor(sliced(u, 3), -1.0)]
+    ),
+    "root": lambda u, pu, fs, loc: u,
+    "sandwich root": lambda u, pu, fs, loc: _nested(u, fs),
+}
+
+
+@st.composite
+def _leaf_parts(draw, way):
+    """A primitive leaf of a world (one with a local primitive when the way
+    needs one), a random tree of the world, its monomial frames and a local
+    leaf."""
+    needs_local = way == "first before a local primitive"
+    world = draw(st.sampled_from([WORLDS[2], WORLDS[3]] if needs_local else WORLDS))
+    prims = world[0]
+    locals_ = [primitive_unitary(p) for p in prims if p.local]
+    loc = draw(st.sampled_from(locals_)) if locals_ else None
+    u = primitive_unitary(draw(st.sampled_from(prims)))
+    return u, draw(_trees(world)), _monomial_frames(prims[0].layout), loc
+
+
+def _leaf_stacks_seen(pu, t) -> tuple[np.ndarray, list]:
+    """pu at t, and each leaf key found holding an ndarray stack: in the
+    stacks _build_class reads from, or, for a stack _tile reads (as is or
+    under a frame view) that no _build_class made, the tree's root."""
+    leaf_keys = {id(node) for node in _topological(pu) if isinstance(node.node, Leaf)}
+    made, seen = [], []
+    build, tile = product_formulas._build_class, product_formulas._tile
+
+    def spy_build(node, slots, stacks, *args):
+        seen.extend(k for k, v in stacks.items() if k in leaf_keys and isinstance(v, np.ndarray))
+        made.append(build(node, slots, stacks, *args))
+        return made[-1]
+
+    def spy_tile(stack, *args, **kwargs):
+        read = stack[0] if isinstance(stack, tuple) else stack
+        if isinstance(read, np.ndarray) and read.ndim == 4 and not any(m is read for m in made):
+            seen.append(id(pu))
+        return tile(stack, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(product_formulas, "_build_class", spy_build)
+        patch.setattr(product_formulas, "_tile", spy_tile)
+        return pu.eval(t).mat, seen
+
+
+@pytest.mark.parametrize("way", sorted(LEAF_WAYS))
+@settings(max_examples=15, deadline=None)
+@given(st.data(), PARAMS)
+def test_leaf_entries_equal_fold_bitwise(way, data, t):
+    """A primitive leaf read by several slots (plainly, as an adjoint and
+    under an adjoint mask, through nested X, S and parity-flip sandwiches,
+    as the first slot before a local primitive, under sliced) or as the
+    root never has a stack: every reader scatters its entries, and the eval
+    equals the fold bit for bit."""
+    u, pu, frames, loc = data.draw(_leaf_parts(way))
+    tree = LEAF_WAYS[way](u, pu, frames, loc)
+    mat, seen = _leaf_stacks_seen(tree, t)
+    assert not seen
+    assert np.array_equal(mat, _fold(tree, t))
+
+
 def _plan_per_row(pu, params, need, gathers):
     """The plan with one Factor.at call per row: the reference whose rows the
     plan's list expressions must equal bit for bit."""
@@ -506,7 +607,7 @@ def test_eval_of_constant_tree_returns_an_owned_array():
     writable matrix, not a view of the frame's own blocks, and its class
     blocks are writable too."""
     _, (_, frame_s) = _split_world()
-    own = [frame_s.block(np.zeros(1), g) for g in range(len(frame_s.groups))]
+    own = frame_s.blocks(np.zeros(1))
     fixed = ParamUnitary("S", frame_s.layout, Leaf(frame_s))
     for pu in (fixed, compose("SS", [Factor(fixed, power=0), Factor(fixed, power=0)])):
         mat = pu.eval(0.3).mat
@@ -541,7 +642,7 @@ def test_apply_groups_matches_dense_product(world):
         placed = _place(gate.groups, classes)
         for i, cls in enumerate(classes):
             index = (slice(None), cls[:, :, None], cls[:, None, :])
-            blocks = [gate.block(ss, g) for g, _ in placed[i]]
+            blocks = [gate.blocks(ss)[g] for g, _ in placed[i]]
             mat = mats[index]
             want = _group_product(mat, blocks, placed[i])
             assert np.max(np.abs(want - dense[index])) < 1e-13
@@ -784,33 +885,35 @@ def _eval_peak(pu, t) -> int:
 
 
 def test_each_group_is_exponentiated_once_per_eval(monkeypatch):
-    """HOM at cutoff 6 has two classes of sectors, and every group of its
-    local primitives has rows in both; one eval still exponentiates each
-    group once per parameter set, not once per class."""
+    """HOM at cutoff 6 has two classes of sectors, and groups of its local
+    primitives have rows in both; one eval still exponentiates each stack
+    of a primitive's equal-size sectors once per parameter set, not once
+    per class or per sector."""
     pu = conditional_beam_splitter(cutoff=6, symmetrized=True).synthesis
     sectors = _sectors_of(pu)
     assert len(sectors.classes) == 2
     assert any(
-        sum(map(len, placed)) > len(sectors.last[key]) for key, placed in sectors.places.items()
+        sum(map(len, placed)) > len({g for pl in placed for g, _ in pl})
+        for placed in sectors.places.values()
     )
     calls = Counter()
-    original = product_formulas._exp_block
+    original = product_formulas._exp_blocks
 
     def counting(eigh, ts):
         calls[id(eigh), ts.tobytes()] += 1
         return original(eigh, ts)
 
-    monkeypatch.setattr(product_formulas, "_exp_block", counting)
+    monkeypatch.setattr(product_formulas, "_exp_blocks", counting)
     pu.eval(0.05)
     assert calls and max(calls.values()) == 1
 
 
 def test_eval_working_set_is_bounded():
-    """One HOM eval's traced peak stays below 2.25 full-size matrices (2.16
+    """One HOM eval's traced peak stays below 2.25 full-size matrices (2.10
     measured; 2.82 when every class of a node was built before the next
     node): classes are built one at a time into the full-size result, a
-    leaf read once is assembled straight into its reader's tiles, and local
-    products are written in place."""
+    leaf read as a first slot is scattered from its sector entries straight
+    into its reader's tiles, and local products are written in place."""
     pu = conditional_beam_splitter(cutoff=10, symmetrized=True).synthesis
     full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
     assert _eval_peak(pu, 0.05) / full < 2.25
@@ -818,25 +921,61 @@ def test_eval_working_set_is_bounded():
 
 def test_kerr_eval_working_set_is_bounded():
     """One eval of the 4-slice Kerr tree (bch 2) at cutoff 15 peaks below
-    190 full-size matrices (172 measured; 228 when every monomial frame
-    sandwich was a stack of its own): a sandwich is a view of its child's
-    stack, read through the gather."""
+    140 full-size matrices (124 measured; 172 when each leaf was a stack of
+    its class, 228 when every monomial frame sandwich was one too): a leaf
+    is read as its sector entries, and a sandwich over it as those entries
+    moved and phased."""
     pu = sliced(nonlinear_hamiltonian(1, 1, q=2, cutoff=15).synthesis, 4)
     full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
-    assert _eval_peak(pu, 1.0) / full < 190
+    assert _eval_peak(pu, 1.0) / full < 140
+
+
+def _exp_block(evals, evecs, ts):
+    """exp(i t H) on one sector, a block per parameter in ts, as it was made
+    one sector per call: the blocks' left factors as one tall matrix."""
+    left = evecs * np.exp(1j * ts[:, None] * evals)[:, None, :]
+    return (left.reshape(-1, len(evals)) @ evecs.conj().T).reshape(left.shape)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 20), st.integers(1, 64), st.integers(0, 2**32 - 1))
 def test_exponential_blocks_equal_their_one_row_calls_bitwise(size, rows, seed):
-    """_exp_block makes all its blocks in one tall product, each with the
-    bits of the block a one-parameter call gives."""
+    """_exp_blocks makes all its blocks in one tall product per sector, each
+    with the bits of the block a one-parameter call gives."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    eigh = np.linalg.eigh(a + a.conj().T)
+    eigh = np.linalg.eigh((a + a.conj().T)[None])
     ts = rng.uniform(-2.0, 2.0, rows)
-    one = [product_formulas._exp_block(eigh, ts[j : j + 1])[0] for j in range(rows)]
-    assert np.array_equal(product_formulas._exp_block(eigh, ts), np.stack(one))
+    one = [product_formulas._exp_blocks(eigh, ts[j : j + 1])[0, 0] for j in range(rows)]
+    assert np.array_equal(product_formulas._exp_blocks(eigh, ts)[0], np.stack(one))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=12), st.integers(1, 16),
+       st.integers(0, 2**32 - 1))
+def test_stacked_sector_exponentials_equal_one_call_per_sector_bitwise(sizes, rows, seed):
+    """A primitive whose sectors have the drawn sizes eigendecomposes and
+    exponentiates them one stack per size: every block, down to the sign
+    of a zero, has the bytes of one eigh and one _exp_block per sector."""
+    rng = np.random.default_rng(seed)
+    subs = []
+    for size in sizes:
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        subs.append(a + a.conj().T)
+    n = sum(sizes)
+    dense = np.zeros((n, n), dtype=complex)
+    starts = np.cumsum([0] + sizes)
+    for sub, lo, hi in zip(subs, starts, starts[1:]):
+        dense[lo:hi, lo:hi] = sub
+    layout = HilbertLayout((("mode", n),))
+    prim = Primitive("h", layout, matrix_units(Operator(layout, dense)))
+    assert len(prim.groups) == len(sizes)
+    ts = rng.uniform(-2.0, 2.0, rows)
+    got = prim.blocks(ts)
+    for rows_g, block in zip(prim.groups, got):
+        sub = dense[np.ix_(rows_g[0], rows_g[0])]
+        want = _exp_block(*np.linalg.eigh(sub), ts)
+        assert np.ascontiguousarray(block).tobytes() == want.tobytes()
 
 
 def _traced_peak(fn) -> int:
@@ -977,9 +1116,9 @@ def test_measure_refuses_a_reference_row_split_between_groups(monkeypatch):
 
 def test_frame_leaf_measured_alone_leaves_the_frame_unchanged():
     """A dense unitary frame on a 32-level mode is one sector, a class of its
-    own, measured alone: its assembled block is the difference, which
-    measure subtracts from in place, and the frame's own block is left
-    unchanged."""
+    own, measured alone: its block, scattered from its entries, is the
+    difference, which measure subtracts from in place, and the frame's own
+    block is left unchanged."""
     layout = HilbertLayout((("mode", 32),))
     dft = Operator(layout, np.fft.fft(np.eye(32)) / np.sqrt(32))
     frame = FrameGate("F", layout, matrix_units(dft))
@@ -995,13 +1134,14 @@ def test_frame_leaf_measured_alone_leaves_the_frame_unchanged():
 
 
 def test_deep_tree_working_set_is_bounded():
-    """One eval of the 16-slice Kerr tree at cutoff 6 peaks below 3,300 of
-    its 14 x 14 blocks (2,999 measured; 3,852 when every product of a node
-    was a new stack of all its rows): a product is built a tile of rows at
-    a time into one output stack."""
+    """One eval of the 16-slice Kerr tree at cutoff 6 peaks below 1,800 of
+    its 14 x 14 blocks (1,600 measured; 2,207 when each leaf was a stack of
+    its class, 3,852 when every product of a node was a new stack of all
+    its rows): a product is built a tile of rows at a time into one output
+    stack, and no leaf has a stack."""
     pu = sliced(nonlinear_hamiltonian(1, 1, q=3, cutoff=6).synthesis, 16)
     block = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
-    assert _eval_peak(pu, 1.0) / block < 3300
+    assert _eval_peak(pu, 1.0) / block < 1800
 
 
 # -- factor-local primitives ---------------------------------------------------
