@@ -226,7 +226,7 @@ _Loader.add_implicit_resolver(
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.load(text, Loader=_Loader)

@@ -15,10 +15,10 @@ collects the distinct parameters every node is needed at; then, one class
 of sectors at a time, a bottom-up pass builds every product and repeat at
 all of them as one stack with batched products, a cache-sized tile of rows
 at a time. No leaf has a stack: its readers scatter its sector entries into
-their tiles. Nor has a conjugation by an X, S or parity-flip frame: over a
-leaf it moves and phases the leaf's entries, and over a product its readers
-gather the product's entries times fixed phases. A later primitive on a
-strict subset of the factors multiplies in through its index groups. The root's
+their tiles. Nor has a conjugation by an X, S or parity-flip frame: it moves
+and phases its child's entries, a leaf's or a product stack's, which its
+readers scatter the same way. A later primitive on a strict subset of the
+factors multiplies in through its index groups. The root's
 blocks come back class by class: eval scatters them into one full-size
 matrix, and measure takes each class's error against a reference on the
 same indices and drops it before the next class is built. No matrix is
@@ -195,8 +195,8 @@ class FrameGate:
     The frame is monomial when every block has one nonzero per row and per
     column, each exactly +-1 or +-i (X, S and the vacuum parity flip, not
     H). Then so has the frame on the whole layout: the nonzero of row a
-    sits in column perm[a] and equals phase[a], and a conjugation by it is
-    an exact gather.
+    sits in column perm[a] and equals phase[a], and a conjugation by it
+    moves and phases entries exactly.
     """
 
     def __init__(self, label: str, layout: HilbertLayout, unitary: KronSum):
@@ -443,10 +443,10 @@ def _rows(need: dict, key, params: list[float]) -> slice | np.ndarray:
     return np.array(idx)
 
 
-def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> list[tuple]:
+def _plan(pu: ParamUnitary, params: list[float], need: dict, moves: dict) -> list[tuple]:
     """pu's slots at params: (stack key, rows, adjoint, local primitive).
     Every slot reads one row per parameter, so a constant factor reads the
-    same row throughout. A product in gathers reads only its middle factor,
+    same row throughout. A product in moves reads only its middle factor,
     as a plain slot. Each slot's parameters are one list expression of
     Factor.at's float operations (numpy's powers round some differently),
     and p ** 1 == p is left out."""
@@ -465,7 +465,7 @@ def _plan(pu: ParamUnitary, params: list[float], need: dict, gathers: dict) -> l
                     stacklevel=4,
                 )
             slots, seen = [], {}
-            if id(pu) in gathers:
+            if id(pu) in moves:
                 factors = factors[1:2]
             for i, f in enumerate(factors):
                 # A later leaf on a strict subset of the factors multiplies in
@@ -560,10 +560,11 @@ def _place(groups: list[np.ndarray], classes: list[np.ndarray]) -> list[list[tup
     return placed
 
 
-# A leaf's stack on one class (or a monomial frame sandwich's over one) as
-# its nonzero entries: row r is zero but at the flat C-order positions dest
-# of its (m, k, k) blocks, which hold values[rows[r]] (rows None: r), each
-# group's block once, entry e repeated repeats[e] times, times phases.
+# A leaf's stack on one class, or a monomial frame sandwich's, as entries:
+# row r is zero but at the flat C-order positions dest of its (m, k, k)
+# blocks, which hold values[rows[r]] (rows None: r), entry e repeated
+# repeats[e] times, times phases. A leaf's values are each group's block
+# once; a product's are its stack's raw rows, each entry once.
 _Entries = namedtuple("_Entries", "values rows repeats dest phases shape")
 
 
@@ -605,43 +606,44 @@ def _sandwich(factors: tuple[Factor, ...]) -> FrameGate | None:
     return gate
 
 
-def _gathers(frame: FrameGate, classes: list[np.ndarray]) -> list[tuple]:
-    """F @ U @ F^dag on each class for the monomial frame F, as (first,
-    second, phases): entry (a, b) of sector j is U's entry (perm[a],
-    perm[b]) of that sector times phase[a] * conj(phase[b]), since F @ U
-    reads row perm[a] of U into row a and U @ F^dag reads column perm[b]
-    into column b. first[j, a, 0] + second[j, 0, b] is that entry's flat
-    index in a class block, split so that no k x k index array is kept;
-    phases is None when every phase is 1. Each entry has one nonzero term,
-    so this is exact."""
-    perm, lphase, rphase = frame.perm, frame.phase, frame.phase.conj()
+def _moves(frame: FrameGate, classes: list[np.ndarray]) -> list[tuple]:
+    """F @ U @ F^dag on each class for the monomial frame F, as (back,
+    phases): entry (a, b) of sector j is U's entry (perm[a], perm[b]) of
+    that sector times phase[a] * conj(phase[b]), since F @ U reads row
+    perm[a] of U into row a and U @ F^dag reads column perm[b] into column
+    b. back[j] inverts perm's positions in sector j, so U's entry (c, d)
+    moves to (back[j, c], back[j, d]); phases is None when every phase is 1.
+    Each entry has one nonzero term, so this is exact."""
+    perm, phase = frame.perm, frame.phase
     position = np.empty(len(perm), dtype=np.intp)
     out = []
     for cls in classes:
-        m, k = cls.shape
-        position[cls] = np.arange(k)
-        at = position[perm[cls]]
-        first = (np.arange(m)[:, None] * k + at) * k
-        lph, rph = lphase[cls][:, :, None], rphase[cls][:, None, :]
-        phases = None if np.all(lph == 1) and np.all(rph == 1) else (lph, rph)
-        out.append((first[:, :, None], at[:, None, :], phases))
+        position[cls] = np.arange(cls.shape[1])
+        lph, rph = phase[cls], phase[cls].conj()
+        phases = None if np.all(lph == 1) else (lph, rph)
+        out.append((np.argsort(position[perm[cls]], axis=1), phases))
     return out
 
 
-def _framed(child, rows: np.ndarray, gather: tuple):
-    """F @ U @ F^dag from U's stack or entries at U's rows, for F's gather on
-    their class (see _gathers). Of a stack, a view (child, rows, gather) that
-    _tile reads. Of entries, U's, with entry (c, d) of a block moved to
-    (a, b), perm[a] = c and perm[b] = d, times phase[a] * conj(phase[b]), so
-    a reader scatters only them (kerr-deep's wall_s is about 10% lower)."""
-    if not isinstance(child, _Entries):
-        return child, rows, gather
-    _, second, phases = gather
+def _framed(child, rows: np.ndarray, move: tuple) -> _Entries:
+    """F @ U @ F^dag from U's stack or entries at U's rows, for F's move on
+    their class (see _moves): U's entries, with entry (c, d) of a block
+    moved to (a, b), perm[a] = c and perm[b] = d, times phase[a] *
+    conj(phase[b]), so a reader scatters them like a leaf's. A stack's
+    entries are its raw rows, each at its position in C order (a
+    column-major stack's, swapped back)."""
+    back, phases = move
+    if isinstance(child, np.ndarray):
+        n, m, k = child.shape[:3]
+        column_major = not child.flags.c_contiguous
+        raw = child.swapaxes(2, 3) if column_major else child
+        dest = np.arange(m * k * k).reshape(m, k, k)
+        dest = (dest.swapaxes(1, 2) if column_major else dest).ravel()
+        child = _Entries(raw.reshape(n, -1), None, 1, dest, None, (m, k))
     k = child.shape[1]
-    back = np.argsort(second[:, 0], axis=1)  # inverts perm's positions per sector
     sector, c, d = child.dest // (k * k), child.dest // k % k, child.dest % k
     a, b = back[sector, c], back[sector, d]
-    frame = None if phases is None else phases[0][sector, a, 0] * phases[1][sector, 0, b]
+    frame = None if phases is None else phases[0][sector, a] * phases[1][sector, b]
     if child.phases is not None:
         frame = child.phases if frame is None else child.phases * frame
     rows = rows if child.rows is None else child.rows[rows]
@@ -652,12 +654,12 @@ def _framed(child, rows: np.ndarray, gather: tuple):
 class _TreeSectors:
     """What every eval of one tree reads of its sectors: the classes, each
     leaf gate's placement in them (by gate id), each monomial frame
-    sandwich's gathers (by product id), and, made on first use, each leaf's
+    sandwich's moves (by product id), and, made on first use, each leaf's
     entry index (by gate id and class) and what _measured finds per reference."""
 
     classes: list[np.ndarray]
     places: dict[int, list[list[tuple]]]
-    gathers: dict[int, list[tuple]]
+    moves: dict[int, list[tuple]]
     index: dict[tuple[int, int], tuple] = field(default_factory=dict)
     measured: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
 
@@ -672,14 +674,14 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
         else:
             order = _topological(root)
             classes = _classes(_tree_sectors(order))
-            places, gathers = {}, {}
+            places, moves = {}, {}
             for pu in order:
                 match pu.node:
                     case Leaf(gate):
                         places[id(gate)] = _place(gate.groups, classes)
                     case Product(factors) if (frame := _sandwich(factors)) is not None:
-                        gathers[id(pu)] = _gathers(frame, classes)
-            cached = _TreeSectors(classes, places, gathers)
+                        moves[id(pu)] = _moves(frame, classes)
+            cached = _TreeSectors(classes, places, moves)
         object.__setattr__(root, "_sector_cache", cached)
     return cached
 
@@ -687,36 +689,21 @@ def _sectors_of(root: ParamUnitary) -> _TreeSectors:
 def _tile(stack, rows, lo: int, step: int, into=None, column_major=False) -> np.ndarray:
     """stack[rows][lo:lo+step], gathering only the tile's rows. Of entries,
     their values repeated, one zero-fill and one scatter into into (raw
-    rows, read column-major when column_major) or a new C-order stack. Of a
-    frame sandwich's view (child, child_rows, gather), one C-order take of
-    the child's entries at child_rows[rows][lo:lo+step], times the phases."""
+    rows, read column-major when column_major) or a new C-order stack."""
     rows = rows[lo : lo + step] if isinstance(rows, np.ndarray) else slice(
         rows.start + lo, min(rows.start + lo + step, rows.stop))
     if isinstance(stack, np.ndarray):
         return stack[rows]
-    if isinstance(stack, _Entries):
-        values = stack.values[rows if stack.rows is None else stack.rows[rows]]
-        values = np.repeat(values, stack.repeats, axis=1)
-        (m, k), d = stack.shape, stack.dest
-        # Column-major, entry (a, b) of a block sits at (b, a) of its memory.
-        dest = d - d % (k * k) + d % k * k + d // k % k if column_major else d
-        into = np.empty((len(values), m * k * k), complex) if into is None else into
-        into.fill(0)
-        into[:, dest] = values if stack.phases is None else values * stack.phases
-        blocks = into.reshape(len(into), m, k, k)
-        return blocks.swapaxes(2, 3) if column_major else blocks
-    child, inner, (first, second, phases) = stack
-    at = inner[rows]
-    if not isinstance(child, np.ndarray):
-        child, at = _tile(child, at, 0, len(at)), np.arange(len(at))
-    m, k = first.shape[:2]
-    if not child.flags.c_contiguous:
-        # Column-major: entry (a, b) of a block is (b, a) of its memory.
-        child, first, second = child.swapaxes(2, 3), first.swapaxes(1, 2), second.swapaxes(1, 2)
-    out = np.take(child.reshape(-1), at[:, None, None, None] * (m * k * k) + first + second)
-    if phases is not None:
-        out *= phases[0] * phases[1]
-    return out
+    values = stack.values[rows if stack.rows is None else stack.rows[rows]]
+    values = np.repeat(values, stack.repeats, axis=1)
+    (m, k), d = stack.shape, stack.dest
+    # Column-major, entry (a, b) of a block sits at (b, a) of its memory.
+    dest = d - d % (k * k) + d % k * k + d // k % k if column_major else d
+    into = np.empty((len(values), m * k * k), complex) if into is None else into
+    into.fill(0)
+    into[:, dest] = values if stack.phases is None else values * stack.phases
+    blocks = into.reshape(len(into), m, k, k)
+    return blocks.swapaxes(2, 3) if column_major else blocks
 
 
 def _lands(slots: list[tuple], scattered: bool) -> list:
@@ -803,19 +790,19 @@ def _evaluate(root: ParamUnitary, t: float):
     A stack is dropped as soon as its last reader has built its own, so
     nothing of one class is alive while the next is built, and the caller
     can use and drop a class's root blocks before the next class starts. A
-    product F·U·F† of a monomial frame has no stack either (_framed): over
-    entries it is U's, moved and phased; over a stack, its readers read
-    U's, which its view holds until they are done, through the gather.
+    product F·U·F† of a monomial frame has no stack either (_framed): it is
+    U's entries, a leaf's or a stack's raw rows, moved and phased, which
+    its readers scatter as they do a leaf's.
     """
     sectors = _sectors_of(root)
-    classes, places, gathers = sectors.classes, sectors.places, sectors.gathers
+    classes, places, moves = sectors.classes, sectors.places, sectors.moves
     order = _topological(root)
     need: dict = {id(root): {t: 0}}
     plans: dict[int, list[tuple]] = {}
     readers: Counter = Counter()
     for pu in order:
         if id(pu) in need and not isinstance(pu.node, Leaf):
-            plans[id(pu)] = _plan(pu, list(need[id(pu)]), need, gathers)
+            plans[id(pu)] = _plan(pu, list(need[id(pu)]), need, moves)
             readers.update(slot[0] for slot in plans[id(pu)])
     leaves = {id(pu): pu.node.gate for pu in order if isinstance(pu.node, Leaf)}
     nodes = [pu for pu in reversed(order) if id(pu) in plans]
@@ -848,17 +835,17 @@ def _evaluate(root: ParamUnitary, t: float):
 
     for i, cls in enumerate(classes):
         # stacks[key]: the node's blocks on the sectors of cls, one row per
-        # parameter, as a stack of shape (rows, m, k, k) or a view (_tile).
+        # parameter, as a stack of shape (rows, m, k, k) or as entries (_tile).
         # readers counts, per key, the slots still to read it.
         stacks: dict = {}
         left = readers.copy()
         for pu in nodes:
-            slots, gather = plans[id(pu)], gathers.get(id(pu))
+            slots, move = plans[id(pu)], moves.get(id(pu))
             for key, *_ in slots:
                 if key not in stacks:
                     stacks[key] = leaf(key, i)
-            if gather is not None:
-                stacks[id(pu)] = _framed(stacks[slots[0][0]], np.r_[slots[0][1]], gather[i])
+            if move is not None:
+                stacks[id(pu)] = _framed(stacks[slots[0][0]], np.r_[slots[0][1]], move[i])
             else:
                 stacks[id(pu)] = _build_class(
                     pu.node, slots, stacks, i, cls.shape, places, len(need[id(pu)])

@@ -150,6 +150,17 @@ class TestLoadConfig:
         with pytest.raises(UsageError):
             load_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys, command):
+        """A config whose bytes are not UTF-8 is bad input, not a crash."""
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert cli.main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read config ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not captured.out and not (tmp_path / "out").exists()
+
     def test_broken_yaml(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("{[")

@@ -2,9 +2,10 @@
 combinators must agree between eval, expansion and the exponential ledger;
 the batched eval must equal a plain recursive fold bit for bit; and
 evaluation must hold no memory between calls and keep a bounded working
-set. The local-primitive kernel and the frame gathers are checked
-against dense products. Primitives on random subsets of a layout's factors
-keep their declared support and agree with dense references."""
+set. The local-primitive kernel and the frame sandwiches' moved entries
+are checked against dense products. Primitives on random subsets of a
+layout's factors keep their declared support and agree with dense
+references."""
 import math
 import tracemalloc
 from collections import Counter
@@ -255,7 +256,7 @@ def test_tiles_change_no_bits(pu, t, budget):
 
 def test_deep_tree_tiles_change_no_bits():
     """The 16-slice Kerr tree at cutoff 6, whose nodes hold up to 700 rows,
-    read through index arrays and frame gathers among them: one-row tiles,
+    read through index arrays and frame sandwiches among them: one-row tiles,
     the shipped budget and a single tile give the same bits."""
     pu = sliced(nonlinear_hamiltonian(1, 1, q=3, cutoff=6).synthesis, 16)
     whole = _eval_tiled(pu, 1.0, 2**62)
@@ -326,6 +327,9 @@ SANDWICH_WAYS = {
     "adjoint slot": lambda pu, f, g, loc: compose(
         "c", [Factor(pu), Factor(frame_conjugate(pu, f), -0.5, invert=True)]
     ),
+    "first before a local primitive": lambda pu, f, g, loc: compose(
+        "c", [Factor(frame_conjugate(pu, f)), Factor(loc), Factor(pu)]
+    ),
 }
 
 
@@ -345,26 +349,38 @@ def _sandwich_parts(draw):
 @settings(max_examples=20, deadline=None)
 @given(_sandwich_parts(), PARAMS)
 def test_frame_sandwich_views_equal_fold_bitwise(way, parts, t):
-    """A monomial frame sandwich is never built as a stack: its readers
-    read its child's entries through the gather (a nested one through its
-    child's read, a column-major child in its own layout, at the root, by a
-    Repeat and as an adjoint), and the eval equals the fold bit for bit."""
+    """A monomial frame sandwich is never built as a stack: on every class
+    it is stored as its child's entries, moved and phased (a nested one's
+    moved again, a column-major child's read in its own layout), which its
+    readers scatter (at the root, by a Repeat, as an adjoint and as a first
+    slot before a local primitive, column-major), and the eval equals the
+    fold bit for bit."""
     tree = SANDWICH_WAYS[way](*parts)
-    gathers = _sectors_of(tree).gathers
-    sandwiches = [pu for pu in _topological(tree) if id(pu) in gathers]
+    sectors = _sectors_of(tree)
+    sandwiches = [pu for pu in _topological(tree) if id(pu) in sectors.moves]
     assert sandwiches
     if way == "nested":
-        assert any(id(pu.node.factors[1].pu) in gathers for pu in sandwiches)
+        assert any(id(pu.node.factors[1].pu) in sectors.moves for pu in sandwiches)
     if way == "column-major child":
         assert sandwiches[0].node.factors[1].pu.node.factors[-1].pu.node.gate.local
-    mat, built = _recorded_eval(tree, t)
+    views, framed = [], product_formulas._framed
+
+    def recording(*args):
+        views.append(framed(*args))
+        return views[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(product_formulas, "_framed", recording)
+        mat, built = _recorded_eval(tree, t)
+    assert len(views) == len(sandwiches) * len(sectors.classes)
+    assert all(isinstance(view, product_formulas._Entries) for view in views)
     assert not {id(node) for node in built} & {id(pu.node) for pu in sandwiches}
     assert np.array_equal(mat, _fold(tree, t))
 
 
 def _monomial_frames(layout):
     """X and S on the qubit (factor 0), then the vacuum parity flip on the
-    last factor when it is a mode: frames that conjugate by a gather."""
+    last factor when it is a mode: frames that conjugate by moving entries."""
     frames = [FrameGate(g, layout, matrix_units(qubit_gate(g), (0,))) for g in "XS"]
     if layout.nfactors > 1:
         last = layout.nfactors - 1
@@ -424,26 +440,35 @@ def _leaf_parts(draw, way):
 
 def _leaf_stacks_seen(pu, t) -> tuple[np.ndarray, list]:
     """pu at t, and each leaf key found holding an ndarray stack: in the
-    stacks _build_class reads from, or, for a stack _tile reads (as is or
-    under a frame view) that no _build_class made, the tree's root."""
+    stacks _build_class reads from, or, for a stack _tile or _framed reads
+    that no _build_class made, the tree's root."""
     leaf_keys = {id(node) for node in _topological(pu) if isinstance(node.node, Leaf)}
     made, seen = [], []
-    build, tile = product_formulas._build_class, product_formulas._tile
+    build, tile, framed = (
+        product_formulas._build_class, product_formulas._tile, product_formulas._framed
+    )
 
     def spy_build(node, slots, stacks, *args):
         seen.extend(k for k, v in stacks.items() if k in leaf_keys and isinstance(v, np.ndarray))
         made.append(build(node, slots, stacks, *args))
         return made[-1]
 
-    def spy_tile(stack, *args, **kwargs):
-        read = stack[0] if isinstance(stack, tuple) else stack
-        if isinstance(read, np.ndarray) and read.ndim == 4 and not any(m is read for m in made):
+    def stray(stack):
+        if isinstance(stack, np.ndarray) and stack.ndim == 4 and not any(m is stack for m in made):
             seen.append(id(pu))
+
+    def spy_tile(stack, *args, **kwargs):
+        stray(stack)
         return tile(stack, *args, **kwargs)
+
+    def spy_framed(child, *args):
+        stray(child)
+        return framed(child, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(product_formulas, "_build_class", spy_build)
         patch.setattr(product_formulas, "_tile", spy_tile)
+        patch.setattr(product_formulas, "_framed", spy_framed)
         return pu.eval(t).mat, seen
 
 
@@ -463,7 +488,7 @@ def test_leaf_entries_equal_fold_bitwise(way, data, t):
     assert np.array_equal(mat, _fold(tree, t))
 
 
-def _plan_per_row(pu, params, need, gathers):
+def _plan_per_row(pu, params, need, moves):
     """The plan with one Factor.at call per row: the reference whose rows the
     plan's list expressions must equal bit for bit."""
     match pu.node:
@@ -471,7 +496,7 @@ def _plan_per_row(pu, params, need, gathers):
             return [(id(child), _rows(need, id(child), [p / count for p in params]), False, None)]
         case Product(factors):
             slots, seen = [], {}
-            for i, f in enumerate(factors[1:2] if id(pu) in gathers else factors):
+            for i, f in enumerate(factors[1:2] if id(pu) in moves else factors):
                 gate = f.pu.node.gate if isinstance(f.pu.node, Leaf) else None
                 local = gate if i > 0 and isinstance(gate, Primitive) and gate.local else None
                 key = (id(f.pu), f.coeff, f.power, f.invert, f.adjoint_if_negative, local)
@@ -492,11 +517,11 @@ def _plan_per_row(pu, params, need, gathers):
 def _top_down(root, t, plan):
     """need and slots of every node of root at t, from plan (_plan or the
     per-row reference), in the eval's order."""
-    gathers = _sectors_of(root).gathers
+    moves = _sectors_of(root).moves
     need, plans = {id(root): {t: 0}}, {}
     for pu in _topological(root):
         if id(pu) in need and not isinstance(pu.node, Leaf):
-            plans[id(pu)] = plan(pu, list(need[id(pu)]), need, gathers)
+            plans[id(pu)] = plan(pu, list(need[id(pu)]), need, moves)
     return need, plans
 
 
@@ -672,7 +697,7 @@ def _qubit_frame(name: str) -> Operator:
     [("X", True), ("S", True), ("Sdg", True), ("R0", True), ("H", False), ("SH", False)],
 )
 def test_monomial_frame_conjugation_is_an_exact_gather(name, monomial):
-    """X, S, Sdg and the vacuum parity flip conjugate by a gather, equal to
+    """X, S, Sdg and the vacuum parity flip conjugate by moving entries, equal to
     the dense F @ U @ F^dag bit for bit, both ways round and around a local
     primitive; H and SH keep the products, equal to it up to rounding."""
     layout = HilbertLayout.qubit_modes(3)
@@ -686,7 +711,7 @@ def test_monomial_frame_conjugation_is_an_exact_gather(name, monomial):
     for prim in (full, local):
         for f in (frame, frame.dagger()):
             pu = frame_conjugate(primitive_unitary(prim), f)
-            assert (id(pu) in _sectors_of(pu).gathers) == monomial
+            assert (id(pu) in _sectors_of(pu).moves) == monomial
             for t in (0.37, -1.2):
                 dense = f.unitary() @ prim.unitary(t) @ f.unitary().conj().T
                 if monomial:
@@ -764,7 +789,7 @@ def _arrays_within(value, seen: set) -> list[np.ndarray]:
 )
 def test_frame_holds_no_full_size_matrix(case):
     """A frame, and its dagger, keep sector indices, sector blocks, index
-    groups and gather vectors, all of O(dim) entries, and no dim x dim array
+    groups and perm and phase vectors, all of O(dim) entries, and no dim x dim array
     anywhere among their attributes, an Operator's included. A frame on
     every factor whose pattern splits into many sectors (a qubit gate
     embedded in the whole layout) keeps only its small blocks too."""
@@ -810,11 +835,11 @@ def test_phase_frame_off_the_unit_set_is_not_monomial():
     assert not frame.monomial
     local = Primitive("n", layout, matrix_units(number(2), (1,)))
     pu = frame_conjugate(primitive_unitary(local), frame)
-    assert id(pu) not in _sectors_of(pu).gathers
+    assert id(pu) not in _sectors_of(pu).moves
 
 
 def test_only_a_frame_and_its_inverse_gather():
-    """A gather stands for F U F^dag only: F U G^dag with another monomial
+    """A move stands for F U F^dag only: F U G^dag with another monomial
     frame G, and F U F with no inversion, keep the products and equal the
     dense product up to rounding."""
     layout = HilbertLayout.qubit_modes(2)
@@ -829,9 +854,9 @@ def test_only_a_frame_and_its_inverse_gather():
          frame_x.unitary(), frame_x.unitary()),
     ]
     framed = frame_conjugate(u, frame_x)
-    assert id(framed) in _sectors_of(framed).gathers
+    assert id(framed) in _sectors_of(framed).moves
     for pu, left, right in cases:
-        assert id(pu) not in _sectors_of(pu).gathers
+        assert id(pu) not in _sectors_of(pu).moves
         for t in (0.37, -1.2):
             assert np.max(np.abs(pu.eval(t).mat - left @ prim.unitary(t) @ right)) < 1e-13
 
@@ -919,15 +944,17 @@ def test_eval_working_set_is_bounded():
     assert _eval_peak(pu, 0.05) / full < 2.25
 
 
-def test_kerr_eval_working_set_is_bounded():
-    """One eval of the 4-slice Kerr tree (bch 2) at cutoff 15 peaks below
-    140 full-size matrices (124 measured; 172 when each leaf was a stack of
-    its class, 228 when every monomial frame sandwich was one too): a leaf
-    is read as its sector entries, and a sandwich over it as those entries
-    moved and phased."""
-    pu = sliced(nonlinear_hamiltonian(1, 1, q=2, cutoff=15).synthesis, 4)
+@pytest.mark.parametrize("q, bound", [(2, 140), (3, 1300)])
+def test_kerr_eval_working_set_is_bounded(q, bound):
+    """One eval of the 4-slice Kerr tree at cutoff 15 peaks below bound
+    full-size matrices. At q = 2 (bch 2), 124 measured; 172 when each leaf
+    was a stack of its class, 228 when every monomial frame sandwich was
+    one too. At q = 3, the deepest sandwich nesting, 1,233 measured. A leaf
+    is read as its sector entries, and a sandwich as its child's entries
+    moved and phased, a product's through one full-tile position index."""
+    pu = sliced(nonlinear_hamiltonian(1, 1, q=q, cutoff=15).synthesis, 4)
     full = pu.layout.dim**2 * np.dtype(np.complex128).itemsize
-    assert _eval_peak(pu, 1.0) / full < 140
+    assert _eval_peak(pu, 1.0) / full < bound
 
 
 def _exp_block(evals, evecs, ts):
