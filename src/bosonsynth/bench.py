@@ -22,7 +22,6 @@ import os
 import re
 import typing
 from collections.abc import Callable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -448,29 +447,30 @@ class SweepCell:
 
 
 def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int, known: dict):
-    """Errors of family over grid, each grid point measured against the
-    exact reference one class of sectors at a time (product_formulas.measure).
-    known maps grid points to measurements already made, to use instead."""
+    """Errors of family over grid, each point measured against the exact
+    reference one class of sectors at a time (product_formulas.measure) unless
+    known holds it. threads > 1 maps the points in order through a pool of at
+    most min(threads, points, usable CPUs) workers; only such a run loads it."""
     psi0 = spec.initial_state
 
     def one(t: float):
         measured = known.pop(t) if t in known else measure(family, t, spec.reference, psi0)
-        ac_err = None
-        if psi0 is not None:
-            ac_err = abs(
-                float(np.real(np.vdot(psi0, measured.state)))
-                - float(np.real(np.vdot(psi0, measured.exact_state)))
-            )
-        return measured.error, ac_err
+        if psi0 is None:
+            return measured.error, None
+        overlaps = [np.real(np.vdot(psi0, s)) for s in (measured.state, measured.exact_state)]
+        return measured.error, abs(float(overlaps[0]) - float(overlaps[1]))
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # Imported here: its logging and queue cost about 0.8 MB a one-thread run never needs.
+        from concurrent.futures import ThreadPoolExecutor
+        usable = getattr(os, "sched_getaffinity", None)
+        cpus = len(usable(0)) if usable else os.cpu_count() or 1
+        with ThreadPoolExecutor(max_workers=min(threads, len(grid), cpus)) as pool:
             results = list(pool.map(one, grid))
     else:
         results = [one(t) for t in grid]
-    op_errs = [op for op, _ in results]
-    ac_errs = None if psi0 is None else [ac for _, ac in results]
-    return op_errs, ac_errs
+    op_errs, ac_errs = (list(errs) for errs in zip(*results))
+    return op_errs, None if psi0 is None else ac_errs
 
 
 def _measure(

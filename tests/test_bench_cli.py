@@ -1,9 +1,13 @@
 """Tests for the experiment runner and its command line front end."""
+import concurrent.futures
 import csv
 import dataclasses
 import filecmp
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +50,11 @@ APPS = [
 ]
 
 
+FAST = dict(application="fswap", cutoff=3, t_min=1e-3, t_max=1e-1, points=4)
+
+
 def fast_config(**over):
-    kw = dict(application="fswap", cutoff=3, t_min=1e-3, t_max=1e-1, points=4)
-    kw.update(over)
-    return ExperimentConfig(**kw)
+    return ExperimentConfig(**{**FAST, **over})
 
 
 class TestConfigValidation:
@@ -334,6 +339,47 @@ class TestRun:
         run(cfg, out_dir=tmp_path / "par", threads=2)
         for name in ("h.csv", "h.json"):
             assert filecmp.cmp(tmp_path / "seq" / name, tmp_path / "par" / name, shallow=False)
+
+    def test_pool_is_no_larger_than_the_points_or_the_cpus(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class Recording:
+            """Maps in order on the calling thread; starts no thread."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        cfg = fast_config(out_csv="t.csv", out_json="t.json")
+        run(cfg, out_dir=tmp_path / "seq", threads=1)
+        assert sizes == []
+        run(cfg, out_dir=tmp_path / "wide", threads=10**6)
+        usable = getattr(os, "sched_getaffinity", None)
+        cpus = len(usable(0)) if usable else os.cpu_count() or 1
+        assert len(sizes) == 1 and 1 <= sizes[0] <= min(cfg.points, cpus)
+        for name in ("t.csv", "t.json"):
+            assert filecmp.cmp(tmp_path / "seq" / name, tmp_path / "wide" / name, shallow=False)
+
+    def test_single_thread_run_loads_no_pool(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from bosonsynth.bench import ExperimentConfig, run\n"
+            f"run(ExperimentConfig(**{FAST!r}), out_dir={str(tmp_path)!r}, threads=1)\n"
+            "assert 'concurrent.futures' not in sys.modules, 'pool loaded'\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_heatmap_artifact_for_state_prep(self, tmp_path):
         cfg = ExperimentConfig(
