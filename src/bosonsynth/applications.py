@@ -70,15 +70,16 @@ class ApplicationSpec:
     made when the spec is built, so exact(t) is zero between sectors. The
     builders give G (exact_generator) as a Kronecker sum on the whole
     layout, read entry by entry, and the spec keeps that reference, never a
-    full-size G; the runner measures synthesis against it. time is the flip
-    time of a preparation, None for the others.
+    full-size G; the runner measures synthesis against it, and its
+    autocorrelation from initial_state. time is the flip time of a
+    preparation, None for the others.
     """
 
     name: str
     layout: HilbertLayout
     exact_generator: InitVar[KronSum]
     synthesis: ParamUnitary
-    initial_state: Optional[np.ndarray] = None
+    initial_state: np.ndarray
     time: Optional[float] = None
     reference: Primitive = field(init=False, repr=False)
 
@@ -155,21 +156,6 @@ def _ladder_power(cutoff: int, k: int) -> Operator:
     return out
 
 
-def _ladder_encoding(
-    k: int, p: int, cutoff: int, base: str | None, symmetrized: bool
-) -> BlockEncoding:
-    """The encoding of (a^dag)^k that the preparation pulses, as does the
-    echoed one in tests/demos.py: halving and adding for a power of two,
-    binary digits (which take no order overrides) otherwise."""
-    if k < 1 or k > cutoff:
-        raise ValueError("need 1 <= k <= cutoff")
-    if k & (k - 1) == 0:
-        return power(k, p, cutoff, base=base, symmetrized=symmetrized)
-    if base is not None or symmetrized:
-        raise ValueError("order overrides apply to power-of-two k only")
-    return arb_power(k, p, cutoff)
-
-
 def state_prep_T(
     k: int,
     p: int = 2,
@@ -177,8 +163,13 @@ def state_prep_T(
     base: str | None = None,
     symmetrized: bool = False,
 ) -> ApplicationSpec:
-    """Block rotation that pumps |1, 0> toward |0, k>, timed to the flip."""
-    enc = _ladder_encoding(k, p, cutoff, base, symmetrized)
+    """Block rotation that pumps |1, 0> toward |0, k>, timed to the flip.
+
+    The pulse is arb_power's encoding of (a^dag)^k for any 1 <= k <= cutoff,
+    base and symmetrized reaching every level of its tree."""
+    if k < 1 or k > cutoff:
+        raise ValueError("need 1 <= k <= cutoff")
+    enc = arb_power(k, p, cutoff, base, symmetrized)
     layout = enc.layout
     return ApplicationSpec(
         name=f"state-prep-T{k}",

@@ -153,8 +153,6 @@ class ExperimentConfig:
             k = self.physical.get("k", 2.0)
             if not (k.is_integer() and 1 <= k <= self.cutoff):
                 raise UsageError(f"physical.k must be an integer in 1..{self.cutoff}, got {k:g}")
-            if int(k) & (int(k) - 1) and (self.base or self.symmetrized):
-                raise UsageError("orders.base and orders.symmetrized need a power-of-two k")
         for key in ("omega", "kappa"):
             if self.physical.get(key, 0.0) < 0:
                 raise UsageError(f"physical.{key} must be >= 0")
@@ -250,8 +248,9 @@ class _AppEntry:
     min_cutoff: int = 1  # the smallest cutoff `build` takes
 
 
-def _trotter_reps(p: int) -> int:
-    return 2 * 5 ** (suzuki_index(p) - 1)
+def _trotter_reps(p: int) -> int | float:
+    s = suzuki_index(p)  # inf past 5^441, the float range, before a huge integer is formed
+    return math.inf if s - 1 > 441 else 2 * 5 ** (s - 1)
 
 
 def _build_conditional_rotation(cfg: ExperimentConfig) -> ApplicationSpec:
@@ -273,7 +272,7 @@ def _build_state_prep(cfg: ExperimentConfig) -> ApplicationSpec:
 def _bound_state_prep(cfg: ExperimentConfig) -> float:
     k = int(cfg.physical.get("k", 2))
     p = cfg.bch_order
-    if k & (k - 1) == 0:
+    if math.log2(k).is_integer():  # one halving tree, as arb_power builds a single-bit k
         return 6.0 ** math.log2(k) * 420.0 ** (k * p / 2.0)
     return arb_power_count_bound(k, p)
 
@@ -331,11 +330,12 @@ _REGISTRY: dict[str, _AppEntry] = {
         physical=("k",),
         symmetrizes=True,
         detail=(
-            "Powers of the seed encoding assembled by repeated squaring.  Driving\n"
-            "|1,0> for the exact flip time t = (2n+1)*pi/(2*sqrt(k!)) lands the\n"
-            "full population on |0,k>.  Runs also emit a <csv-stem>_heatmap.csv\n"
-            "with exact and synthesized matrix moduli at the flip time.  Cost\n"
-            "ceiling: 6^(log2 k)*420^(k p/2) for k a power of two."
+            "Powers of the seed encoding assembled by repeated squaring, joined\n"
+            "over the binary digits of k.  Driving |1,0> for the exact flip time\n"
+            "t = (2n+1)*pi/(2*sqrt(k!)) lands the full population on |0,k>.  Runs\n"
+            "also emit a <csv-stem>_heatmap.csv with exact and synthesized matrix\n"
+            "moduli at the flip time.  Cost ceiling: 6^(log2 k)*420^(k p/2) for k\n"
+            "a power of two, arb_power_count_bound(k, p) otherwise."
         ),
     ),
     "hom-beam-splitter": _AppEntry(
@@ -406,7 +406,7 @@ class SynthesisReport:
     config: ExperimentConfig
     times: list
     op_norm_error: list
-    autocorr_error: list | None
+    autocorr_error: list
     slices: int
     gate_count_step: int
     gate_count_total: int
@@ -421,9 +421,9 @@ class SynthesisReport:
     def __post_init__(self):
         if len(self.op_norm_error) != len(self.times):
             raise ValueError("error array not aligned with grid")
-        if self.autocorr_error is not None and len(self.autocorr_error) != len(self.times):
+        if len(self.autocorr_error) != len(self.times):
             raise ValueError("autocorrelation array not aligned with grid")
-        for arr in (self.times, self.op_norm_error, self.autocorr_error or []):
+        for arr in (self.times, self.op_norm_error, self.autocorr_error):
             if any(not math.isfinite(v) for v in arr):
                 raise ValueError("non-finite value in report arrays")
 
@@ -455,8 +455,6 @@ def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int, 
 
     def one(t: float):
         measured = known.pop(t) if t in known else measure(family, t, spec.reference, psi0)
-        if psi0 is None:
-            return measured.error, None
         overlaps = [np.real(np.vdot(psi0, s)) for s in (measured.state, measured.exact_state)]
         return measured.error, abs(float(overlaps[0]) - float(overlaps[1]))
 
@@ -470,7 +468,7 @@ def _grid_errors(spec: ApplicationSpec, family, grid: np.ndarray, threads: int, 
     else:
         results = [one(t) for t in grid]
     op_errs, ac_errs = (list(errs) for errs in zip(*results))
-    return op_errs, None if psi0 is None else ac_errs
+    return op_errs, ac_errs
 
 
 def _measure(
@@ -541,7 +539,8 @@ def _artifact_paths(
     """The files a run writes: its CSV and JSON (named `stem` unless the
     config names them) and, with heatmap, `<csv stem>_heatmap.csv` beside
     the CSV. Two that name one file, or a path that is a directory (an
-    existing one, or another artifact's), exit 2, before any work."""
+    existing one, or another artifact's), exit 2, and a path below a regular
+    file exits 4, before any work."""
     out_dir = Path(out_dir)
     csv_path = out_dir / (config.out_csv or f"{stem}.csv")
     paths = [csv_path, out_dir / (config.out_json or f"{stem}.json")]
@@ -553,6 +552,9 @@ def _artifact_paths(
     for path, full in zip(paths, resolved):
         if full.is_dir() or any(full in other.parents for other in resolved):
             raise UsageError(f"artifact path {path} is a directory")
+        ancestor = next(parent for parent in full.parents if parent.exists())
+        if not ancestor.is_dir():
+            raise OSError(f"writing {path}: {ancestor} is not a directory")
     return paths
 
 
@@ -586,12 +588,6 @@ def run_sweep(
     """Order-by-timestep matrix: orders 1..bch with both commutator bases."""
     entry = _REGISTRY[config.application]
     _check_limits(entry, config, threads, dim_cap)
-    k = int(config.physical.get("k", 2))
-    if "k" in entry.physical and k & (k - 1):
-        raise UsageError(
-            f"sweep compares orders.base, which physical.k {k} does not take: "
-            "it needs a power-of-two k"
-        )
     csv_path, json_path = _artifact_paths(config, out_dir, f"{config.application}-sweep")
     cells = []
     for order in range(1, config.bch_order + 1):
@@ -630,24 +626,16 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise OSError(f"writing {path}: {exc}") from exc
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("refusing to serialize a non-finite value")
-        return f"{value:.17g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("refusing to serialize a non-finite value")
+    return f"{value:.17g}"
 
 
 def emit_csv(report: SynthesisReport, path: str | Path) -> None:
     lines = ["t,op_norm_error,autocorr_error,gate_count,slices"]
-    for i, t in enumerate(report.times):
-        ac = report.autocorr_error[i] if report.autocorr_error is not None else None
-        lines.append(
-            f"{_fmt(t)},{_fmt(report.op_norm_error[i])},{_fmt(ac)},"
-            f"{report.gate_count_total},{report.slices}"
-        )
+    for row in zip(report.times, report.op_norm_error, report.autocorr_error):
+        lines.append(f"{','.join(map(_fmt, row))},{report.gate_count_total},{report.slices}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -242,7 +242,8 @@ def power(
 
     Each halving level doubles the order charged to its operands, so the
     leaf accuracy supports the full tree. budget/base/symmetrized override
-    the per-level defaults uniformly, for cost/accuracy studies.
+    the per-level defaults uniformly, for cost/accuracy studies; arb_power
+    takes any k >= 1 with the same base and symmetrized.
     """
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError("k must be a positive power of two")
@@ -254,13 +255,16 @@ def power(
     return add(half, half, 2 * p, budget, base, symmetrized)
 
 
-def arb_power(k: int, p: int, cutoff: int) -> BlockEncoding:
+def arb_power(
+    k: int, p: int, cutoff: int, base: str | None = None, symmetrized: bool = False
+) -> BlockEncoding:
     """Encoding of (a^dag)^k for arbitrary k >= 1 from its binary digits.
 
     Single-bit k needs no adder and collapses to the power-of-two route.
     Otherwise the digit range splits in half, the halves recurse at doubled
     order, and one ADD joins them; zero digits contribute the identity
-    encoding.
+    encoding. base and symmetrized reach every power leaf and every ADD, as
+    in power.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -270,7 +274,7 @@ def arb_power(k: int, p: int, cutoff: int) -> BlockEncoding:
 
     def leaf(idx: int, order: int) -> BlockEncoding:
         if bits[idx]:
-            return power(2**idx, order, cutoff)
+            return power(2**idx, order, cutoff, base=base, symmetrized=symmetrized)
         return identity_encoding(cutoff)
 
     def build(lo: int, hi: int, order: int) -> BlockEncoding:
@@ -279,8 +283,8 @@ def arb_power(k: int, p: int, cutoff: int) -> BlockEncoding:
         mid = lo + (hi - lo) // 2
         lower = build(lo, mid, 2 * order)
         upper = build(mid + 1, hi, 2 * order)
-        return add(lower, upper, 2 * order)
+        return add(lower, upper, 2 * order, base=base, symmetrized=symmetrized)
 
     if sum(bits) == 1:
-        return power(k, p, cutoff)
+        return power(k, p, cutoff, base=base, symmetrized=symmetrized)
     return build(0, len(bits) - 1, p)

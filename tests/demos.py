@@ -21,14 +21,13 @@ import numpy as np
 from bosonsynth.applications import (
     ApplicationSpec,
     _conditional_square,
-    _ladder_encoding,
     _ladder_power,
     arb_power_count_bound,
     conditional_beam_splitter,
     cross_kerr_gate,
 )
 from bosonsynth.bench import ExperimentConfig, SynthesisReport
-from bosonsynth.block_encodings import block_generator, conjugate, mult, s1
+from bosonsynth.block_encodings import arb_power, block_generator, conjugate, mult, s1
 from bosonsynth.fock_ops import (
     KronSum,
     _factor_mats,
@@ -328,7 +327,7 @@ def state_prep_protected(
     factors run at the full parameter; the echoed generator commutes with
     the bare one, so the two-factor product carries no splitting error.
     """
-    pulse = _ladder_encoding(k, p, cutoff, base, False).unitary
+    pulse = arb_power(k, p, cutoff, base).unitary
     layout = pulse.layout
     if t is None:
         t = math.pi / (4.0 * math.sqrt(math.factorial(k)))  # the echo doubles the coupling

@@ -15,7 +15,7 @@ from bosonsynth.applications import (
     state_prep_exact_time,
 )
 from bosonsynth import product_formulas
-from bosonsynth.block_encodings import s1
+from bosonsynth.block_encodings import arb_power, s1
 from bosonsynth.fock_ops import annihilation, creation, momentum, number, pauli, position
 from bosonsynth.product_formulas import (
     ParamUnitary,
@@ -192,7 +192,7 @@ class TestApplicationSpec:
         layout = HilbertLayout.single_qubit()
         bad = [(1.0, {0: Operator(layout, np.array([[0.0, 1.0], [0.0, 0.0]]))})]
         with pytest.raises(ValueError, match="Hermitian"):
-            ApplicationSpec("bad", layout, bad, None)
+            ApplicationSpec("bad", layout, bad, None, basis_state(layout, 0))
 
     def test_stored_time_used(self):
         spec = state_prep_T(2, cutoff=2)
@@ -387,9 +387,19 @@ class TestStatePrepSynthesized:
         plain = error(state_prep_T(2, p=2, cutoff=2, base="lean"), prot.time)
         assert error(prot, prot.time) > plain
 
-    def test_non_power_of_two_rejects_overrides(self):
-        with pytest.raises(ValueError):
-            state_prep_T(3, cutoff=4, base="lean")
+    def test_non_power_of_two_takes_overrides(self):
+        """k = 3 takes orders.base like a power of two: the pulse is
+        arb_power's digit ladder with the lean base at every ADD."""
+        spec = state_prep_T(3, cutoff=4, base="lean")
+        enc = arb_power(3, 2, 4, "lean")
+        assert spec.synthesis.cost_counter == enc.unitary.cost_counter
+        assert np.array_equal(spec.synthesis.eval(1e-6).mat, enc.unitary.eval(1e-6).mat)
+        assert spec.synthesis.cost() < state_prep_T(3, cutoff=4).synthesis.cost()
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_rejects_k_outside_the_cutoff(self, k):
+        with pytest.raises(ValueError, match="1 <= k <= cutoff"):
+            state_prep_T(k, cutoff=4)
 
 
 class TestSuccessBound:

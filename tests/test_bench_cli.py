@@ -4,10 +4,12 @@ import csv
 import dataclasses
 import filecmp
 import inspect
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +18,12 @@ import yaml
 
 from bosonsynth import bench, cli
 from bosonsynth.applications import state_prep_T
+from bosonsynth.block_encodings import arb_power
 from bosonsynth.bench import (
     ExperimentConfig,
     ResourceExhaustedError,
     UsageError,
     describe,
-    emit_csv,
     list_applications,
     load_config,
     run,
@@ -34,6 +36,7 @@ from bosonsynth.product_formulas import (
     Repeat,
     _topological,
     sliced,
+    suzuki_index,
 )
 from bosonsynth.tensor_core import TOL
 from demos import report_from_json
@@ -233,6 +236,31 @@ class TestRegistry:
         counts = [node.node.count for node in _topological(pu) if isinstance(node.node, Repeat)]
         assert all(count > 1 for count in counts)
 
+    @pytest.mark.parametrize("symmetrized", [False, True])
+    @pytest.mark.parametrize("base", [None, "lean", "split"])
+    @pytest.mark.parametrize("bch", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5, 6, 7])
+    def test_digit_ladder_ledger_stays_under_its_ceiling(self, k, bch, base, symmetrized):
+        """A k that is no power of two takes every order override, and the
+        ledger of its digit ladder stays under the state-prep-T ceiling."""
+        cfg = ExperimentConfig(application="state-prep-T", cutoff=k, physical={"k": k},
+                               bch_order=bch, base=base, symmetrized=symmetrized, points=4)
+        entry = bench._REGISTRY["state-prep-T"]
+        assert entry.build(cfg).synthesis.cost() <= entry.bound(cfg)
+
+    def test_trotter_reps_keep_every_finite_value(self):
+        """The Suzuki repetition count is the old integer 2 * 5^(s-1) to the
+        bit wherever 5^(s-1) fits a float (every order up to 884), and inf
+        past that, where no ceiling built on it could be finite."""
+        for p in range(1, 1001):
+            power = 5 ** (suzuki_index(p) - 1)
+            try:
+                float(power)
+            except OverflowError:
+                assert bench._trotter_reps(p) == math.inf
+            else:
+                assert bench._trotter_reps(p) == 2 * power
+
     SUPPORTS = {
         "conditional-rotation": {
             "half-phase": (0,), "x*sx": (0, 1), "x*sy": (0, 1), "p*sx": (0, 1), "p*sy": (0, 1),
@@ -282,14 +310,6 @@ class TestRun:
         first = lines[1].split(",")
         assert float(first[0]) == report.times[0]
         assert float(first[1]) == report.op_norm_error[0]
-
-    def test_empty_cell_for_missing_autocorr(self, tmp_path):
-        cfg = fast_config(out_csv="y.csv")
-        report = run(cfg, out_dir=tmp_path)
-        bare = dataclasses.replace(report, autocorr_error=None)
-        emit_csv(bare, tmp_path / "bare.csv")
-        row = (tmp_path / "bare.csv").read_text().splitlines()[1]
-        assert row.split(",")[2] == ""
 
     def test_json_round_trip(self, tmp_path):
         cfg = fast_config(out_json="r.json")
@@ -524,13 +544,13 @@ class TestCli:
             {"physical": {"kk": 3}},
             {"physical": {"k": 2.5}},
             {"physical": {"k": 5}},
-            {"physical": {"k": 3}, "cutoff": 3, "orders": {"base": "lean"}},
+            {"orders": {"bch": 0}},
             {"application": "nonlinear-hamiltonian", "physical": {"kappa": -1}},
             {"grid": {"points": 4, "log_spaced": True}},
             {"fit": {"residual_cap": 0.1}},
         ],
         ids=["cutoff-abc", "cutoff-8.5", "cutoff-true", "points-list", "min-str",
-             "symmetrized-no", "physical-kk", "k-2.5", "k-over-cutoff", "k-3-with-base",
+             "symmetrized-no", "physical-kk", "k-2.5", "k-over-cutoff", "bch-0",
              "negative-kappa", "log-spaced", "residual-cap"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, override):
@@ -540,6 +560,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("text", ["- application: fswap\n", ""], ids=["list", "empty"])
+    def test_config_root_that_is_no_mapping_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        assert cli.main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: config root must be a mapping\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:.*well-conditioned range.*:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "k,orders",
+        [
+            (3, {"base": "lean"}),
+            (3, {"base": "split", "symmetrized": True}),
+            (5, {"base": "lean"}),
+            (6, {"symmetrized": True}),
+        ],
+        ids=["k-3-with-base", "k-3-split-symmetrized", "k-5-lean", "k-6-symmetrized"],
+    )
+    def test_any_photon_number_takes_the_order_overrides(self, tmp_path, k, orders):
+        """A k that is no power of two runs with orders.base and
+        orders.symmetrized, and its ledger is that of arb_power's digit
+        ladder under the same overrides. (The heatmap's eval at the flip
+        time is past the step-size range, which the mark hides.)"""
+        path = self._write(tmp_path, {"application": "state-prep-T", "cutoff": k,
+                                      "physical": {"k": k}, "grid": {"points": 4},
+                                      "orders": orders})
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        report = report_from_json(tmp_path / "out" / "state-prep-T.json")
+        enc = arb_power(k, 1, k, orders.get("base"), orders.get("symmetrized", False))
+        assert report.gate_count_step == enc.unitary.cost()
+        assert report.within_bound
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
@@ -673,25 +727,26 @@ class TestCli:
         assert "order 1 (lean)" in out and "order 2 (split)" in out
         assert (tmp_path / "s.csv").exists()
 
-    def test_sweep_of_a_ladder_power_that_is_no_power_of_two_exits_2_before_any_build(
-        self, tmp_path, capsys, monkeypatch
+    def test_sweep_of_a_ladder_power_that_is_no_power_of_two_writes_both_bases(
+        self, tmp_path, capsys
     ):
-        """k = 3 runs (the inline golden config state-prep-t3), but a sweep
-        sets orders.base per cell, which only a power-of-two k takes: the
-        refusal names the sweep, not a key the config never set."""
-        def refuse(cfg):
-            raise AssertionError("built a gate")
-
-        config = {"application": "state-prep-T", "cutoff": 6, "physical": {"k": 3},
-                  "grid": {"points": 4}}
+        """A sweep sets orders.base per cell, which k = 3 takes like any k:
+        each order gets a lean and a split cell, whose ledger is arb_power's
+        digit ladder with that base. The grid stays inside the order-2
+        step-size range, so the sweep warns of nothing."""
+        config = {"application": "state-prep-T", "cutoff": 4, "physical": {"k": 3},
+                  "grid": {"min": 1.0e-6, "max": 1.0e-5, "points": 4}, "orders": {"bch": 2}}
         path = self._write(tmp_path, config)
-        entry = dataclasses.replace(bench._REGISTRY["state-prep-T"], build=refuse)
-        monkeypatch.setitem(bench._REGISTRY, "state-prep-T", entry)
-        assert cli.main(["sweep", path, "--out-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: sweep compares orders.base") and err.count("\n") == 1
-        assert "physical.k 3" in err
-        assert not (tmp_path / "out").exists()
+        assert cli.main(["sweep", path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert "order 2 (split)" in capsys.readouterr().out
+        with open(tmp_path / "out" / "state-prep-T-sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 * 4
+        cells = sorted({(int(r["order"]), r["base"], int(r["gate_count"])) for r in rows})
+        assert [cell[:2] for cell in cells] == [(1, "lean"), (1, "split"), (2, "lean"),
+                                                (2, "split")]
+        assert all(count == arb_power(3, order, 4, base).unitary.cost()
+                   for order, base, count in cells)
 
     def test_seed_rejected(self, tmp_path, capsys):
         path = self._write(tmp_path, {"application": "fswap", "cutoff": 3,
@@ -710,14 +765,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "delta" in err and "Traceback" not in err
 
-    def test_unwritable_out_dir_exits_4(self, tmp_path, capsys):
-        path = self._write(tmp_path, {"application": "fswap", "cutoff": 3,
-                                      "grid": {"points": 4}})
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("below", ["out-dir", "csv"])
+    def test_unwritable_out_dir_exits_4(self, tmp_path, capsys, monkeypatch, command, below):
+        """An artifact below a regular file, through --out-dir or a config's
+        output path, exits 4 with one error line before any build, not
+        after the whole grid."""
+        def refuse(cfg):
+            raise AssertionError("built a gate")
+
+        entry = dataclasses.replace(bench._REGISTRY["fswap"], build=refuse)
+        monkeypatch.setitem(bench._REGISTRY, "fswap", entry)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert cli.main(["run", path, "--out-dir", str(blocker / "sub")]) == 4
+        config = {"application": "fswap", "cutoff": 3, "grid": {"points": 4}}
+        out = blocker / "sub"
+        if below == "csv":
+            config["output"] = {"csv": "file/sub/a.csv"}
+            out = tmp_path
+        path = self._write(tmp_path, config)
+        assert cli.main([command, path, "--out-dir", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: writing") and err.count("\n") == 1
+        assert err.endswith(f"{blocker} is not a directory\n")
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_zero_threads_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command):
@@ -734,12 +805,21 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
         "application,bch",
-        [("nonlinear-hamiltonian", 60), ("nonlinear-hamiltonian", 58), ("state-prep-T", 200)],
-        ids=["nonlinear-bch60-raises", "nonlinear-bch58-inf", "state-prep-bch200-raises"],
+        [
+            ("nonlinear-hamiltonian", 60),
+            ("nonlinear-hamiltonian", 58),
+            ("state-prep-T", 200),
+            ("hom-beam-splitter", 40_000_000),
+            ("conditional-rotation", 40_000_000),
+        ],
+        ids=["nonlinear-bch60-raises", "nonlinear-bch58-inf", "state-prep-bch200-raises",
+             "hom-bch4e7", "rotation-bch4e7"],
     )
     def test_overflowing_cost_ceiling_exits_3_before_any_build(
         self, tmp_path, capsys, monkeypatch, application, bch, command
     ):
+        """Within a second: the Suzuki repetitions of a huge order are inf,
+        not an integer of millions of digits."""
         def refuse(cfg):
             raise AssertionError("built a gate")
 
@@ -747,7 +827,9 @@ class TestCli:
         monkeypatch.setitem(bench._REGISTRY, application, entry)
         path = self._write(tmp_path, {"application": application, "cutoff": 2,
                                       "grid": {"points": 4}, "orders": {"bch": bch}})
+        started = time.perf_counter()
         assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == 3
+        assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "float range" in err

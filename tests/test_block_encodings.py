@@ -31,7 +31,7 @@ from bosonsynth.product_formulas import (
     frame_conjugate,
     trotter,
 )
-from bosonsynth.tensor_core import HilbertLayout, LayoutMismatchError, spectral_norm
+from bosonsynth.tensor_core import HilbertLayout, LayoutMismatchError, basis_state, spectral_norm
 from demos import dense, flow, is_unitary, s1_from_conditional_displacements, sweep_errors
 
 
@@ -292,6 +292,27 @@ class TestArbPower:
         rhs = power(2, 2, 15)
         assert spectral_norm(lhs.unitary.eval(0.05).mat - rhs.unitary.eval(0.05).mat) == 0.0
 
+    @pytest.mark.parametrize("symmetrized", [False, True])
+    @pytest.mark.parametrize("base", [None, "lean", "split"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_single_bit_is_power_under_every_override(self, k, base, symmetrized):
+        """A single-bit k is power's halving tree with the same overrides:
+        same label, same ledger, same bits (at a t inside every level's
+        step-size range)."""
+        lhs = arb_power(k, 1, 2, base, symmetrized).unitary
+        rhs = power(k, 1, 2, base=base, symmetrized=symmetrized).unitary
+        assert (lhs.label, lhs.cost_counter) == (rhs.label, rhs.cost_counter)
+        assert np.array_equal(lhs.eval(1e-9).mat, rhs.eval(1e-9).mat)
+
+    def test_overrides_reach_every_level_of_the_digit_ladder(self):
+        """k = 3 with the split base and symmetrized blocks is the ADD of
+        the two digit encodings built with the same overrides."""
+        lhs = arb_power(3, 1, 4, "split", True).unitary
+        low, high = s1(4), power(2, 2, 4, base="split", symmetrized=True)
+        rhs = add(low, high, 2, base="split", symmetrized=True).unitary
+        assert (lhs.label, lhs.cost_counter) == (rhs.label, rhs.cost_counter)
+        assert np.array_equal(lhs.eval(1e-9).mat, rhs.eval(1e-9).mat)
+
     def test_single_bit_is_seed(self):
         lhs = arb_power(1, 3, 6)
         assert spectral_norm(lhs.unitary.eval(0.23).mat - s1(6).unitary.eval(0.23).mat) == 0.0
@@ -381,7 +402,9 @@ class TestBlockGenerator:
             a.unitary, FrameGate("X", b.layout, [(1.0, {0: qubit_gate("X")})])
         ),
         lambda a, b: mult(a, b, 2),
-        lambda a, b: ApplicationSpec("ab", a.layout, block_generator(b.block_target), a.unitary),
+        lambda a, b: ApplicationSpec(
+            "ab", a.layout, block_generator(b.block_target), a.unitary, basis_state(a.layout, 0, 0)
+        ),
     ],
     ids=["compose", "trotter", "bch", "frame_conjugate", "mult", "spec"],
 )

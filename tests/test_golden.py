@@ -1,4 +1,4 @@
-"""Golden artifacts: the five fast shipped configs, and three inline configs
+"""Golden artifacts: the five fast shipped configs, and four inline configs
 for runner paths no shipped config reaches, rerun against the files stored
 in tests/golden/. The gate-count ledger must match exactly; errors,
 times and matrix moduli must agree within 1e-12 absolute, so the check holds
@@ -46,9 +46,10 @@ CONFIGS = {
 }
 
 # Runner paths no shipped config reaches: a ladder power that is no power of
-# two (arb_power), the symmetrized split base (the symmetrize inside add), and
+# two (arb_power's digit ladder), the same ladder with the order overrides at
+# every level, the symmetrized split base (the symmetrize inside add), and
 # the cross-Kerr gate at a second commutator order. The CI smoke step runs
-# the same three.
+# the same four.
 INLINE = {
     "state-prep-t3": (
         "application: state-prep-T\n"
@@ -57,6 +58,20 @@ INLINE = {
         "grid: {min: 1.0e-3, max: 1.0e-1, points: 4}\n"
         "output: {csv: state-prep-t3.csv, json: state-prep-t3.json}\n",
         ["state-prep-t3.csv", "state-prep-t3.json", "state-prep-t3_heatmap.csv"],
+    ),
+    "state-prep-t3-lean-symmetrized": (
+        "application: state-prep-T\n"
+        "cutoff: 6\n"
+        "physical: {k: 3}\n"
+        "grid: {min: 1.0e-3, max: 1.0e-1, points: 4}\n"
+        "orders: {base: lean, symmetrized: true}\n"
+        "output: {csv: state-prep-t3-lean-symmetrized.csv,"
+        " json: state-prep-t3-lean-symmetrized.json}\n",
+        [
+            "state-prep-t3-lean-symmetrized.csv",
+            "state-prep-t3-lean-symmetrized.json",
+            "state-prep-t3-lean-symmetrized_heatmap.csv",
+        ],
     ),
     "state-prep-t4-symmetrized": (
         "application: state-prep-T\n"
